@@ -60,6 +60,10 @@ class CheckReport:
     passed: bool
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # comparisons of numpy floats give np.bool_, which JSON cannot encode
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def to_dict(self) -> dict:
         d = {"claim": self.claim, "lhs": self.lhs, "rhs": self.rhs,
              "gap": self.gap, "tolerance": self.tolerance, "pass": self.passed}
@@ -113,17 +117,16 @@ class ThresholdResult:
 def laurent_fit(evaluate, n: int, terms: int, window: FitWindow) -> LaurentFit:
     """Least squares of V(r) against sum a_j r^j, j = n .. n-terms+1.
 
-    evaluate may be a callable r -> V(r) or anything with a value_scalar
-    method (a radial volume profile).  terms is capped at n+1 so the model
-    stays inside the Laurent orders the volume function can carry against a
-    meaningful constant term.
+    evaluate maps an array of radii to the array of volumes (a radial volume
+    profile, a BallSystem volume method, or any vectorised callable).  terms
+    is capped at n+1 so the model stays inside the Laurent orders the volume
+    function can carry against a meaningful constant term.
     """
     if terms < 1:
         raise InputError("terms must be >= 1")
     if terms > n + 1:
         raise InputError(f"terms must be <= n+1 = {n + 1} (powers r^n .. r^0)")
-    fn = evaluate.value_scalar if hasattr(evaluate, "value_scalar") else evaluate
-    coeffs, resid, cond = fit_radial_powers(fn, n, terms, window)
+    coeffs, resid, cond = fit_radial_powers(evaluate, n, terms, window)
     return LaurentFit(coefficients=np.asarray(coeffs),
                       powers=tuple(n - k for k in range(terms)),
                       window=window, residual_norm=resid, condition_estimate=cond)
@@ -133,21 +136,23 @@ def _config_scale(p: PointConfiguration) -> float:
     return max(p.diameter, 1e-2)
 
 
-def _system_and_window(p: PointConfiguration, window: FitWindow | None,
-                       step_control: StepControl | None = None,
-                       factor: float = DEFAULT_WINDOW_FACTOR,
-                       span: float = DEFAULT_WINDOW_SPAN):
-    """Build the ball system out to the fit window (derived from the profile
-    breakpoints when not given explicitly)."""
+def system_and_window(p: PointConfiguration, window: FitWindow | None,
+                      step_control: StepControl | None = None,
+                      factor: float = DEFAULT_WINDOW_FACTOR,
+                      span: float = DEFAULT_WINDOW_SPAN):
+    """The ball system and its Laurent fit window.
+
+    An explicit window bounds the build.  Otherwise the system is built once
+    for every radius and the window [R, span R] is taken from its
+    breakpoints, with R = factor * max(last breakpoint, configuration scale).
+    """
     if window is not None:
         system = BallSystem(p, r_max=window.r_max * (1 + 1e-6), step_control=step_control)
         return system, window
-    probe = BallSystem(p, r_max=2.0 * _config_scale(p), step_control=step_control)
-    bp_max = float(probe.breakpoints[-1]) if probe.breakpoints.size else 0.0
+    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    bp_max = float(system.breakpoints[-1]) if system.breakpoints.size else 0.0
     R = factor * max(bp_max, _config_scale(p))
-    window = FitWindow(r_min=R, r_max=span * R, count=DEFAULT_WINDOW_COUNT)
-    system = BallSystem(p, r_max=window.r_max * (1 + 1e-6), step_control=step_control)
-    return system, window
+    return system, FitWindow(r_min=R, r_max=span * R, count=DEFAULT_WINDOW_COUNT)
 
 
 def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
@@ -217,7 +222,7 @@ def verify_capoyleas_pach(p: PointConfiguration, window: FitWindow | None = None
     n = p.dimension
     if n not in (2, 3):
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
-    system, win = _system_and_window(p, window, step_control)
+    system, win = system_and_window(p, window, step_control)
     terms = min(4, n + 1)
     fit = laurent_fit(system.union_volume, n, terms, win)
     a = fit.coefficient(n - 1)
@@ -239,7 +244,7 @@ def verify_csikos(p: PointConfiguration, window: FitWindow | None = None,
     n = p.dimension
     if n not in (2, 3):
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
-    system, win = _system_and_window(p, window, step_control)
+    system, win = system_and_window(p, window, step_control)
     terms = min(4, n + 1)
     fit_i = laurent_fit(system.intersection_volume, n, terms, win)
     fit_u = laurent_fit(system.union_volume, n, terms, win)
@@ -284,7 +289,7 @@ def verify_ww_proposition(p: PointConfiguration, window: FitWindow | None = None
                            lhs=0.0, rhs=0.0, gap=0.0,
                            tolerance=1e-6 * unit_ball_volume(n), passed=True,
                            extras={"note": "single ball: both profiles are delta_n r^n"})
-    system, win = _system_and_window(p, window, step_control)
+    system, win = system_and_window(p, window, step_control)
     terms = min(4, n + 1)
     fit_u = laurent_fit(system.union_volume, n, terms, win)
     fit_i = laurent_fit(system.intersection_volume, n, terms, win)
@@ -399,17 +404,13 @@ def kp_threshold(p: PointConfiguration, q: PointConfiguration, grid: RadiusGrid,
     sys_p = BallSystem(p, r_max=grid.r_max * (1 + 1e-6), step_control=step_control)
     sys_q = BallSystem(q, r_max=grid.r_max * (1 + 1e-6), step_control=step_control)
 
-    margins = np.zeros((radii.size, 4))
-    used = np.zeros_like(radii)
-    for k, r in enumerate(radii):
-        rr = sys_q.off_breakpoint(sys_p.off_breakpoint(float(r)))
-        rr = sys_p.off_breakpoint(rr)
-        used[k] = rr
-        norm = rr ** (n - 1)
-        margins[k, 0] = (sys_q.union_volume(rr) - sys_p.union_volume(rr)) / norm
-        margins[k, 1] = (sys_p.intersection_volume(rr) - sys_q.intersection_volume(rr)) / norm
-        margins[k, 2] = (sys_q.union_boundary(rr) - sys_p.union_boundary(rr)) / norm
-        margins[k, 3] = (sys_p.intersection_boundary(rr) - sys_q.intersection_boundary(rr)) / norm
+    used = sys_p.off_breakpoint(sys_q.off_breakpoint(sys_p.off_breakpoint(radii)))
+    norm = used ** (n - 1)
+    margins = np.column_stack((
+        sys_q.union_volume(used) - sys_p.union_volume(used),
+        sys_p.intersection_volume(used) - sys_q.intersection_volume(used),
+        sys_q.union_boundary(used) - sys_p.union_boundary(used),
+        sys_p.intersection_boundary(used) - sys_q.intersection_boundary(used))) / norm[:, None]
 
     hold_tol = 1e-9 * unit_ball_volume(n)
     holds = np.all(margins >= -hold_tol, axis=1)

@@ -110,8 +110,9 @@ def _thread_count() -> int:
 class BallSystem:
     """Per-site truncated-region profiles for one configuration.
 
-    Profiles are built once up to r_max and then evaluated at any radius, so
-    radius scans (threshold searches, Laurent windows) stay cheap.  Per-site
+    Profiles are built once up to r_max (np.inf covers every radius) and then
+    evaluated at a radius or a whole array of radii in one pass, so radius
+    scans (threshold searches, Laurent windows) stay cheap.  Per-site
     builds run in parallel when KPV_THREADS > 1; sums always reduce in
     ascending site order, so results do not depend on scheduling.
     """
@@ -156,57 +157,74 @@ class BallSystem:
         bps = [bp for prof in profiles if prof is not None for bp in prof.breakpoints]
         self.breakpoints = np.unique(np.asarray(bps)) if bps else np.zeros(0)
 
-    def _sum(self, profiles, r: float, derivative: bool = False) -> float:
-        total = 0.0
+    def _sum(self, profiles, r, derivative: bool = False):
+        """Sum of per-site values (or derivatives) at a radius or an array of radii."""
+        arr = np.asarray(r, dtype=float)
+        total = np.zeros(arr.shape)
         for prof in profiles:
-            if prof is None:
-                continue
-            total += prof.derivative_scalar(r) if derivative else prof.value_scalar(r)
-        return total
+            if prof is not None:
+                total = total + (prof.derivative(arr) if derivative else prof.value(arr))
+        return float(total) if total.ndim == 0 else total
 
     def _require(self, family: str):
         if family not in self.families:
             raise InputError(f"system was built without the {family} family")
 
-    def union_volume(self, r: float) -> float:
+    def union_volume(self, r):
+        """Union volume at a radius (float) or an array of radii (array)."""
         self._require("nearest")
         return self._sum(self.nearest_profiles, r)
 
-    def intersection_volume(self, r: float) -> float:
+    def intersection_volume(self, r):
+        """Intersection volume at a radius (float) or an array of radii (array)."""
         self._require("farthest")
         return self._sum(self.farthest_profiles, r)
 
-    def _check_off_breakpoint(self, r: float):
-        if self.breakpoints.size:
-            gap = float(np.min(np.abs(self.breakpoints - r)))
-            tol = self.control.breakpoint_tol * max(1.0, r)
-            if gap < tol:
-                raise GeometryError(
-                    f"radius {r:g} sits on a profile breakpoint (within {tol:g}); "
-                    f"offset the radius by at least {tol:g}")
+    def _breakpoint_gap(self, r: np.ndarray) -> np.ndarray:
+        """Distance from each radius to the nearest breakpoint."""
+        k = np.searchsorted(self.breakpoints, r)
+        left = self.breakpoints[np.maximum(k - 1, 0)]
+        right = self.breakpoints[np.minimum(k, self.breakpoints.size - 1)]
+        return np.minimum(np.abs(r - left), np.abs(right - r))
 
-    def off_breakpoint(self, r: float) -> float:
+    def _check_off_breakpoint(self, r):
+        if not self.breakpoints.size:
+            return
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
+        tol = self.control.breakpoint_tol * np.maximum(1.0, arr)
+        bad = np.flatnonzero(self._breakpoint_gap(arr) < tol)
+        if bad.size:
+            rb, tb = float(arr[bad[0]]), float(tol[bad[0]])
+            raise GeometryError(
+                f"radius {rb:g} sits on a profile breakpoint (within {tb:g}); "
+                f"offset the radius by at least {tb:g}")
+
+    def off_breakpoint(self, r):
         """Nearest radius at least the event tolerance away from breakpoints.
 
         Radius grids built from the configuration diameter hit bisector
         distances exactly; callers scanning many radii nudge them with this
-        instead of handling the breakpoint error.
+        instead of handling the breakpoint error.  Takes a radius or an array
+        of radii.
         """
+        arr = np.asarray(r, dtype=float)
         if not self.breakpoints.size:
             return r
-        out = r
+        out = np.atleast_1d(arr).copy()
         for _ in range(64):
-            tol = self.control.breakpoint_tol * max(1.0, out)
-            if float(np.min(np.abs(self.breakpoints - out))) >= tol:
-                return out
-            out += 3.0 * tol
-        raise GeometryError(f"could not move radius {r:g} off the breakpoint set")
+            tol = self.control.breakpoint_tol * np.maximum(1.0, out)
+            near = self._breakpoint_gap(out) < tol
+            if not near.any():
+                return float(out[0]) if arr.ndim == 0 else out
+            out[near] += 3.0 * tol[near]
+        stuck = float(np.atleast_1d(arr)[np.argmax(near)])
+        raise GeometryError(f"could not move radius {stuck:g} off the breakpoint set")
 
-    def union_boundary(self, r: float) -> float:
+    def union_boundary(self, r):
         self._check_off_breakpoint(r)
         return self._sum(self.nearest_profiles, r, derivative=True)
 
-    def intersection_boundary(self, r: float) -> float:
+    def intersection_boundary(self, r):
         self._check_off_breakpoint(r)
         return self._sum(self.farthest_profiles, r, derivative=True)
 
@@ -306,10 +324,16 @@ def _mc_counts(p: PointConfiguration, r: float, samples: int, seed: int):
 
 
 def mc_ball_volume(p: PointConfiguration, r: float, which: str,
-                   samples: int, seed: int) -> tuple[float, float]:
-    """Hit-or-miss estimate over the bounding box of the union: (value, stderr)."""
+                   samples: int, seed: int):
+    """Hit-or-miss estimate over the bounding box of the union: (value, stderr).
+
+    which="both" returns {"union": (value, stderr), "intersection": (value,
+    stderr)} from one pass over the samples.
+    """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    if which not in ("union", "intersection"):
-        raise InputError(f"which must be 'union' or 'intersection', got {which!r}")
-    return _mc_counts(p, r, samples, seed)[which]
+    if which not in ("union", "intersection", "both"):
+        raise InputError(
+            f"which must be 'union', 'intersection' or 'both', got {which!r}")
+    counts = _mc_counts(p, r, samples, seed)
+    return counts if which == "both" else counts[which]

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (RadiusGrid, kp_threshold, laurent_fit,
-                          reference_mean_width, verify_capoyleas_pach,
-                          verify_csikos, verify_lift_identity,
-                          verify_ww_proposition)
+                          reference_mean_width, system_and_window,
+                          verify_capoyleas_pach, verify_csikos,
+                          verify_lift_identity, verify_ww_proposition)
 from .ball_volumes import BallSystem, mc_ball_volume
 from .configurations import (PointConfiguration, load_configuration,
                              random_expansion, save_configuration)
@@ -172,18 +172,17 @@ def _cmd_volume(spec: ExperimentSpec):
     out = {"method": method, "radii": radii, "volumes": []}
     if method == "voronoi_ode":
         system = BallSystem(config, r_max=max(radii) * (1 + 1e-9))
-        for r in radii:
-            out["volumes"].append({
-                "r": r,
-                "union": system.union_volume(r),
-                "intersection": system.intersection_volume(r)})
+        union = system.union_volume(np.asarray(radii)).tolist()
+        inter = system.intersection_volume(np.asarray(radii)).tolist()
+        out["volumes"] = [{"r": r, "union": u, "intersection": i}
+                          for r, u, i in zip(radii, union, inter)]
     elif method == "monte_carlo":
         samples = int(params.get("samples") or 1_000_000)
         seed = int(params.get("seed") or 0)
         params.update(samples=samples, seed=seed)
         for k, r in enumerate(radii):
-            u, su = mc_ball_volume(config, r, "union", samples, seed + k)
-            i, si = mc_ball_volume(config, r, "intersection", samples, seed + k)
+            both = mc_ball_volume(config, r, "both", samples, seed + k)
+            (u, su), (i, si) = both["union"], both["intersection"]
             out["volumes"].append({
                 "r": r, "union": u, "union_stderr": su,
                 "intersection": i, "intersection_stderr": si})
@@ -196,11 +195,10 @@ def _cmd_boundary(spec: ExperimentSpec):
     (config,) = _load_configs(spec, 1)
     radii = _radii(spec, max(1.0, config.diameter))
     system = BallSystem(config, r_max=max(radii) * (1 + 1e-9))
-    rows = []
-    for r in radii:
-        rows.append({"r": r,
-                     "union_boundary": system.union_boundary(r),
-                     "intersection_boundary": system.intersection_boundary(r)})
+    union = system.union_boundary(np.asarray(radii)).tolist()
+    inter = system.intersection_boundary(np.asarray(radii)).tolist()
+    rows = [{"r": r, "union_boundary": u, "intersection_boundary": i}
+            for r, u, i in zip(radii, union, inter)]
     return {"boundaries": rows}, EXIT_OK
 
 
@@ -209,16 +207,11 @@ def _cmd_asymptotics(spec: ExperimentSpec):
     params = spec.parameters
     n = config.dimension
     terms = int(params.get("terms") or min(4, n + 1))
-    scale = max(config.diameter, 1e-2)
+    window = None
     if params.get("window") is not None:
         lo, hi, count = params["window"]
         window = FitWindow(r_min=lo, r_max=hi, count=int(count))
-    else:
-        probe = BallSystem(config, r_max=2.0 * scale)
-        bp = float(probe.breakpoints[-1]) if probe.breakpoints.size else 0.0
-        R = 10.0 * max(bp, scale)
-        window = FitWindow(r_min=R, r_max=100.0 * R)
-    system = BallSystem(config, r_max=window.r_max * (1 + 1e-6))
+    system, window = system_and_window(config, window)
     res = {"window": [window.r_min, window.r_max, window.count], "terms": terms}
     for name, fn in (("union", system.union_volume),
                      ("intersection", system.intersection_volume)):

@@ -1,42 +1,79 @@
 """Radial volume profiles of polyhedral sets truncated by a growing ball.
 
 The central object is V(r), the n-volume of P intersected with the ball of
-radius r about a base point.  Between breakpoints (the face distances and
-their recursively propagated images) V satisfies a linear first-order ODE
-whose source terms are the same profiles one dimension down, evaluated on the
-face hyperplanes:
+radius r about a base point.  Its source term collects the same profiles one
+dimension down, evaluated on the face hyperplanes,
 
-    V'(r) = (n V(r) - sum_i eps_i h_i V_i(sqrt(r^2 - h_i^2))) / r
+    S(r) = sum_i eps_i h_i V_i(sqrt(r^2 - h_i^2))   (face i off below h_i),
 
-with face terms switched off below their face distance.  The recursion
-bottoms out at exact interval overlap lengths in dimension one.  Integration
-uses an adaptive embedded 4(5) Runge-Kutta pair restarted at every
-breakpoint; the singular start at r = 0 is bypassed with the exact cone
-formula V = omega * delta_n * r^n, where omega is the solid-angle fraction of
-P at the base point.
+and V solves the linear ODE r V'(r) = n V(r) - S(r).  With the integrating
+factor r^-n this is a quadrature:
 
-The transform W(s) = s^n V(1/s) is analytic at s = 0; its first two Taylor
-coefficients (the leading Laurent coefficients of V at infinity) are
-recovered by least squares on a large-radius window.
+    V(r) / r^n = omega * delta_n - int_0^r S(t) t^(-n-1) dt,
+
+where omega is the solid-angle fraction of P at the base point.  S vanishes
+below the first positive face distance, so there V is the exact cone volume
+omega * delta_n * r^n.  Beyond it the integral is built piecewise from
+already-built lower-dimensional profiles:
+
+- between two breakpoints b_k < b_{k+1} (the face distances and their
+  recursively propagated images) the substitution t = b_k + u^2 makes the
+  (t - b_k)^(1/2) and (t - b_k)^(3/2) onsets of new face terms smooth, and
+  the integrand 2u S(t) t^(-n-1) is interpolated at Chebyshev points in u
+  and integrated as a Chebyshev series;
+- from 2 b_last on the integral runs in s = 1/t, where the integrand
+  S(1/s) s^(n-1) is analytic at s = 0 (so is W(s) = s^n V(1/s)), and one
+  series reaches infinity.
+
+A piece is halved until its trailing Chebyshev coefficients fall below the
+relative tolerance.  The recursion bottoms out at exact interval overlap
+lengths in dimension one.  Evaluating a profile at any number of radii is one
+searchsorted plus one Clenshaw pass; dV/dr is read off the ODE right-hand
+side.
+
+The first two Taylor coefficients of W (the leading Laurent coefficients of V
+at infinity) are recovered by least squares on a large-radius window.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
+# Not called here: bench/tracer.py rebinds this module attribute to count
+# integrator calls, so it stays importable from this module.
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.special import gammaln
 
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import FaceData, Halfspace, PolyhedralSet, face_data
 
+_EPS = np.finfo(float).eps
+
 # directional sampling budget for solid-angle fractions of cones with three
 # or more active halfspaces (exact closed forms cover the other cases)
 _OMEGA_SAMPLES = 1_000_000
 _OMEGA_SEED = 20230517
+
+# Chebyshev points of the first kind per quadrature piece (degree 24 series)
+_CHEB_POINTS = 25
+_CHEB_THETA = np.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+_CHEB_NODES = np.cos(_CHEB_THETA)
+# values at _CHEB_NODES -> Chebyshev coefficients (a discrete cosine transform)
+_CHEB_COEFFS = (2.0 / _CHEB_POINTS) * np.cos(
+    np.outer(np.arange(_CHEB_POINTS), _CHEB_THETA))
+_CHEB_COEFFS[0] *= 0.5
+# a piece halved this often is accepted as it stands (its width is ~1e-15 of
+# its segment, so its error cannot matter)
+_MAX_HALVINGS = 50
+# more pieces than this pending at once means noise is being chased: give up
+_MAX_PENDING = 4096
+# The segment on which V rises from zero (base point outside P) starts graded
+# toward its left end, 2^-8 of its width first: V ~ (r - reach)^p there, and a
+# uniform error across a wide first piece would swamp V just past the onset.
+_ONSET_GRADING = 8
 
 
 def unit_ball_volume(n: int) -> float:
@@ -60,16 +97,15 @@ class BallConstant:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances for the profile integrator.
+    """Tolerances for the profile quadrature.
 
-    rtol is the local relative error target per step; atol_factor scales the
-    absolute floor by delta_n * r^n at the segment end; breakpoint_tol is the
-    event tolerance used when derivative evaluations must stay away from
-    breakpoints.
+    rtol is the relative size, against the piece's largest coefficient, below
+    which the trailing Chebyshev coefficients of a quadrature piece must fall
+    before the piece is accepted; breakpoint_tol is the distance (relative to
+    max(1, r)) that derivative evaluations must keep from breakpoints.
     """
 
     rtol: float = 1e-10
-    atol_factor: float = 1e-13
     breakpoint_tol: float = 1e-9
 
 
@@ -77,84 +113,112 @@ class StepControl:
 # evaluation pieces
 # ---------------------------------------------------------------------------
 
-class _DenseTable:
-    """Flattened dense output of a sequence of RK45 segments.
+def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise Chebyshev series: sum_j coeffs[i, j] T_j(x[i])."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for j in range(coeffs.shape[1] - 1, 0, -1):
+        b1, b2 = coeffs[:, j] + 2.0 * x * b1 - b2, b1
+    return coeffs[:, 0] + x * b1 - b2
 
-    Stores the quartic interpolation polynomials of every accepted step both
-    as numpy arrays (vector evaluation) and as python lists (fast scalar
-    evaluation inside ODE right-hand sides).
+
+def _source(faces, base, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(t) and an estimate of its error, at radii t = base + dt.
+
+    The error estimate adds up the face profiles' own error estimates and
+    the rounding of the sum.  Keeping base (a breakpoint) apart from dt keeps
+    t - h exact when t sits just past a face distance h.
+    """
+    t = base + dt
+    s = np.zeros_like(t)
+    err = np.zeros_like(t)
+    for h, eps, sub in faces:
+        gap = (base - h) + dt
+        on = gap > 0.0
+        if not on.any():
+            continue
+        v, v_err = sub._volume(np.sqrt(gap[on] * (t[on] + h)))
+        s[on] += eps * h * v
+        err[on] += h * (v_err + 8.0 * _EPS * np.abs(v))
+    return s, err
+
+
+class _ChebyshevPieces:
+    """Piecewise Chebyshev form of I(t) = int_0^t S(x) x^(-n-1) dx.
+
+    Piece k covers t in [t_lo[k], t_lo[k+1]) (the last one up to infinity).
+    Its variable is v = sqrt(t - base[k]) on segment pieces and v = 1/t on
+    tail pieces, mapped from [lo[k], hi[k]] onto [-1, 1], and there
+    I(t) = offset[k] + sum_j coeffs[k, j] T_j(x).  I vanishes below t_lo[0].
+    error[k] estimates the error of I on piece k: the quadrature error of the
+    pieces up to k plus the rounding of the series.
     """
 
-    __slots__ = ("lo", "hi", "ts", "t0", "h", "y0", "q",
-                 "ts_np", "t0_np", "h_np", "y0_np", "q_np")
+    def __init__(self, base, lo, hi, tail, coeffs, err):
+        order = np.argsort(np.where(tail, 1.0 / hi, base + lo * lo), kind="stable")
+        base, lo, hi, tail = base[order], lo[order], hi[order], tail[order]
+        coeffs, err = coeffs[order], err[order]
+        half = 0.5 * (hi - lo)
+        # antiderivative from the low end of each piece's variable
+        anti = chebyshev.chebint(coeffs, lbnd=-1, axis=1) * half[:, None]
+        total = anti.sum(axis=1)                 # the integral over the piece
+        start = np.concatenate(([0.0], np.cumsum(total)[:-1]))
+        # on tail pieces v = 1/t runs backwards: I = I(t_lo) + total - A(v)
+        self.offset = np.where(tail, start + total, start)
+        self.coeffs = np.where(tail[:, None], -anti, anti)
+        self.error = np.cumsum(err * half) + 16.0 * _EPS * (
+            np.abs(self.offset) + np.sum(np.abs(anti), axis=1))
+        self.t_lo = np.where(tail, 1.0 / hi, base + lo * lo)
+        self.base, self.lo, self.hi, self.tail = base, lo, hi, tail
 
-    def __init__(self, interpolants):
-        t0, h, y0, q = [], [], [], []
-        for seg in interpolants:
-            t0.append(float(seg.t_old))
-            h.append(float(seg.h))
-            y0.append(float(seg.y_old[0]))
-            row = np.asarray(seg.Q, dtype=float).ravel()
-            if row.size != 4:
-                raise NumericalError("unexpected dense-output order from integrator")
-            q.append(tuple(row))
-        self.t0, self.h, self.y0, self.q = t0, h, y0, q
-        self.ts = t0[:]                      # left endpoints for bisect
-        self.lo = t0[0]
-        self.hi = t0[-1] + h[-1]
-        self.ts_np = np.asarray(t0)
-        self.t0_np = np.asarray(t0)
-        self.h_np = np.asarray(h)
-        self.y0_np = np.asarray(y0)
-        self.q_np = np.asarray(q)
+    def __len__(self) -> int:
+        return self.t_lo.size
 
-    def eval_scalar(self, r: float) -> float:
-        i = bisect.bisect_right(self.ts, r) - 1
-        if i < 0:
-            i = 0
-        elif i >= len(self.t0):
-            i = len(self.t0) - 1
-        x = (r - self.t0[i]) / self.h[i]
-        q = self.q[i]
-        return self.y0[i] + self.h[i] * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
-
-    def eval_vec(self, r: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self.ts_np, r, side="right") - 1,
-                      0, len(self.t0) - 1)
-        x = (r - self.t0_np[idx]) / self.h_np[idx]
-        q = self.q_np[idx]
-        poly = x * (q[:, 0] + x * (q[:, 1] + x * (q[:, 2] + x * q[:, 3])))
-        return self.y0_np[idx] + self.h_np[idx] * poly
+    def integral(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I at radii r, and its error estimate."""
+        k = np.searchsorted(self.t_lo, r, side="right") - 1
+        out = np.zeros_like(r)
+        err = np.zeros_like(r)
+        inside = k >= 0
+        k, rr = k[inside], r[inside]
+        v = np.where(self.tail[k], 1.0 / rr, np.sqrt(np.maximum(rr - self.base[k], 0.0)))
+        lo, hi = self.lo[k], self.hi[k]
+        x = (2.0 * v - lo - hi) / (hi - lo)
+        out[inside] = self.offset[k] + _clenshaw(self.coeffs[k], x)
+        err[inside] = self.error[k]
+        return out, err
 
 
 class RadialVolumeProfile:
     """Volume of a ball-truncated polyhedral set as a function of the radius.
 
-    Supports evaluation and differentiation on [0, r_max] (unbounded for
-    closed-form profiles).  w_at_zero / w_prime_at_zero hold the first two
-    Taylor coefficients of W(s) = s^n V(1/s) at s = 0 once computed; they are
-    set exactly for cone and interval profiles.
+    Supports evaluation and differentiation on [0, r_max] (r_max may be
+    infinite), on scalars or arrays of radii.  w_at_zero / w_prime_at_zero
+    hold the first two Taylor coefficients of W(s) = s^n V(1/s) at s = 0 once
+    computed; they are set exactly for cone and interval profiles.
     """
 
     def __init__(self, dimension, breakpoints, omega, omega_stderr=0.0,
-                 cone_r_end=np.inf, table=None, interval=None,
-                 faces=None, r_max=np.inf):
+                 pieces: _ChebyshevPieces | None = None, interval=None,
+                 faces=(), r_max=np.inf, r_grid=None, reach=0.0):
         self.dimension = int(dimension)
         self.delta = unit_ball_volume(self.dimension)
         self.breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
         self.omega = float(omega)
         self.omega_stderr = float(omega_stderr)
         self.cone_coef = self.omega * self.delta
-        self.cone_r_end = float(cone_r_end)
-        self.table = table
+        self.pieces = pieces
         self.interval = interval            # (a, b, t) for the 1-d base case
-        self.faces = faces or []            # (h_i, eps_i, sub-profile) triples
+        self.faces = list(faces)            # (h_i, eps_i, sub-profile), h_i > 0
         self.r_max = float(r_max)
+        self.reach = float(reach)           # distance from the base point to P
+        self.r_grid = (np.asarray(r_grid, dtype=float) if r_grid is not None
+                       else np.linspace(0.0, self.r_max if np.isfinite(self.r_max)
+                                        else 2.0 * max(self.breakpoints.max(initial=0.0), 1.0),
+                                        33))
         self.w_at_zero: float | None = None
         self.w_prime_at_zero: float | None = None
         self.w_fit_diagnostics: dict | None = None
-        self.r_grid = np.zeros(0)
-        self.values = np.zeros(0)
         if self.interval is not None:
             a, b, t = self.interval
             span = b - a
@@ -166,9 +230,14 @@ class RadialVolumeProfile:
                     self.w_prime_at_zero = (t - a) if math.isinf(b) else (b - t)
             else:
                 self.w_at_zero, self.w_prime_at_zero = 0.0, span
-        elif self.table is None:
+        elif not self.faces:
             # pure cone: V = omega * delta * r^n for every radius
             self.w_at_zero, self.w_prime_at_zero = self.cone_coef, 0.0
+
+    @property
+    def values(self) -> np.ndarray:
+        """V on r_grid."""
+        return np.asarray(self.value(self.r_grid))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -178,18 +247,18 @@ class RadialVolumeProfile:
                 f"profile only extends to r_max={self.r_max:g}, "
                 f"requested {rmax_requested:g}")
 
-    def value_scalar(self, r: float) -> float:
-        if r <= 0.0:
-            return 0.0
+    def _volume(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V at radii r > 0 (range already checked), and its error estimate."""
         if self.interval is not None:
             a, b, t = self.interval
-            lo = a if a > t - r else t - r
-            hi = b if b < t + r else t + r
-            return hi - lo if hi > lo else 0.0
-        self._check_range(r)
-        if r <= self.cone_r_end or self.table is None:
-            return self.cone_coef * r ** self.dimension
-        return self.table.eval_scalar(r)
+            ends = max(abs(e) for e in (a, b, t) if math.isfinite(e))
+            v = np.maximum(np.minimum(b, t + r) - np.maximum(a, t - r), 0.0)
+            return v, 4.0 * _EPS * (ends + r)
+        rn = r ** self.dimension
+        if self.pieces is None:
+            return self.cone_coef * rn, 4.0 * _EPS * self.cone_coef * rn
+        i, i_err = self.pieces.integral(r)
+        return (self.cone_coef - i) * rn, (i_err + 4.0 * _EPS * self.cone_coef) * rn
 
     def value(self, r) -> np.ndarray | float:
         arr = np.asarray(r, dtype=float)
@@ -197,48 +266,40 @@ class RadialVolumeProfile:
         arr = np.atleast_1d(arr)
         out = np.zeros_like(arr)
         pos = arr > 0.0
-        if self.interval is not None:
-            a, b, t = self.interval
-            lo = np.maximum(a, t - arr)
-            hi = np.minimum(b, t + arr)
-            out = np.where(pos, np.maximum(hi - lo, 0.0), 0.0)
-        elif self.table is None:
-            if np.any(pos):
+        if np.any(pos):
+            if self.interval is None:
                 self._check_range(float(np.max(arr[pos])))
-            out[pos] = self.cone_coef * arr[pos] ** self.dimension
-        else:
-            if np.any(pos):
-                self._check_range(float(np.max(arr[pos])))
-            cone = pos & (arr <= self.cone_r_end)
-            ode = pos & (arr > self.cone_r_end)
-            out[cone] = self.cone_coef * arr[cone] ** self.dimension
-            if np.any(ode):
-                out[ode] = self.table.eval_vec(arr[ode])
+            out[pos] = self._volume(arr[pos])[0]
         return float(out[0]) if scalar else out
 
     __call__ = value
 
-    def derivative_scalar(self, r: float) -> float:
-        """dV/dr recovered from the ODE right-hand side (not differences)."""
-        if r <= 0.0:
-            return 0.0
-        if self.interval is not None:
-            a, b, t = self.interval
-            if t + r < a or t - r > b:      # window has not reached the interval
-                return 0.0
-            return (1.0 if t - r > a else 0.0) + (1.0 if t + r < b else 0.0)
-        s = 0.0
-        for h, eps, sub in self.faces:
-            if r > h:
-                s += eps * h * sub.value_scalar(math.sqrt(r * r - h * h))
-        return (self.dimension * self.value_scalar(r) - s) / r
+    def value_scalar(self, r: float) -> float:
+        """V(r) at one radius."""
+        return float(self.value(float(r)))
 
     def derivative(self, r) -> np.ndarray | float:
+        """dV/dr recovered from the ODE right-hand side (not differences)."""
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        out = np.array([self.derivative_scalar(float(x)) for x in arr])
+        out = np.zeros_like(arr)
+        pos = arr > 0.0
+        rr = arr[pos]
+        if self.interval is not None:
+            a, b, t = self.interval
+            # the window [t - r, t + r] meets [a, b]: count the ends still inside
+            reached = (t + rr >= a) & (t - rr <= b)
+            out[pos] = np.where(reached, (t - rr > a).astype(float) + (t + rr < b), 0.0)
+        elif rr.size:
+            self._check_range(float(np.max(rr)))
+            s, _ = _source(self.faces, 0.0, rr)
+            out[pos] = (self.dimension * self._volume(rr)[0] - s) / rr
         return float(out[0]) if scalar else out
+
+    def derivative_scalar(self, r: float) -> float:
+        """dV/dr at one radius."""
+        return float(self.derivative(float(r)))
 
     # -- invariant checks (used by the test suite) --------------------------
 
@@ -333,21 +394,17 @@ def _interval_profile(P: PolyhedralSet, p0: np.ndarray) -> RadialVolumeProfile:
         a = b = 0.5 * (a + b)
     bps = [abs(t - a), abs(t - b)]
     bps = sorted({round(x, 15) for x in bps if np.isfinite(x) and x > 0})
-    prof = RadialVolumeProfile(dimension=1, breakpoints=np.asarray(bps),
-                               omega=(1.0 if a < t < b else (0.5 if a == t or b == t else 0.0)),
-                               interval=(a, b, t))
     grid_hi = max([x for x in (abs(t - a), abs(t - b)) if np.isfinite(x)], default=1.0)
-    grid = np.linspace(0.0, 2.0 * max(grid_hi, 1.0), 33)
-    prof.r_grid = grid
-    prof.values = np.asarray(prof.value(grid))
-    return prof
+    return RadialVolumeProfile(
+        dimension=1, breakpoints=np.asarray(bps),
+        omega=(1.0 if a < t < b else (0.5 if a == t or b == t else 0.0)),
+        interval=(a, b, t), r_grid=np.linspace(0.0, 2.0 * max(grid_hi, 1.0), 33),
+        reach=max(a - t, t - b, 0.0))
 
 
 def _zero_profile(dimension: int) -> RadialVolumeProfile:
-    prof = RadialVolumeProfile(dimension=dimension, breakpoints=np.zeros(0), omega=0.0)
-    prof.r_grid = np.linspace(0.0, 1.0, 5)
-    prof.values = np.zeros(5)
-    return prof
+    return RadialVolumeProfile(dimension=dimension, breakpoints=np.zeros(0), omega=0.0,
+                               r_grid=np.linspace(0.0, 1.0, 5), reach=np.inf)
 
 
 def _classify_base_point(P: PolyhedralSet, p0: np.ndarray, scale: float):
@@ -364,21 +421,77 @@ def _classify_base_point(P: PolyhedralSet, p0: np.ndarray, scale: float):
     return violated, active
 
 
+def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
+               rtol: float, onset: int | None) -> _ChebyshevPieces:
+    """Adaptive Chebyshev quadrature of S(t) t^(-n-1) between the knots.
+
+    Every segment [knots[k], knots[k+1]] starts as one piece in u, with
+    t = knots[k] + u^2 (segment onset starts graded, see _ONSET_GRADING),
+    and the tail [tail_from, inf) as one piece in s = 1/t.  All pending
+    pieces are sampled together, so each round costs one vectorised
+    sub-profile call per face.  A piece is halved for the next round while
+    its last three coefficients exceed both rtol times its largest one and
+    the error its face terms carry in.
+    """
+    base = np.asarray(knots[:-1], dtype=float)
+    lo = np.zeros_like(base)
+    hi = np.sqrt(np.diff(knots))
+    if onset is not None:
+        cuts = hi[onset] * 0.5 ** np.arange(_ONSET_GRADING, -1, -1)
+        base = np.insert(base, onset, np.full(_ONSET_GRADING, base[onset]))
+        lo = np.insert(lo, onset + 1, cuts[:-1])
+        hi = np.insert(hi, onset, cuts[:-1])
+    tail = np.zeros(base.size, dtype=bool)
+    if tail_from is not None:
+        base, lo = np.append(base, 0.0), np.append(lo, 0.0)
+        hi, tail = np.append(hi, 1.0 / tail_from), np.append(tail, True)
+    depth = np.zeros(base.size, dtype=int)
+    done: list[tuple] = []
+    while base.size:
+        if base.size > _MAX_PENDING:
+            r = 1.0 / hi[0] if tail[0] else base[0] + hi[0] ** 2
+            raise NumericalError(
+                f"profile quadrature does not converge near r={r:.6g} "
+                f"({base.size} pieces pending)")
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        v = mid[:, None] + half[:, None] * _CHEB_NODES
+        dt = np.where(tail[:, None], 1.0 / v, v * v)      # tail pieces have base 0
+        t = base[:, None] + dt
+        s, s_err = _source(faces, np.repeat(base, _CHEB_POINTS), dt.ravel())
+        # dt = 2u du on segments; t^(-n-1) dt = -s^(n-1) ds on the tail
+        weight = np.where(tail[:, None], v ** (n - 1), 2.0 * v * t ** (-n - 1.0))
+        coeffs = (s.reshape(t.shape) * weight) @ _CHEB_COEFFS.T
+        trailing = np.max(np.abs(coeffs[:, -3:]), axis=1)
+        # no point resolving the integrand below the error of its face terms
+        noise = np.max(s_err.reshape(t.shape) * weight, axis=1)
+        ok = ((trailing <= np.maximum(rtol * np.max(np.abs(coeffs), axis=1), noise))
+              | (depth >= _MAX_HALVINGS))
+        # error estimate per unit half-width: interpolation plus face-term error
+        err = 2.0 * (trailing + noise)
+        done.append((base[ok], lo[ok], hi[ok], tail[ok], coeffs[ok], err[ok]))
+        split = ~ok
+        base, tail, depth = (np.repeat(a[split], 2) for a in (base, tail, depth + 1))
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+    return _ChebyshevPieces(*(np.concatenate(parts) for parts in zip(*done)))
+
+
 def volume_profile(P: PolyhedralSet, p0, r_max: float,
                    step_control: StepControl | None = None) -> RadialVolumeProfile:
     """Build V(r) for the truncated polytope P intersect B(p0, r) on [0, r_max].
 
-    Face profiles are built recursively one dimension down (exact interval
-    overlap at the base), the start is the exact cone formula on the segment
-    before the first breakpoint, and integration restarts at every
-    breakpoint.  Raises GeometryError for infeasible P and NumericalError
-    when the step controller gives up (the message carries the radius).
+    r_max may be infinite.  Face profiles are built recursively one dimension
+    down (exact interval overlap at the base) and cover every radius.  Below
+    the first positive face distance V is the exact cone formula; beyond it,
+    the integrating-factor quadrature runs between breakpoints and, when
+    r_max reaches past twice the last breakpoint, in 1/r to infinity.
+    Raises GeometryError for infeasible P.
     """
     control = step_control or StepControl()
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (P.dimension,):
         raise InputError(f"base point shape {p0.shape} does not match E^{P.dimension}")
-    if r_max <= 0:
+    if not r_max > 0:
         raise InputError("r_max must be positive")
     if P.dimension == 1:
         return _interval_profile(P, p0)
@@ -395,88 +508,41 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
     else:
         omega, omega_err = _solid_angle_fraction(active, P.dimension)
 
-    faces = face_data(P, p0)
     n = P.dimension
-    delta = unit_ball_volume(n)
-
-    sub_profiles = []
     breakpoints: list[float] = []
-    pos_faces = []
-    for f in faces:
+    faces = []
+    # outside P, the nearest point of P lies on a face
+    reach = np.inf if violated else 0.0
+    for f in face_data(P, p0):
+        sub = volume_profile(f.induced_face, np.zeros(n - 1), np.inf, control)
         if f.h > 1e-12 * scale:
             breakpoints.append(f.h)
-        x_max = math.sqrt(max(r_max * r_max - f.h * f.h, 0.0)) * (1 + 1e-9) + 1e-12
-        sub = volume_profile(f.induced_face, np.zeros(n - 1), x_max, control)
-        sub_profiles.append((f.h, f.epsilon, sub))
-        if f.h > 1e-12 * scale:
-            pos_faces.append((f.h, float(f.epsilon), sub))
-        for b in sub.breakpoints:
-            breakpoints.append(math.sqrt(f.h * f.h + b * b))
+            faces.append((f.h, float(f.epsilon), sub))
+        breakpoints.extend(math.sqrt(f.h * f.h + b * b) for b in sub.breakpoints)
+        reach = min(reach, math.hypot(f.h, sub.reach))
 
-    breakpoints = sorted(breakpoints)
     merged: list[float] = []
-    for b in breakpoints:
+    for b in sorted(breakpoints):
         if not merged or b - merged[-1] > 1e-12 * scale:
             merged.append(b)
 
-    if not pos_faces:
-        # exact cone for all radii; nothing to integrate
-        prof = RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
-                                   omega=omega, omega_stderr=omega_err,
-                                   faces=sub_profiles)
-        grid = np.linspace(0.0, r_max, 33)
-        prof.r_grid = grid
-        prof.values = np.asarray(prof.value(grid))
-        return prof
-
-    r_start = 0.5 * min(h for h, _, _ in pos_faces)
-    if r_start >= r_max:
-        # requested range never leaves the exact cone regime
-        prof = RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
-                                   omega=omega, omega_stderr=omega_err,
-                                   cone_r_end=r_max, faces=sub_profiles, r_max=r_max)
-        prof.w_at_zero = prof.w_prime_at_zero = None
-        grid = np.linspace(0.0, r_max, 33)
-        prof.r_grid = grid
-        prof.values = np.asarray(prof.value(grid))
-        return prof
-
-    def rhs(r, y):
-        total = 0.0
-        for h, eps, sub in pos_faces:
-            if r > h:
-                total += eps * h * sub.value_scalar(math.sqrt(r * r - h * h))
-        return ((n * y[0] - total) / r,)
-
-    knots = [r_start] + [b for b in merged if r_start < b < r_max] + [r_max]
-    interpolants = []
-    ts = [0.0, r_start]
-    ys = [0.0, omega * delta * r_start ** n]
-    v = ys[-1]
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        if hi - lo <= 1e-14 * scale:
-            continue
-        # absolute floor at the segment-start scale; rtol dominates as V grows
-        atol = control.atol_factor * delta * lo ** n
-        sol = solve_ivp(rhs, (lo, hi), [v], method="RK45", dense_output=True,
-                        rtol=control.rtol, atol=atol)
-        if not sol.success:
-            raise NumericalError(
-                f"step controller failed near r={sol.t[-1]:.6g}: {sol.message}")
-        interpolants.extend(sol.sol.interpolants)
-        ts.extend(float(x) for x in sol.t[1:])
-        ys.extend(float(x) for x in sol.y[0, 1:])
-        v = float(sol.y[0, -1])
-
-    table = _DenseTable(interpolants) if interpolants else None
-    prof = RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
-                               omega=omega, omega_stderr=omega_err,
-                               cone_r_end=r_start, table=table,
-                               faces=sub_profiles, r_max=r_max)
-    prof.w_at_zero = prof.w_prime_at_zero = None
-    prof.r_grid = np.asarray(ts)
-    prof.values = np.maximum(np.asarray(ys), 0.0)
-    return prof
+    pieces = None
+    r_grid = None
+    h0 = min((h for h, _, _ in faces), default=np.inf)
+    if h0 < r_max:
+        tail_from = 2.0 * merged[-1]
+        end = min(r_max, tail_from)
+        knots = [h0] + [b for b in merged if h0 < b < end] + [end]
+        # the segment on which V rises from zero, if the base point is outside P
+        onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
+                    len(knots) - 2)
+        pieces = _integrate(faces, n, knots, tail_from if r_max > tail_from else None,
+                            control.rtol, onset if 0 < reach < end else None)
+        last = r_max if np.isfinite(r_max) else 2.0 * pieces.t_lo[-1]
+        r_grid = np.concatenate(([0.0], pieces.t_lo, [last]))
+    return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
+                               omega=omega, omega_stderr=omega_err, pieces=pieces,
+                               faces=faces, r_max=r_max, r_grid=r_grid, reach=reach)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +567,13 @@ def fit_radial_powers(evaluate, n: int, terms: int, window: FitWindow,
                       cond_bound: float = 1e8):
     """Least squares of V(r) against a_n r^n + ... + a_{n-terms+1} r^{n-terms+1}.
 
-    The regression runs on V(r)/r^n against inverse powers of r so rows carry
-    comparable (relative) weight.  Returns (coefficients descending by power,
+    evaluate maps an array of radii to the array of volumes.  The regression
+    runs on V(r)/r^n against inverse powers of r so rows carry comparable
+    (relative) weight.  Returns (coefficients descending by power,
     rms residual in relative units, condition estimate).
     """
     radii = window.radii()
-    vals = np.asarray([float(evaluate(r)) for r in radii])
+    vals = np.asarray(evaluate(radii), dtype=float)
     y = vals / radii ** n
     X = np.column_stack([radii ** (-k) for k in range(terms)])
     cond = float(np.linalg.cond(X))
@@ -538,15 +605,14 @@ def w_prime_at_zero(profile: RadialVolumeProfile,
     """
     if profile.w_prime_at_zero is not None and window is None:
         return profile.w_prime_at_zero
-    if profile.table is None and profile.interval is None and profile.w_at_zero is not None:
+    if profile.interval is None and not profile.faces:      # exact cone
         return profile.w_prime_at_zero
     win = window or default_fit_window(profile)
     if win.r_max > profile.r_max * (1 + 1e-9):
         raise NumericalError(
             f"fit window reaches r={win.r_max:g} but the profile stops at "
             f"{profile.r_max:g}; rebuild with a larger r_max")
-    coeffs, resid, cond = fit_radial_powers(profile.value_scalar, profile.dimension,
-                                            terms, win)
+    coeffs, resid, cond = fit_radial_powers(profile.value, profile.dimension, terms, win)
     profile.w_at_zero = float(coeffs[0])
     profile.w_prime_at_zero = float(coeffs[1])
     profile.w_fit_diagnostics = {

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kpv.ball_volumes import mc_ball_volume
 from kpv.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED,
                      ExperimentSpec, main, run)
 from kpv.configurations import is_expansion, load_configuration
@@ -167,3 +168,39 @@ def test_report_replayable_from_embedded_parameters(two_disks, tmp_path):
           "--method", params["method"], "--nodes", str(params["nodes"]),
           "--seed", str(params["seed"]), "--out", str(out2)])
     assert json.loads(out2.read_text())["results"] == rep["results"]
+
+
+def test_verify_lift_command_writes_report(two_disks, tmp_path):
+    out = tmp_path / "lift.json"
+    code = main(["verify", "lift", "--config", two_disks, "--samples", "200000",
+                 "--seed", "3", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+    res = json.loads(out.read_text())["results"]
+    assert len(res["checks"]) == 4             # union and intersection at 2 radii
+    assert all(isinstance(c["pass"], bool) for c in res["checks"])
+    assert res["all_pass"] == all(c["pass"] for c in res["checks"])
+    assert (code == EXIT_OK) == res["all_pass"]
+
+
+def test_monte_carlo_volume_samples_each_radius_once(two_disks, tmp_path):
+    out = tmp_path / "mc.json"
+    code = main(["volume", "--config", two_disks, "--r-grid", "0.6:1.4:3",
+                 "--method", "monte_carlo", "--samples", "20000", "--seed", "5",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    rows = json.loads(out.read_text())["results"]["volumes"]
+    config = load_configuration(two_disks)
+    for k, row in enumerate(rows):
+        for which in ("union", "intersection"):
+            est, se = mc_ball_volume(config, row["r"], which, 20000, 5 + k)
+            assert row[which] == pytest.approx(est, rel=1e-11)
+            assert row[f"{which}_stderr"] == pytest.approx(se, rel=1e-11)
+
+
+def test_asymptotics_default_window_from_breakpoints(two_disks, tmp_path):
+    out = tmp_path / "a.json"
+    assert main(["asymptotics", "--config", two_disks, "--out", str(out)]) == EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    # last breakpoint 0.5 < scale 1: window [10, 1000]
+    assert res["window"] == [10.0, 1000.0, 32]
+    assert res["union"]["coefficients"][1] == pytest.approx(2.0, rel=0.02)

@@ -209,8 +209,8 @@ def test_check_ww_lemma_rejects_too_many():
 def test_fit_residual_decays_with_window():
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), 4000.0)
-    _, res_near, _ = fit_radial_powers(prof.value_scalar, 2, 3, FitWindow(5.0, 500.0))
-    _, res_far, _ = fit_radial_powers(prof.value_scalar, 2, 3, FitWindow(30.0, 3000.0))
+    _, res_near, _ = fit_radial_powers(prof.value, 2, 3, FitWindow(5.0, 500.0))
+    _, res_far, _ = fit_radial_powers(prof.value, 2, 3, FitWindow(30.0, 3000.0))
     assert res_far < res_near
 
 
