@@ -17,13 +17,13 @@ from .polyhedra import (FaceData, Halfspace, PolyhedralSet, complement_set,
 from .meanwidth import (CalibrationConstant, EdgeCurvatureData, MeanWidthResult,
                         calibrate, edge_curvatures_3d, mean_width_edge_sum_3d,
                         mean_width_exact_2d, mean_width_quadrature)
-from .truncated_volume import (BallConstant, FitWindow, RadialVolumeProfile,
+from .truncated_volume import (BallConstant, RadialVolumeProfile, RadiusGrid,
                                StepControl, check_ww_lemma, mc_truncated_volume,
                                unit_ball_volume, volume_profile, w_prime_at_zero)
 from .ball_volumes import (BallSystem, BallSystemVolumes, VoronoiRegion,
                            boundary_volume, farthest_voronoi, intersection_volume,
                            mc_ball_volume, nearest_voronoi, union_volume)
-from .asymptotics import (CheckReport, LaurentFit, RadiusGrid, ThresholdResult,
+from .asymptotics import (CheckReport, LaurentFit, ThresholdResult,
                           kp_threshold, laurent_fit, mean_width_difference,
                           reference_mean_width,
                           verify_capoyleas_pach, verify_csikos,
@@ -39,13 +39,13 @@ __all__ = [
     "MeanWidthResult", "EdgeCurvatureData", "CalibrationConstant",
     "mean_width_quadrature", "mean_width_exact_2d", "edge_curvatures_3d",
     "mean_width_edge_sum_3d", "calibrate",
-    "RadialVolumeProfile", "BallConstant", "StepControl", "FitWindow",
+    "RadialVolumeProfile", "BallConstant", "StepControl", "RadiusGrid",
     "unit_ball_volume", "volume_profile", "w_prime_at_zero", "check_ww_lemma",
     "mc_truncated_volume",
     "VoronoiRegion", "BallSystemVolumes", "BallSystem", "nearest_voronoi",
     "farthest_voronoi", "union_volume", "intersection_volume", "boundary_volume",
     "mc_ball_volume",
-    "LaurentFit", "CheckReport", "RadiusGrid", "ThresholdResult", "laurent_fit",
+    "LaurentFit", "CheckReport", "ThresholdResult", "laurent_fit",
     "mean_width_difference", "reference_mean_width",
     "verify_capoyleas_pach", "verify_csikos",
     "verify_ww_proposition", "verify_lift_identity", "kp_threshold",

@@ -2,13 +2,14 @@
 
 Union and intersection volumes of N equal balls grow like delta_n r^n with a
 second coefficient equal to +/- the mean width of the hull of the centers.
-This module extracts those Laurent coefficients by least squares on
-large-radius windows, verifies the asymptotic identities against the
-mean-width module, checks the union/intersection cancellation of the second
+This module verifies those asymptotic identities against the mean-width
+module, using the exact Laurent coefficients that every ball system built to
+infinity carries, checks the union/intersection cancellation of the second
 coefficients, witnesses the dimension-lifting derivative identity with a
 paired-sample Monte Carlo in two extra dimensions, and locates the radius
 threshold beyond which all four large-radius rearrangement inequalities hold
-for an expansion pair.
+for an expansion pair.  One least-squares fit on a large-radius window
+remains, for the `kpv asymptotics` command, as an independent estimate.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from .configurations import (PointConfiguration, are_congruent, embed,
 from .errors import GeometryError, InputError, NumericalError
 from .meanwidth import (calibrate, mean_width_edge_sum_3d, mean_width_exact_2d,
                         mean_width_quadrature)
-from .truncated_volume import FitWindow, StepControl, fit_radial_powers, unit_ball_volume
+from .truncated_volume import RadiusGrid, StepControl, fit_radial_powers, unit_ball_volume
 
 DEFAULT_WINDOW_FACTOR = 10.0
 DEFAULT_WINDOW_SPAN = 100.0
-DEFAULT_WINDOW_COUNT = 32
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class LaurentFit:
 
     coefficients: np.ndarray
     powers: tuple
-    window: FitWindow
+    window: RadiusGrid
     residual_norm: float
     condition_estimate: float
 
@@ -73,20 +73,6 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
-class RadiusGrid:
-    """Geometric radius grid for threshold scans."""
-
-    r_min: float
-    r_max: float
-    count: int = 24
-
-    def radii(self) -> np.ndarray:
-        if not (0 < self.r_min < self.r_max) or self.count < 2:
-            raise InputError("radius grid needs 0 < r_min < r_max and count >= 2")
-        return np.geomspace(self.r_min, self.r_max, self.count)
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of the large-radius inequality scan for an expansion pair.
 
@@ -114,7 +100,7 @@ class ThresholdResult:
 # Laurent fitting
 # ---------------------------------------------------------------------------
 
-def laurent_fit(evaluate, n: int, terms: int, window: FitWindow) -> LaurentFit:
+def laurent_fit(evaluate, n: int, terms: int, window: RadiusGrid) -> LaurentFit:
     """Least squares of V(r) against sum a_j r^j, j = n .. n-terms+1.
 
     evaluate maps an array of radii to the array of volumes (a radial volume
@@ -136,32 +122,30 @@ def _config_scale(p: PointConfiguration) -> float:
     return max(p.diameter, 1e-2)
 
 
-def system_and_window(p: PointConfiguration, window: FitWindow | None,
-                      step_control: StepControl | None = None,
-                      factor: float = DEFAULT_WINDOW_FACTOR,
-                      span: float = DEFAULT_WINDOW_SPAN):
+def system_and_window(p: PointConfiguration, window: RadiusGrid | None,
+                      step_control: StepControl | None = None):
     """The ball system and its Laurent fit window.
 
     An explicit window bounds the build.  Otherwise the system is built once
-    for every radius and the window [R, span R] is taken from its
-    breakpoints, with R = factor * max(last breakpoint, configuration scale).
+    for every radius and the window [R, 100 R] is taken from its
+    breakpoints, with R = 10 * max(last breakpoint, configuration scale).
     """
     if window is not None:
         system = BallSystem(p, r_max=window.r_max * (1 + 1e-6), step_control=step_control)
         return system, window
     system = BallSystem(p, r_max=np.inf, step_control=step_control)
     bp_max = float(system.breakpoints[-1]) if system.breakpoints.size else 0.0
-    R = factor * max(bp_max, _config_scale(p))
-    return system, FitWindow(r_min=R, r_max=span * R, count=DEFAULT_WINDOW_COUNT)
+    R = DEFAULT_WINDOW_FACTOR * max(bp_max, _config_scale(p))
+    return system, RadiusGrid(r_min=R, r_max=DEFAULT_WINDOW_SPAN * R)
 
 
 def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
                          seed: int = 433494437) -> tuple[float, float, str]:
     """Best available mean width with an error bound: (value, err, method).
 
-    Exact in the plane; calibrated edge sums for full-dimensional 3-d hulls;
-    planar 3-d configurations are rotated into their spanning plane and
-    lifted with the calibrated ratio; quadrature elsewhere.
+    Exact in the plane; edge sums for full-dimensional 3-d hulls; planar
+    3-d configurations are rotated into their spanning plane and lifted with
+    the exact constant c_{2,3}; quadrature elsewhere.
     """
     n = p.dimension
     if n == 2:
@@ -177,9 +161,8 @@ def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
         # flat configuration: measure in its own plane, lift by c_{2,3}
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         planar = PointConfiguration(2, centered @ vt[:2].T)
-        c = calibrate(2, 3)
         perim = mean_width_exact_2d(planar).value
-        return c.value * perim, c.stderr * perim + 1e-12 * (1 + perim), "exact2d+lift"
+        return calibrate(2, 3).value * perim, 1e-12 * (1 + perim), "exact2d+lift"
     res = mean_width_quadrature(p, nodes=nodes, seed=seed)
     return res.value, res.stderr, res.method
 
@@ -187,28 +170,10 @@ def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
 def mean_width_difference(p: PointConfiguration, q: PointConfiguration,
                           nodes: int = 200_000, seed: int = 433494437
                           ) -> tuple[float, float]:
-    """M(q) - M(p) with a sound error bound for the difference.
-
-    When both sides are measured by the same formula, the shared dimensional
-    constant cancels in the comparison: the difference inherits only the
-    constant's relative error (times the difference itself) plus roundoff.
-    Mixed-method comparisons fall back to the sum of absolute error bounds.
-    """
-    vp, ep, meth_p = reference_mean_width(p, nodes=nodes, seed=seed)
-    vq, eq, meth_q = reference_mean_width(q, nodes=nodes, seed=seed)
-    diff = vq - vp
-    floor = 1e-12 * (abs(vp) + abs(vq) + 1.0)
-    if meth_p == meth_q and meth_p != "quadrature":
-        if meth_p == "edge_sum_3d":
-            c = calibrate(3, 3)
-            rel = c.stderr / c.value
-        elif meth_p == "exact2d+lift":
-            c = calibrate(2, 3)
-            rel = c.stderr / c.value
-        else:                      # exact2d: no calibration constant at all
-            rel = 0.0
-        return diff, rel * abs(diff) + floor
-    return diff, ep + eq + floor
+    """M(q) - M(p) with an error bound: the sum of both sides' bounds."""
+    vp, ep, _ = reference_mean_width(p, nodes=nodes, seed=seed)
+    vq, eq, _ = reference_mean_width(q, nodes=nodes, seed=seed)
+    return vq - vp, ep + eq + 1e-12 * (abs(vp) + abs(vq) + 1.0)
 
 
 def _verifier_tolerance(m_value: float, m_err: float, n: int) -> float:
@@ -216,45 +181,36 @@ def _verifier_tolerance(m_value: float, m_err: float, n: int) -> float:
     return max(0.01 * abs(m_value), 1e-6 * unit_ball_volume(n), 3.0 * m_err)
 
 
-def verify_capoyleas_pach(p: PointConfiguration, window: FitWindow | None = None,
+def verify_capoyleas_pach(p: PointConfiguration,
                           step_control: StepControl | None = None) -> CheckReport:
     """Union volume second coefficient against the hull mean width."""
     n = p.dimension
     if n not in (2, 3):
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
-    system, win = system_and_window(p, window, step_control)
-    terms = min(4, n + 1)
-    fit = laurent_fit(system.union_volume, n, terms, win)
-    a = fit.coefficient(n - 1)
+    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    lead, a = system.laurent_coefficients("union")
     m, m_err, method = reference_mean_width(p)
     tol = _verifier_tolerance(m, m_err, n)
     gap = abs(a - m)
     return CheckReport(
         claim="union second coefficient equals hull mean width",
         lhs=a, rhs=m, gap=gap, tolerance=tol, passed=gap <= tol,
-        extras={"leading_coefficient": fit.coefficient(n),
-                "mean_width_method": method,
-                "residual_norm": fit.residual_norm,
-                "window": (win.r_min, win.r_max, win.count)})
+        extras={"leading_coefficient": lead, "mean_width_method": method})
 
 
-def verify_csikos(p: PointConfiguration, window: FitWindow | None = None,
+def verify_csikos(p: PointConfiguration,
                   step_control: StepControl | None = None) -> list[CheckReport]:
     """Intersection second coefficient is -M, and the pair sum cancels it."""
     n = p.dimension
     if n not in (2, 3):
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
-    system, win = system_and_window(p, window, step_control)
-    terms = min(4, n + 1)
-    fit_i = laurent_fit(system.intersection_volume, n, terms, win)
-    fit_u = laurent_fit(system.union_volume, n, terms, win)
-    fit_s = laurent_fit(lambda r: system.union_volume(r) + system.intersection_volume(r),
-                        n, terms, win)
+    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    lead_i, ai = system.laurent_coefficients("intersection")
+    lead_u, au = system.laurent_coefficients("union")
+    sn, sn1 = lead_u + lead_i, au + ai
     m, m_err, method = reference_mean_width(p)
     tol = _verifier_tolerance(m, m_err, n)
     delta = unit_ball_volume(n)
-    ai, au = fit_i.coefficient(n - 1), fit_u.coefficient(n - 1)
-    sn, sn1 = fit_s.coefficient(n), fit_s.coefficient(n - 1)
     reports = [
         CheckReport(
             claim="intersection second coefficient equals minus the mean width",
@@ -273,7 +229,7 @@ def verify_csikos(p: PointConfiguration, window: FitWindow | None = None,
     return reports
 
 
-def verify_ww_proposition(p: PointConfiguration, window: FitWindow | None = None,
+def verify_ww_proposition(p: PointConfiguration,
                           step_control: StepControl | None = None) -> CheckReport:
     """d/ds (W_n + W^n)(0) = 0 for N <= n+1 points in general position."""
     n = p.dimension
@@ -289,11 +245,9 @@ def verify_ww_proposition(p: PointConfiguration, window: FitWindow | None = None
                            lhs=0.0, rhs=0.0, gap=0.0,
                            tolerance=1e-6 * unit_ball_volume(n), passed=True,
                            extras={"note": "single ball: both profiles are delta_n r^n"})
-    system, win = system_and_window(p, window, step_control)
-    terms = min(4, n + 1)
-    fit_u = laurent_fit(system.union_volume, n, terms, win)
-    fit_i = laurent_fit(system.intersection_volume, n, terms, win)
-    au, ai = fit_u.coefficient(n - 1), fit_i.coefficient(n - 1)
+    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    au = system.laurent_coefficients("union")[1]
+    ai = system.laurent_coefficients("intersection")[1]
     defect = abs(au + ai)
     tol = max(1e-3 * p.diameter, 0.01 * abs(au), 1e-6 * unit_ball_volume(n))
     return CheckReport(claim="W-sum derivative vanishes at s=0",

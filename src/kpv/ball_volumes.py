@@ -15,8 +15,6 @@ the independent oracle.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +97,14 @@ def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
                          region=PolyhedralSet(p.dimension, hs))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KPV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 class BallSystem:
     """Per-site truncated-region profiles for one configuration.
 
     Profiles are built once up to r_max (np.inf covers every radius) and then
     evaluated at a radius or a whole array of radii in one pass, so radius
-    scans (threshold searches, Laurent windows) stay cheap.  Per-site
-    builds run in parallel when KPV_THREADS > 1; sums always reduce in
-    ascending site order, so results do not depend on scheduling.
+    scans (threshold searches, Laurent windows) stay cheap.  Sums reduce in
+    ascending site order.  Built with r_max = np.inf, the system also
+    carries the exact leading Laurent coefficients of both volume functions.
     """
 
     def __init__(self, p: PointConfiguration, r_max: float,
@@ -144,12 +134,7 @@ class BallSystem:
             return volume_profile(region.region, p.points[region.site_index],
                                   self.r_max, self.control)
 
-        workers = _thread_count()
-        if workers > 1 and len(regions) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                profiles = list(pool.map(build, regions))
-        else:
-            profiles = [build(reg) for reg in regions]
+        profiles = [build(reg) for reg in regions]
         n_near = p.n_points if "nearest" in self.families else 0
         self.nearest_profiles = profiles[:n_near]
         self.farthest_profiles = profiles[n_near:]
@@ -169,6 +154,22 @@ class BallSystem:
     def _require(self, family: str):
         if family not in self.families:
             raise InputError(f"system was built without the {family} family")
+
+    def laurent_coefficients(self, which: str) -> tuple[float, float]:
+        """Exact (a_n, a_{n-1}) of the union or intersection volume at infinity.
+
+        They are the sums of the per-site W(0) and W'(0).  W(0) exists only
+        when the system was built with r_max = np.inf (InputError otherwise).
+        """
+        if which not in ("union", "intersection"):
+            raise InputError(f"which must be 'union' or 'intersection', got {which!r}")
+        self._require("nearest" if which == "union" else "farthest")
+        profiles = [prof for prof in (self.nearest_profiles if which == "union"
+                                      else self.farthest_profiles) if prof is not None]
+        if any(prof.w_at_zero is None for prof in profiles):
+            raise InputError("the leading coefficient needs a system built with r_max=np.inf")
+        return (sum(prof.w_at_zero for prof in profiles),
+                sum(prof.w_prime_at_zero for prof in profiles))
 
     def union_volume(self, r):
         """Union volume at a radius (float) or an array of radii (array)."""

@@ -33,7 +33,6 @@ from .configurations import (PointConfiguration, load_configuration,
 from .errors import GeometryError, InputError, KpvError, NumericalError
 from .meanwidth import calibrate, mean_width_edge_sum_3d, mean_width_exact_2d, \
     mean_width_quadrature
-from .truncated_volume import FitWindow
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -210,7 +209,7 @@ def _cmd_asymptotics(spec: ExperimentSpec):
     window = None
     if params.get("window") is not None:
         lo, hi, count = params["window"]
-        window = FitWindow(r_min=lo, r_max=hi, count=int(count))
+        window = RadiusGrid(r_min=lo, r_max=hi, count=int(count))
     system, window = system_and_window(config, window)
     res = {"window": [window.r_min, window.r_max, window.count], "terms": terms}
     for name, fn in (("union", system.union_volume),

@@ -5,7 +5,10 @@ over the unit sphere with Lebesgue surface measure (total mass n * delta_n),
 so in the plane it equals the hull perimeter.  Three routes are provided:
 sphere quadrature (deterministic trapezoid in the plane, antithetic Monte
 Carlo in higher dimensions), the exact planar perimeter, and the 3-d edge
-functional sum(beta_ij * d_ij) scaled by a calibrated dimensional constant.
+functional sum(beta_ij * d_ij) scaled by a dimensional constant.  The
+constants are closed forms by Kubota's formula, int_{S^(n-1)} h_K =
+kappa_(n-1) V_1(K) (Schneider, Convex Bodies): V_1 is half the perimeter of a
+planar body and sum(beta_ij * d_ij) / (2 pi) for a 3-polytope.
 """
 
 from __future__ import annotations
@@ -17,13 +20,11 @@ import numpy as np
 from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
-from .configurations import PointConfiguration, embed
+from .configurations import PointConfiguration
 from .errors import GeometryError, InputError
 from .polyhedra import convex_hull_2d
 from .truncated_volume import unit_ball_volume
 
-_CALIBRATION_SEED = 987654321
-_CALIBRATION_NODES = 1_000_000
 _STDERR_FLOOR = 1e-15
 
 
@@ -50,15 +51,16 @@ class EdgeCurvatureData:
 class CalibrationConstant:
     """Multiplier turning a lower-dimensional reference functional into M_n.
 
-    For n0 = 2 the reference functional is the planar hull perimeter; for
-    n0 = 3 it is the edge sum sum(beta_ij * d_ij).  Same-dimension constants
-    where the reference functional is M_n itself are exactly 1.
+    For n0 = 2 the reference functional is the planar hull perimeter and the
+    constant is kappa_(n-1) / 2; for n0 = 3 it is the edge sum
+    sum(beta_ij * d_ij) and the constant is kappa_(n-1) / (2 pi).  Both are
+    exact.  Same-dimension constants where the reference functional is M_n
+    itself are exactly 1.
     """
 
     n0: int
     n: int
     value: float
-    stderr: float = 0.0
 
 
 def _support_values(pts: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -198,61 +200,28 @@ def edge_functional_3d(points: PointConfiguration) -> float:
 
 def mean_width_edge_sum_3d(points: PointConfiguration,
                            c: CalibrationConstant) -> MeanWidthResult:
-    """Mean width from the calibrated edge functional c * sum(beta * d)."""
+    """Mean width from the edge functional: c * sum(beta * d), c = calibrate(3, 3)."""
     if not (c.n0 == 3 and c.n == 3):
         raise InputError("edge-sum evaluation needs the constant from calibrate(3, 3)")
     s = edge_functional_3d(points)
     return MeanWidthResult(value=c.value * s, method="edge_sum_3d",
-                           stderr=max(c.stderr * s, _STDERR_FLOOR * (1 + c.value * s)),
-                           nodes_used=0)
+                           stderr=_STDERR_FLOOR * (1 + c.value * s), nodes_used=0)
 
 
-def _unit_segment(n: int) -> PointConfiguration:
-    pts = np.zeros((2, n))
-    pts[1, 0] = 1.0
-    return PointConfiguration(dimension=n, points=pts)
+def calibrate(n0: int, n: int) -> CalibrationConstant:
+    """The dimensional constant of the n0-dimensional reference formula.
 
-
-def _unit_cube() -> PointConfiguration:
-    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],
-                       dtype=float)
-    return PointConfiguration(dimension=3, points=corners)
-
-
-_calibration_cache: dict[tuple[int, int], CalibrationConstant] = {}
-
-
-def calibrate(n0: int, n: int, nodes: int = _CALIBRATION_NODES,
-              seed: int = _CALIBRATION_SEED) -> CalibrationConstant:
-    """Fix the dimensional constant of the n0-dimensional reference formula.
-
-    Supported: 2 <= n0 <= n <= 4 except (4, 4) has no lower formula and is 1
-    by convention, as is (2, 2) where the reference functional is already the
-    perimeter.  Lifting constants (2, n) use a unit segment as the reference
-    body; edge constants (3, n) use the unit cube.  Reference integrals come
-    from quadrature with a built-in seed, so results are deterministic.
+    Supported: 2 <= n0 <= n <= 4.  (2, n) lifts a planar perimeter into E^n
+    and is kappa_(n-1) / 2; (3, n) scales the 3-d edge sum and is
+    kappa_(n-1) / (2 pi).  (2, 2) and (4, 4), where the reference functional
+    is M_n itself, are 1.
     """
     if not (2 <= n0 <= n <= 4):
         raise InputError(f"unsupported calibration pair (n0={n0}, n={n})")
-    key = (n0, n)
-    if key in _calibration_cache and nodes == _CALIBRATION_NODES:
-        return _calibration_cache[key]
-
     if n0 == n and n0 in (2, 4):
-        const = CalibrationConstant(n0=n0, n=n, value=1.0, stderr=0.0)
+        value = 1.0
     elif n0 == 2:
-        seg = _unit_segment(n)
-        q = mean_width_quadrature(seg, nodes=nodes, seed=seed)
-        ref = mean_width_exact_2d(_unit_segment(2)).value      # = 2
-        const = CalibrationConstant(n0=2, n=n, value=q.value / ref,
-                                    stderr=q.stderr / ref)
+        value = unit_ball_volume(n - 1) / 2.0
     else:   # n0 == 3, n in (3, 4)
-        cube = _unit_cube()
-        s = edge_functional_3d(cube)
-        body = cube if n == 3 else embed(cube, 4)
-        q = mean_width_quadrature(body, nodes=nodes, seed=seed)
-        const = CalibrationConstant(n0=3, n=n, value=q.value / s, stderr=q.stderr / s)
-
-    if nodes == _CALIBRATION_NODES:
-        _calibration_cache[key] = const
-    return const
+        value = unit_ball_volume(n - 1) / (2.0 * math.pi)
+    return CalibrationConstant(n0=n0, n=n, value=value)

@@ -32,7 +32,10 @@ searchsorted plus one Clenshaw pass; dV/dr is read off the ODE right-hand
 side.
 
 The first two Taylor coefficients of W (the leading Laurent coefficients of V
-at infinity) are recovered by least squares on a large-radius window.
+at infinity) are exact by-products of the build: W(0) = omega * delta_n - I(inf)
+is the constant of the last tail piece, and W'(0) = sum_i eps_i h_i W_i(0) is
+the limit of W'(s) = S(1/s) s^(n-1) at s = 0, read off the face profiles,
+which always reach infinity.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ class RadialVolumeProfile:
 
     Supports evaluation and differentiation on [0, r_max] (r_max may be
     infinite), on scalars or arrays of radii.  w_at_zero / w_prime_at_zero
-    hold the first two Taylor coefficients of W(s) = s^n V(1/s) at s = 0 once
-    computed; they are set exactly for cone and interval profiles.
+    hold the first two Taylor coefficients of W(s) = s^n V(1/s) at s = 0,
+    set exactly at construction; w_at_zero stays None when the quadrature
+    stops short of infinity.
     """
 
     def __init__(self, dimension, breakpoints, omega, omega_stderr=0.0,
@@ -218,7 +222,6 @@ class RadialVolumeProfile:
                                         33))
         self.w_at_zero: float | None = None
         self.w_prime_at_zero: float | None = None
-        self.w_fit_diagnostics: dict | None = None
         if self.interval is not None:
             a, b, t = self.interval
             span = b - a
@@ -230,9 +233,16 @@ class RadialVolumeProfile:
                     self.w_prime_at_zero = (t - a) if math.isinf(b) else (b - t)
             else:
                 self.w_at_zero, self.w_prime_at_zero = 0.0, span
-        elif not self.faces:
+            return
+        # W'(s) = S(1/s) s^(n-1) tends to sum_i eps_i h_i W_i(0) as s -> 0
+        self.w_prime_at_zero = float(sum(eps * h * sub.w_at_zero
+                                         for h, eps, sub in self.faces))
+        if not self.faces:
             # pure cone: V = omega * delta * r^n for every radius
-            self.w_at_zero, self.w_prime_at_zero = self.cone_coef, 0.0
+            self.w_at_zero = self.cone_coef
+        elif self.pieces is not None and self.pieces.tail[-1]:
+            # I(inf) is the constant of the tail piece that reaches 1/t = 0
+            self.w_at_zero = self.cone_coef - float(self.pieces.offset[-1])
 
     @property
     def values(self) -> np.ndarray:
@@ -550,8 +560,8 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FitWindow:
-    """Geometric radius grid for large-radius coefficient fits."""
+class RadiusGrid:
+    """Geometric radius grid, for Laurent fit windows and threshold scans."""
 
     r_min: float
     r_max: float
@@ -559,11 +569,11 @@ class FitWindow:
 
     def radii(self) -> np.ndarray:
         if not (0 < self.r_min < self.r_max) or self.count < 2:
-            raise InputError("fit window needs 0 < r_min < r_max and count >= 2")
+            raise InputError("radius grid needs 0 < r_min < r_max and count >= 2")
         return np.geomspace(self.r_min, self.r_max, self.count)
 
 
-def fit_radial_powers(evaluate, n: int, terms: int, window: FitWindow,
+def fit_radial_powers(evaluate, n: int, terms: int, window: RadiusGrid,
                       cond_bound: float = 1e8):
     """Least squares of V(r) against a_n r^n + ... + a_{n-terms+1} r^{n-terms+1}.
 
@@ -585,42 +595,12 @@ def fit_radial_powers(evaluate, n: int, terms: int, window: FitWindow,
     return coeffs, resid, cond
 
 
-def default_fit_window(profile: RadialVolumeProfile,
-                       leading_scale: float | None = None) -> FitWindow:
-    """Window [R, 100R] with R = 10x the outermost breakpoint (or given scale)."""
-    if leading_scale is None:
-        leading_scale = float(profile.breakpoints[-1]) if profile.breakpoints.size else 1.0
-    R = 10.0 * max(leading_scale, 1e-12)
-    return FitWindow(r_min=R, r_max=100.0 * R)
-
-
-def w_prime_at_zero(profile: RadialVolumeProfile,
-                    window: FitWindow | None = None, terms: int = 4) -> float:
+def w_prime_at_zero(profile: RadialVolumeProfile) -> float:
     """W'(0), the second Laurent coefficient of the profile at infinity.
 
-    Exact for cone and interval profiles; otherwise extracted by a
-    least-squares fit over a geometric large-radius grid.  The fit caches
-    w_at_zero and diagnostics on the profile.  Raises NumericalError when the
-    profile does not extend over the window or the fit is ill-conditioned.
+    Exact for every profile, whatever its r_max: the ODE gives it as
+    sum_i eps_i h_i W_i(0) over the faces, whose profiles reach infinity.
     """
-    if profile.w_prime_at_zero is not None and window is None:
-        return profile.w_prime_at_zero
-    if profile.interval is None and not profile.faces:      # exact cone
-        return profile.w_prime_at_zero
-    win = window or default_fit_window(profile)
-    if win.r_max > profile.r_max * (1 + 1e-9):
-        raise NumericalError(
-            f"fit window reaches r={win.r_max:g} but the profile stops at "
-            f"{profile.r_max:g}; rebuild with a larger r_max")
-    coeffs, resid, cond = fit_radial_powers(profile.value, profile.dimension, terms, win)
-    profile.w_at_zero = float(coeffs[0])
-    profile.w_prime_at_zero = float(coeffs[1])
-    profile.w_fit_diagnostics = {
-        "window": (win.r_min, win.r_max, win.count),
-        "residual_rms": resid,
-        "condition": cond,
-        "coefficients": coeffs.tolist(),
-    }
     return profile.w_prime_at_zero
 
 
@@ -628,13 +608,12 @@ def w_prime_at_zero(profile: RadialVolumeProfile,
 # the complementary-halfspace cancellation check
 # ---------------------------------------------------------------------------
 
-def check_ww_lemma(halfspaces, p0, step_control: StepControl | None = None,
-                   window_factor: float = 10.0, span: float = 100.0) -> float:
+def check_ww_lemma(halfspaces, p0, step_control: StepControl | None = None) -> float:
     """Defect |W'_P(0) + W'_Pbar(0)| for P and its complementary-halfspace set.
 
     Requires k <= n halfspaces in general position (linearly independent
     normals).  The defect is analytically zero; the returned number is the
-    numerical residual of the two fits.
+    rounding and quadrature error of the two exact W'(0) sums.
     """
     hs = tuple(halfspaces)
     if not hs:
@@ -650,23 +629,8 @@ def check_ww_lemma(halfspaces, p0, step_control: StepControl | None = None,
                             "(normals linearly dependent)")
     P = PolyhedralSet(dimension=n, halfspaces=hs)
     Pbar = PolyhedralSet(dimension=n, halfspaces=tuple(h.flipped() for h in hs))
-
-    offsets = np.array([h.offset for h in hs])
-    slacks = offsets - normals @ p0
-    h_max = float(np.max(np.abs(slacks)))
-    # distance to the common intersection flat controls the fit window
-    alpha = np.linalg.solve(normals @ normals.T, slacks)
-    q0 = p0 + normals.T @ alpha
-    reach = float(np.linalg.norm(q0 - p0))
-    R = window_factor * max(h_max + reach, 1e-9)
-    window = FitWindow(r_min=R, r_max=span * R)
-    r_max = window.r_max * (1 + 1e-6)
-
-    w1 = []
-    for S in (P, Pbar):
-        prof = volume_profile(S, p0, r_max, step_control)
-        w1.append(w_prime_at_zero(prof, window))
-    return abs(w1[0] + w1[1])
+    return abs(sum(volume_profile(S, p0, np.inf, step_control).w_prime_at_zero
+                   for S in (P, Pbar)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each test prints one PASS line (visible with -v or -s); a failed assertion is
 the corresponding FAIL.  Derived expectations come from the closed-form
 oracles in conftest (lens and circular-segment formulas) and from the exact
-planar perimeter / calibrated edge functionals.
+planar perimeter / closed-form edge functionals.
 """
 
 import math
@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from kpv.asymptotics import (RadiusGrid, kp_threshold, laurent_fit,
-                             mean_width_difference, verify_lift_identity)
+from kpv.asymptotics import (kp_threshold, laurent_fit, mean_width_difference,
+                             system_and_window, verify_lift_identity)
 from kpv.ball_volumes import BallSystem, mc_ball_volume, union_volume, \
     intersection_volume
 from kpv.configurations import (PointConfiguration, are_congruent,
@@ -22,7 +22,7 @@ from kpv.errors import GeometryError
 from kpv.meanwidth import (calibrate, mean_width_edge_sum_3d,
                            mean_width_exact_2d, mean_width_quadrature)
 from kpv.polyhedra import Halfspace, PolyhedralSet
-from kpv.truncated_volume import (FitWindow, check_ww_lemma, unit_ball_volume,
+from kpv.truncated_volume import (RadiusGrid, check_ww_lemma, unit_ball_volume,
                                   volume_profile)
 
 from conftest import lens_area, two_disk_union
@@ -40,8 +40,9 @@ def _report(num, text, elapsed):
 
 @pytest.fixture(scope="module")
 def planar_fit_suite():
-    """Union/intersection Laurent fits + exact mean widths for the criterion-4
-    configuration family: segment, unit square, and 10 random planar configs."""
+    """Union/intersection Laurent fits, the exact coefficients and exact mean
+    widths for the criterion-4 configuration family: segment, unit square,
+    and 10 random planar configs."""
     rng = np.random.default_rng(41)
     configs = [("segment", SEGMENT), ("square", SQUARE)]
     for k in range(10):
@@ -50,16 +51,15 @@ def planar_fit_suite():
             rng.uniform(-1.0, 1.0, size=(n_pts, 2)))))
     records = []
     for name, cfg in configs:
-        probe = BallSystem(cfg, r_max=2.0 * max(cfg.diameter, 1e-2))
-        bp = float(probe.breakpoints[-1]) if probe.breakpoints.size else 0.0
-        R = 10.0 * max(bp, cfg.diameter, 1e-2)
-        window = FitWindow(r_min=R, r_max=100.0 * R)
-        system = BallSystem(cfg, r_max=window.r_max * (1 + 1e-6))
+        # window [10R, 1000R], R = max(last breakpoint, diameter, 1e-2)
+        system, window = system_and_window(cfg, None)
         fit_u = laurent_fit(system.union_volume, 2, 3, window)
         fit_i = laurent_fit(system.intersection_volume, 2, 3, window)
         m = mean_width_exact_2d(cfg).value
         records.append({"name": name, "config": cfg, "m": m,
-                        "fit_u": fit_u, "fit_i": fit_i})
+                        "fit_u": fit_u, "fit_i": fit_i,
+                        "exact_u": system.laurent_coefficients("union"),
+                        "exact_i": system.laurent_coefficients("intersection")})
     return records
 
 
@@ -159,6 +159,14 @@ def test_criterion_05_csikos_cancellation(planar_fit_suite):
     elapsed = time.monotonic() - t0
     _report(5, "intersection coefficient equals -M and union+intersection "
                "coefficients cancel within 1% of M", elapsed)
+
+
+def test_criterion_04_fit_agrees_with_exact_coefficients(planar_fit_suite):
+    # the least-squares fit stays an independent check of the exact sums
+    for rec in planar_fit_suite:
+        for fit, exact in ((rec["fit_u"], rec["exact_u"]), (rec["fit_i"], rec["exact_i"])):
+            assert abs(fit.coefficient(2) - exact[0]) <= 0.01 * abs(exact[0])
+            assert abs(fit.coefficient(1) - exact[1]) <= 0.01 * abs(exact[1]), rec["name"]
 
 
 # -- criterion 6 -------------------------------------------------------------
@@ -275,7 +283,7 @@ def test_criterion_10_pole_structure(planar_fit_suite):
     poly = PolyhedralSet(2, hs)
     prof = volume_profile(poly, np.zeros(2), 2500.0)
     bp = float(prof.breakpoints[-1])
-    fit = laurent_fit(prof, 2, 3, FitWindow(10.0 * bp, 1000.0 * bp))
+    fit = laurent_fit(prof, 2, 3, RadiusGrid(10.0 * bp, 1000.0 * bp))
     assert abs(fit.coefficient(2)) <= 1e-6
     elapsed = time.monotonic() - t0
     _report(10, "union profiles carry leading coefficient delta_n within 0.5%; "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kpv.asymptotics import (RadiusGrid, ThresholdResult, kp_threshold,
+from kpv.asymptotics import (ThresholdResult, kp_threshold,
                              laurent_fit, mean_width_difference,
                              reference_mean_width,
                              verify_capoyleas_pach, verify_csikos,
@@ -12,7 +12,7 @@ from kpv.ball_volumes import BallSystem
 from kpv.configurations import PointConfiguration, random_expansion
 from kpv.errors import GeometryError, InputError
 from kpv.meanwidth import mean_width_exact_2d
-from kpv.truncated_volume import FitWindow, unit_ball_volume
+from kpv.truncated_volume import RadiusGrid, unit_ball_volume
 
 from conftest import random_config
 
@@ -22,14 +22,14 @@ SQUARE = PointConfiguration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
 
 def test_laurent_fit_single_ball_is_exact_monomial():
     delta = unit_ball_volume(2)
-    fit = laurent_fit(lambda r: delta * r * r, 2, 3, FitWindow(10.0, 1000.0))
+    fit = laurent_fit(lambda r: delta * r * r, 2, 3, RadiusGrid(10.0, 1000.0))
     assert fit.coefficient(2) == pytest.approx(delta, rel=1e-6)
     assert fit.coefficient(1) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_laurent_fit_segment_union_and_intersection():
     system = BallSystem(SEGMENT, r_max=1010.0)
-    win = FitWindow(10.0, 1000.0)
+    win = RadiusGrid(10.0, 1000.0)
     fit_u = laurent_fit(system.union_volume, 2, 3, win)
     fit_i = laurent_fit(system.intersection_volume, 2, 3, win)
     assert fit_u.coefficient(1) == pytest.approx(2.0, rel=0.01)
@@ -38,12 +38,12 @@ def test_laurent_fit_segment_union_and_intersection():
 
 def test_laurent_fit_rejects_too_many_terms():
     with pytest.raises(InputError):
-        laurent_fit(lambda r: r * r, 2, 4, FitWindow(1.0, 10.0))
+        laurent_fit(lambda r: r * r, 2, 4, RadiusGrid(1.0, 10.0))
 
 
 def test_laurent_fit_window_validation():
     with pytest.raises(InputError):
-        FitWindow(5.0, 2.0).radii()
+        RadiusGrid(5.0, 2.0).radii()
 
 
 def test_reference_mean_width_planar_in_3d():
@@ -61,6 +61,22 @@ def test_verify_capoyleas_pach_segment_and_square():
         assert rep.passed
         assert rep.rhs == pytest.approx(m, rel=1e-9)
         assert rep.gap <= 0.01 * m
+
+
+def test_verify_capoyleas_pach_far_breakpoints():
+    # last breakpoint 15 (3-d) and about 500 (the flat triangle, whose
+    # circumcircle is 250 diameters wide): the coefficients are exact, so no
+    # fit window has to resolve them
+    spatial = PointConfiguration.from_points(
+        [[-0.48, -0.4, 0.63], [-0.82, 0.2, 0.46], [-0.62, -0.89, -0.45],
+         [0.31, 0.12, -0.7], [-0.13, 0.34, -0.15]])
+    flat = PointConfiguration.from_points([[0.0, 0.0], [2.0, 0.0], [1.0, 1e-3]])
+    for cfg in (spatial, flat):
+        rep = verify_capoyleas_pach(cfg)
+        assert rep.passed
+        assert rep.gap <= 1e-10 * rep.rhs
+        assert rep.extras["leading_coefficient"] == pytest.approx(
+            unit_ball_volume(cfg.dimension), rel=1e-12)
 
 
 def test_verify_capoyleas_pach_single_point():
@@ -205,7 +221,7 @@ def test_mean_width_difference_correlated_error():
     p = PointConfiguration.from_points([[0, 0, 0], [1, 0, 0]])
     q = PointConfiguration.from_points([[0, 0, 0], [1.0 + 1e-8, 0, 0]])
     diff, err = mean_width_difference(p, q)
-    # both sides share the lifting constant, so a 1e-8 stretch is resolvable
+    # the lifting constant is exact, so a 1e-8 stretch is resolvable
     assert diff == pytest.approx(math.pi * 1e-8, rel=5e-3)
     assert err < diff
     # planar exact case has no constant at all
@@ -220,8 +236,8 @@ def test_union_coefficient_monotone_under_expansion(rng):
     # the fitted second coefficient inherits the mean-width growth
     p = random_config(rng, 2, 5)
     q = random_expansion(p, seed=55, magnitude=0.35)
-    win = FitWindow(10.0 * max(p.diameter, q.diameter),
-                    1000.0 * max(p.diameter, q.diameter))
+    win = RadiusGrid(10.0 * max(p.diameter, q.diameter),
+                     1000.0 * max(p.diameter, q.diameter))
     ap = laurent_fit(BallSystem(p, r_max=win.r_max * 1.01).union_volume, 2, 3, win)
     aq = laurent_fit(BallSystem(q, r_max=win.r_max * 1.01).union_volume, 2, 3, win)
     diff, err = mean_width_difference(p, q)

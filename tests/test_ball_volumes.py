@@ -8,6 +8,7 @@ from kpv.ball_volumes import (BallSystem, boundary_volume, farthest_voronoi,
                               nearest_voronoi, union_volume)
 from kpv.configurations import PointConfiguration
 from kpv.errors import GeometryError, InputError
+from kpv.meanwidth import edge_functional_3d, mean_width_exact_2d
 from kpv.polyhedra import contains
 from kpv.truncated_volume import unit_ball_volume
 
@@ -169,15 +170,36 @@ def test_methods_dispatch():
         boundary_volume(TWO, 1.0, "surface")
 
 
-def test_kpv_threads_env(monkeypatch):
-    monkeypatch.setenv("KPV_THREADS", "2")
-    cfg = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]])
-    parallel = BallSystem(cfg, r_max=3.0)
-    monkeypatch.setenv("KPV_THREADS", "1")
-    serial = BallSystem(cfg, r_max=3.0)
-    for r in (0.7, 1.4, 2.8):
-        assert parallel.union_volume(r) == serial.union_volume(r)
-        assert parallel.intersection_volume(r) == serial.intersection_volume(r)
+def test_laurent_coefficients_planar_hull_perimeter(rng):
+    # a_1 = +/- the hull perimeter, a_2 = pi for both families
+    for _ in range(5):
+        cfg = random_config(rng, 2, int(rng.integers(2, 8)))
+        system = BallSystem(cfg, r_max=np.inf)
+        perimeter = mean_width_exact_2d(cfg).value
+        for which, sign in (("union", 1.0), ("intersection", -1.0)):
+            lead, second = system.laurent_coefficients(which)
+            assert lead == pytest.approx(math.pi, abs=1e-10)
+            assert second == pytest.approx(sign * perimeter, abs=1e-10 * perimeter)
+
+
+def test_laurent_coefficients_spatial_edge_sum(rng):
+    # M_3 = sum(beta * d) / 2 for a full-dimensional hull
+    for _ in range(4):
+        cfg = random_config(rng, 3, int(rng.integers(4, 7)))
+        system = BallSystem(cfg, r_max=np.inf)
+        m = 0.5 * edge_functional_3d(cfg)
+        assert system.laurent_coefficients("union")[1] == pytest.approx(m, abs=1e-10 * m)
+        assert system.laurent_coefficients("intersection")[1] == pytest.approx(
+            -m, abs=1e-10 * m)
+
+
+def test_laurent_leading_coefficient_needs_tail():
+    # the quadrature reaches infinity only past twice the last breakpoint (0.5)
+    system = BallSystem(TWO, r_max=0.8)
+    with pytest.raises(InputError):
+        system.laurent_coefficients("union")
+    with pytest.raises(InputError):
+        BallSystem(TWO, r_max=np.inf).laurent_coefficients("both")
 
 
 def test_single_family_system_guards():

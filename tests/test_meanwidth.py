@@ -8,6 +8,7 @@ from kpv.errors import GeometryError, InputError
 from kpv.meanwidth import (calibrate, edge_curvatures_3d, edge_functional_3d,
                            mean_width_edge_sum_3d, mean_width_exact_2d,
                            mean_width_quadrature)
+from kpv.truncated_volume import unit_ball_volume
 
 from conftest import random_config, random_orthogonal
 
@@ -133,6 +134,15 @@ def test_calibrate_identities_and_oracles():
     # cube residual against the closed form 3 pi at the calibration node count
     c33 = calibrate(3, 3)
     assert c33.value * 6.0 * math.pi == pytest.approx(3.0 * math.pi, rel=1e-3)
+
+
+def test_calibrate_closed_forms():
+    # Kubota: int_{S^(n-1)} h_K = kappa_(n-1) V_1(K)
+    for n in (3, 4):
+        kappa = unit_ball_volume(n - 1)
+        assert calibrate(2, n).value == kappa / 2.0
+        assert calibrate(3, n).value == kappa / (2.0 * math.pi)
+    assert calibrate(3, 3).value == pytest.approx(0.5, abs=1e-15)
 
 
 def test_calibrate_rejects_unsupported():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kpv.errors import GeometryError, InputError, NumericalError
+from kpv.errors import GeometryError, InputError
 from kpv.polyhedra import Halfspace, PolyhedralSet
-from kpv.truncated_volume import (FitWindow, StepControl, check_ww_lemma,
+from kpv.truncated_volume import (RadiusGrid, StepControl, check_ww_lemma,
                                   fit_radial_powers, mc_truncated_volume,
                                   profile_to_csv, unit_ball_volume,
                                   volume_profile, w_prime_at_zero)
@@ -75,25 +75,26 @@ def test_halfplane_derivative_matches_finite_difference():
 def test_w_coefficients_halfplane():
     # V(r) = (pi/2) r^2 + 2 r - 1/(3r) + O(r^-3): W(0) = pi/2, W'(0) = 2
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
-    prof = volume_profile(P, np.zeros(2), 1100.0)
+    prof = volume_profile(P, np.zeros(2), np.inf)
     w1 = w_prime_at_zero(prof)
-    assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-6)
-    assert w1 == pytest.approx(2.0, abs=1e-4)
+    assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert w1 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_w_coefficients_complement_halfplane():
     P = PolyhedralSet(2, (halfplane(-1, 0, -1),))
-    prof = volume_profile(P, np.zeros(2), 1100.0)
+    prof = volume_profile(P, np.zeros(2), np.inf)
     w1 = w_prime_at_zero(prof)
-    assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-6)
-    assert w1 == pytest.approx(-2.0, abs=1e-4)
+    assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert w1 == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_w_prime_needs_long_profile():
+    # W'(0) comes from the face profiles, which reach infinity, so a profile
+    # stopped at r_max = 5 has it exactly
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), 5.0)
-    with pytest.raises(NumericalError):
-        w_prime_at_zero(prof)
+    assert w_prime_at_zero(prof) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cone_profile_quadrant():
@@ -209,8 +210,8 @@ def test_check_ww_lemma_rejects_too_many():
 def test_fit_residual_decays_with_window():
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), 4000.0)
-    _, res_near, _ = fit_radial_powers(prof.value, 2, 3, FitWindow(5.0, 500.0))
-    _, res_far, _ = fit_radial_powers(prof.value, 2, 3, FitWindow(30.0, 3000.0))
+    _, res_near, _ = fit_radial_powers(prof.value, 2, 3, RadiusGrid(5.0, 500.0))
+    _, res_far, _ = fit_radial_powers(prof.value, 2, 3, RadiusGrid(30.0, 3000.0))
     assert res_far < res_near
 
 
