@@ -3,10 +3,12 @@
 The decomposition: the union of balls of radius r is the disjoint (up to
 measure zero) union of the nearest-point Voronoi regions truncated at radius
 r around their sites, and the intersection is the analogous union of
-truncated farthest-point regions.  Each truncated region is a ball-truncated
-polyhedral set, so its radial volume profile comes from the recursive ODE
-engine; summing profiles per site gives exact volumes, and summing the ODE
-right-hand sides gives exact boundary measures.
+truncated farthest-point regions.  A site's region is cut out by the
+bisectors with its Delaunay neighbours only (the furthest-site triangulation
+for farthest regions), the other bisectors being redundant.  Each truncated
+region is a ball-truncated polyhedral set, so its radial volume profile comes
+from the recursive ODE engine; summing profiles per site gives exact volumes,
+and summing the ODE right-hand sides gives exact boundary measures.
 
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
@@ -18,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .configurations import PointConfiguration, distance_matrix
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet
 from .truncated_volume import (RadialVolumeProfile, StepControl, unit_ball_volume,
                                volume_profile)
@@ -74,27 +77,68 @@ def _bisector(pi: np.ndarray, pj: np.ndarray) -> Halfspace:
     return Halfspace(normal=v, offset=0.5 * float(np.dot(pj, pj) - np.dot(pi, pi)))
 
 
-def nearest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
-    """Nearest-point region of site i: all bisector halfspaces toward i."""
-    _check_distinct(p)
-    pts = p.points
-    if not 0 <= i < p.n_points:
-        raise InputError(f"site index {i} out of range")
-    hs = tuple(_bisector(pts[i], pts[j]) for j in range(p.n_points) if j != i)
-    return VoronoiRegion(kind="nearest", site_index=i,
-                         region=PolyhedralSet(p.dimension, hs))
+def delaunay_neighbours(p: PointConfiguration,
+                        furthest: bool = False) -> list[np.ndarray | None]:
+    """Per site, the other sites whose bisectors can bound its Voronoi region.
+
+    These are the site's neighbours in the Delaunay triangulation (nearest
+    regions) or the furthest-site triangulation (farthest regions), in
+    ascending order.  A site in no furthest-site simplex is not a hull vertex,
+    so its farthest region is empty or lower-dimensional: its entry is None.
+    Every other site is listed when qhull cannot triangulate (N <= n, or all
+    sites in a lower flat) and for a site qhull sets aside as coplanar; such a
+    site also joins every other list.
+    """
+    n_pts = p.n_points
+    try:
+        tri = Delaunay(p.points - p.points.mean(axis=0), furthest_site=furthest)
+    except QhullError:
+        return [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
+    indptr, indices = tri.vertex_neighbor_vertices
+    in_simplex = np.zeros(n_pts, dtype=bool)
+    in_simplex[tri.simplices.ravel()] = True
+    set_aside = np.unique(tri.coplanar[:, 0])
+    out: list[np.ndarray | None] = []
+    for i in range(n_pts):
+        if i in set_aside or (not furthest and not in_simplex[i]):
+            out.append(np.delete(np.arange(n_pts), i))
+        elif in_simplex[i]:
+            nb = np.union1d(indices[indptr[i]:indptr[i + 1]], set_aside)
+            out.append(nb[nb != i])
+        else:
+            out.append(None)
+    return out
 
 
-def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
-    """Farthest-point region of site i (may be empty for interior sites)."""
-    _check_distinct(p)
-    pts = p.points
+def _voronoi(p: PointConfiguration, kind: str, i: int, neighbours) -> VoronoiRegion:
     if not 0 <= i < p.n_points:
         raise InputError(f"site index {i} out of range")
-    hs = tuple(_bisector(pts[i], pts[j]).flipped()
-               for j in range(p.n_points) if j != i)
-    return VoronoiRegion(kind="farthest", site_index=i,
-                         region=PolyhedralSet(p.dimension, hs))
+    if neighbours is None:
+        _check_distinct(p)
+        neighbours = [j for j in range(p.n_points) if j != i]
+    pts = p.points
+    hs = tuple(_bisector(pts[i], pts[j]) for j in neighbours)
+    if kind == "farthest":
+        hs = tuple(h.flipped() for h in hs)
+    return VoronoiRegion(kind=kind, site_index=i, region=PolyhedralSet(p.dimension, hs))
+
+
+def nearest_voronoi(p: PointConfiguration, i: int, neighbours=None) -> VoronoiRegion:
+    """Nearest-point region of site i: the bisector halfspaces toward i.
+
+    neighbours lists the sites j whose bisectors are used (its entry of
+    delaunay_neighbours suffices; the caller has rejected duplicate sites).
+    By default every other site is used, after the duplicate check.
+    """
+    return _voronoi(p, "nearest", i, neighbours)
+
+
+def farthest_voronoi(p: PointConfiguration, i: int, neighbours=None) -> VoronoiRegion:
+    """Farthest-point region of site i (may be empty for interior sites).
+
+    neighbours as for nearest_voronoi, from the furthest-site triangulation.
+    """
+    return _voronoi(p, "farthest", i, neighbours)
 
 
 class BallSystem:
@@ -119,25 +163,29 @@ class BallSystem:
         self.families = tuple(families)
         scale = max(1.0, p.diameter)
 
-        regions: list[VoronoiRegion] = []
-        if "nearest" in self.families:
-            regions += [nearest_voronoi(p, i) for i in range(p.n_points)]
-        if "farthest" in self.families:
-            regions += [farthest_voronoi(p, i) for i in range(p.n_points)]
-
-        def build(region: VoronoiRegion) -> RadialVolumeProfile | None:
-            # nearest regions always contain their site with positive margin;
-            # empty or lower-dimensional farthest regions contribute 0
-            if (region.kind == "farthest"
-                    and region.region.feasibility_margin() <= 1e-9 * scale):
+        def build(kind: str, i: int, others) -> RadialVolumeProfile | None:
+            # a site in no furthest-site simplex has an empty or flat farthest
+            # region; nearest regions always contain their site with positive
+            # margin, and lower-dimensional farthest regions contribute 0
+            if others is None:
                 return None
-            return volume_profile(region.region, p.points[region.site_index],
-                                  self.r_max, self.control)
+            region = _voronoi(p, kind, i, others).region
+            if kind == "farthest" and region.feasibility_margin() <= 1e-9 * scale:
+                return None
+            try:
+                return volume_profile(region, p.points[i], self.r_max, self.control)
+            except (GeometryError, NumericalError) as exc:
+                raise type(exc)(f"{exc} ({kind} region of site {i})") from exc
 
-        profiles = [build(reg) for reg in regions]
-        n_near = p.n_points if "nearest" in self.families else 0
-        self.nearest_profiles = profiles[:n_near]
-        self.farthest_profiles = profiles[n_near:]
+        def family(kind: str) -> list:
+            if kind not in self.families:
+                return []
+            nbs = delaunay_neighbours(p, furthest=kind == "farthest")
+            return [build(kind, i, others) for i, others in enumerate(nbs)]
+
+        self.nearest_profiles = family("nearest")
+        self.farthest_profiles = family("farthest")
+        profiles = self.nearest_profiles + self.farthest_profiles
 
         bps = [bp for prof in profiles if prof is not None for bp in prof.breakpoints]
         self.breakpoints = np.unique(np.asarray(bps)) if bps else np.zeros(0)
@@ -303,17 +351,32 @@ def _mc_counts(p: PointConfiguration, r: float, samples: int, seed: int):
     hits_any = 0
     hits_all = 0
     done = 0
-    chunk = 500_000
     r2 = r * r
+    # one set of work arrays per call, filled in place for every chunk and site
+    chunk = min(500_000, samples)
+    x_buf = np.empty((chunk, p.dimension))
+    diff_buf = np.empty((chunk, p.dimension))
+    d2_buf = np.empty(chunk)
+    hit_buf = np.empty(chunk, dtype=bool)
+    any_buf = np.empty(chunk, dtype=bool)
+    all_buf = np.empty(chunk, dtype=bool)
     while done < samples:
         m = min(chunk, samples - done)
-        x = rng.uniform(lo, hi, size=(m, p.dimension))
-        inside_any = np.zeros(m, dtype=bool)
-        inside_all = np.ones(m, dtype=bool)
+        x, diff, d2 = x_buf[:m], diff_buf[:m], d2_buf[:m]
+        hit, inside_any, inside_all = hit_buf[:m], any_buf[:m], all_buf[:m]
+        # the same draws and roundings as rng.uniform(lo, hi, size=(m, n))
+        rng.random(out=x)
+        np.multiply(x, hi - lo, out=x)
+        np.add(x, lo, out=x)
+        inside_any.fill(False)
+        inside_all.fill(True)
         for site in pts:
-            d2 = np.sum((x - site) ** 2, axis=1)
-            np.logical_or(inside_any, d2 <= r2, out=inside_any)
-            np.logical_and(inside_all, d2 <= r2, out=inside_all)
+            np.subtract(x, site, out=diff)
+            np.square(diff, out=diff)
+            np.sum(diff, axis=1, out=d2)
+            np.less_equal(d2, r2, out=hit)
+            np.logical_or(inside_any, hit, out=inside_any)
+            np.logical_and(inside_all, hit, out=inside_all)
         hits_any += int(np.count_nonzero(inside_any))
         hits_all += int(np.count_nonzero(inside_all))
         done += m

@@ -9,6 +9,10 @@ in the hyperplane's intrinsic coordinates.
 Feasibility and facet-dimension questions are decided by a small max-margin
 problem solved by exhaustive vertex enumeration, which is exact at desk scale
 (dimension <= 4, a dozen constraints) and avoids a general LP dependency.
+Its cost grows combinatorially with the number of halfspaces, so Voronoi
+regions arrive here cut out by their Delaunay neighbours' bisectors only
+(see ball_volumes); the induced faces of a region still carry every other
+halfspace of that region.
 """
 
 from __future__ import annotations
@@ -194,9 +198,11 @@ def _solve_max_margin(A: np.ndarray, b: np.ndarray, box: float) -> float:
     if not np.any(good):
         return -np.inf
     sols = np.linalg.solve(mats[good], vecs[good][..., None])[..., 0]
-    # reject vertices violating any constraint beyond roundoff at their scale
+    # reject vertices violating any constraint beyond roundoff at their scale;
+    # the scale is that of the terms, since <row, vertex> may cancel (a vertex
+    # on the far box of a region 1e6 from the origin)
     vals = rows @ sols.T
-    denom = 1.0 + np.abs(vals) + np.abs(rhs[:, None])
+    denom = 1.0 + np.abs(rows) @ np.abs(sols.T) + np.abs(rhs[:, None])
     with np.errstate(invalid="ignore"):
         feasible = np.all(vals - rhs[:, None] <= 1e-9 * denom, axis=0)
     if not np.any(feasible):

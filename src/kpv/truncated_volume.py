@@ -578,21 +578,24 @@ def fit_radial_powers(evaluate, n: int, terms: int, window: RadiusGrid,
     """Least squares of V(r) against a_n r^n + ... + a_{n-terms+1} r^{n-terms+1}.
 
     evaluate maps an array of radii to the array of volumes.  The regression
-    runs on V(r)/r^n against inverse powers of r so rows carry comparable
-    (relative) weight.  Returns (coefficients descending by power,
-    rms residual in relative units, condition estimate).
+    runs on V(r)/r^n, so rows carry comparable (relative) weight, against the
+    powers (r_min/r)^k, so the condition number depends on the window's span
+    and not on its absolute scale; the fitted coefficients are rescaled by
+    r_min^k.  Returns (coefficients descending by power, rms residual in
+    relative units, condition estimate of the scaled design matrix).
     """
     radii = window.radii()
     vals = np.asarray(evaluate(radii), dtype=float)
     y = vals / radii ** n
-    X = np.column_stack([radii ** (-k) for k in range(terms)])
+    powers = np.arange(terms)
+    X = (window.r_min / radii[:, None]) ** powers
     cond = float(np.linalg.cond(X))
     if cond > cond_bound:
         raise NumericalError(
             f"power fit ill-conditioned (cond {cond:.2e}); widen the window")
-    coeffs, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = float(np.sqrt(np.mean((X @ coeffs - y) ** 2)))
-    return coeffs, resid, cond
+    scaled, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = float(np.sqrt(np.mean((X @ scaled - y) ** 2)))
+    return scaled * window.r_min ** powers, resid, cond
 
 
 def w_prime_at_zero(profile: RadialVolumeProfile) -> float:

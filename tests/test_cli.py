@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from kpv.ball_volumes import mc_ball_volume
+from kpv.ball_volumes import BallSystem, mc_ball_volume
 from kpv.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED,
                      ExperimentSpec, main, run)
-from kpv.configurations import is_expansion, load_configuration
+from kpv.configurations import (PointConfiguration, is_expansion, load_configuration,
+                                save_configuration)
 
 from conftest import two_disk_union
 
@@ -204,3 +205,22 @@ def test_asymptotics_default_window_from_breakpoints(two_disks, tmp_path):
     # last breakpoint 0.5 < scale 1: window [10, 1000]
     assert res["window"] == [10.0, 1000.0, 32]
     assert res["union"]["coefficients"][1] == pytest.approx(2.0, rel=0.02)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0], [2.0, 0.0], [1.0, 1e-3]],
+    [[-0.48, -0.4, 0.63], [-0.82, 0.2, 0.46], [-0.62, -0.89, -0.45], [0.31, 0.12, -0.7],
+     [-0.13, 0.34, -0.15]],
+], ids=["flat-triangle", "3d-N5"])
+def test_asymptotics_far_breakpoints_well_conditioned(points, tmp_path):
+    """Last breakpoints far out (about 500 and 15): the fit is scale-free."""
+    cfg = PointConfiguration.from_points(points)
+    path = tmp_path / "c.json"
+    save_configuration(cfg, path)
+    out = tmp_path / "a.json"
+    assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    system = BallSystem(cfg, r_max=np.inf)
+    for which in ("union", "intersection"):
+        exact = system.laurent_coefficients(which)
+        assert res[which]["coefficients"][:2] == pytest.approx(exact, rel=0.01)

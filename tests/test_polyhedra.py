@@ -131,6 +131,22 @@ def test_face_data_on_boundary_sign_positive():
     assert f.epsilon == 1
 
 
+def test_face_data_unbounded_faces_far_from_origin():
+    """Box vertices 1e8 out cancel in <row, vertex>: roundoff must not drop faces."""
+    sites = np.array([[0.0, 0.0], [10.0, 1.0], [4.0, 9.0], [-6.0, 7.0], [-8.0, -3.0],
+                      [1.0, -9.0], [9.0, -7.0], [2.0, 3.0], [-3.0, -1.0]])
+
+    def faces(offset):
+        pts = sites + offset
+        hs = tuple(Halfspace(pj - pts[4], 0.5 * float(pj @ pj - pts[4] @ pts[4]))
+                   for j, pj in enumerate(pts) if j != 4)
+        return face_data(PolyhedralSet(2, hs), pts[4])
+
+    near, far = faces(0.0), faces(1e6)
+    assert [f.face_index for f in far] == [f.face_index for f in near] == [3, 4, 7]
+    assert [f.h for f in far] == pytest.approx([f.h for f in near], rel=1e-9)
+
+
 def test_face_data_requires_matching_dimension():
     P = PolyhedralSet(3, (Halfspace(np.array([1.0, 0, 0]), 1.0),))
     with pytest.raises(InputError):
