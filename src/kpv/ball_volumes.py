@@ -85,15 +85,18 @@ def delaunay_neighbours(p: PointConfiguration,
     regions) or the furthest-site triangulation (farthest regions), in
     ascending order.  A site in no furthest-site simplex is not a hull vertex,
     so its farthest region is empty or lower-dimensional: its entry is None.
-    Every other site is listed when qhull cannot triangulate (N <= n, or all
-    sites in a lower flat) and for a site qhull sets aside as coplanar; such a
-    site also joins every other list.
+    Every other site is listed when qhull cannot triangulate (dimension 1,
+    N <= n, or all sites in a lower flat) and for a site qhull sets aside as
+    coplanar; such a site also joins every other list.
     """
     n_pts = p.n_points
+    every_other = [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
+    if p.dimension < 2:
+        return every_other
     try:
         tri = Delaunay(p.points - p.points.mean(axis=0), furthest_site=furthest)
     except QhullError:
-        return [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
+        return every_other
     indptr, indices = tri.vertex_neighbor_vertices
     in_simplex = np.zeros(n_pts, dtype=bool)
     in_simplex[tri.simplices.ravel()] = True
@@ -101,7 +104,7 @@ def delaunay_neighbours(p: PointConfiguration,
     out: list[np.ndarray | None] = []
     for i in range(n_pts):
         if i in set_aside or (not furthest and not in_simplex[i]):
-            out.append(np.delete(np.arange(n_pts), i))
+            out.append(every_other[i])
         elif in_simplex[i]:
             nb = np.union1d(indices[indptr[i]:indptr[i + 1]], set_aside)
             out.append(nb[nb != i])
@@ -111,11 +114,7 @@ def delaunay_neighbours(p: PointConfiguration,
 
 
 def _voronoi(p: PointConfiguration, kind: str, i: int, neighbours) -> VoronoiRegion:
-    if not 0 <= i < p.n_points:
-        raise InputError(f"site index {i} out of range")
-    if neighbours is None:
-        _check_distinct(p)
-        neighbours = [j for j in range(p.n_points) if j != i]
+    """Region of site i cut out by the bisectors with the sites in neighbours."""
     pts = p.points
     hs = tuple(_bisector(pts[i], pts[j]) for j in neighbours)
     if kind == "farthest":
@@ -123,22 +122,21 @@ def _voronoi(p: PointConfiguration, kind: str, i: int, neighbours) -> VoronoiReg
     return VoronoiRegion(kind=kind, site_index=i, region=PolyhedralSet(p.dimension, hs))
 
 
-def nearest_voronoi(p: PointConfiguration, i: int, neighbours=None) -> VoronoiRegion:
-    """Nearest-point region of site i: the bisector halfspaces toward i.
-
-    neighbours lists the sites j whose bisectors are used (its entry of
-    delaunay_neighbours suffices; the caller has rejected duplicate sites).
-    By default every other site is used, after the duplicate check.
-    """
-    return _voronoi(p, "nearest", i, neighbours)
+def _all_bisector_voronoi(p: PointConfiguration, kind: str, i: int) -> VoronoiRegion:
+    _check_distinct(p)
+    if not 0 <= i < p.n_points:
+        raise InputError(f"site index {i} out of range")
+    return _voronoi(p, kind, i, [j for j in range(p.n_points) if j != i])
 
 
-def farthest_voronoi(p: PointConfiguration, i: int, neighbours=None) -> VoronoiRegion:
-    """Farthest-point region of site i (may be empty for interior sites).
+def nearest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
+    """Nearest-point region of site i: all bisector halfspaces toward i."""
+    return _all_bisector_voronoi(p, "nearest", i)
 
-    neighbours as for nearest_voronoi, from the furthest-site triangulation.
-    """
-    return _voronoi(p, "farthest", i, neighbours)
+
+def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
+    """Farthest-point region of site i (may be empty for interior sites)."""
+    return _all_bisector_voronoi(p, "farthest", i)
 
 
 class BallSystem:
@@ -351,32 +349,17 @@ def _mc_counts(p: PointConfiguration, r: float, samples: int, seed: int):
     hits_any = 0
     hits_all = 0
     done = 0
+    chunk = 500_000
     r2 = r * r
-    # one set of work arrays per call, filled in place for every chunk and site
-    chunk = min(500_000, samples)
-    x_buf = np.empty((chunk, p.dimension))
-    diff_buf = np.empty((chunk, p.dimension))
-    d2_buf = np.empty(chunk)
-    hit_buf = np.empty(chunk, dtype=bool)
-    any_buf = np.empty(chunk, dtype=bool)
-    all_buf = np.empty(chunk, dtype=bool)
     while done < samples:
         m = min(chunk, samples - done)
-        x, diff, d2 = x_buf[:m], diff_buf[:m], d2_buf[:m]
-        hit, inside_any, inside_all = hit_buf[:m], any_buf[:m], all_buf[:m]
-        # the same draws and roundings as rng.uniform(lo, hi, size=(m, n))
-        rng.random(out=x)
-        np.multiply(x, hi - lo, out=x)
-        np.add(x, lo, out=x)
-        inside_any.fill(False)
-        inside_all.fill(True)
+        x = rng.uniform(lo, hi, size=(m, p.dimension))
+        inside_any = np.zeros(m, dtype=bool)
+        inside_all = np.ones(m, dtype=bool)
         for site in pts:
-            np.subtract(x, site, out=diff)
-            np.square(diff, out=diff)
-            np.sum(diff, axis=1, out=d2)
-            np.less_equal(d2, r2, out=hit)
-            np.logical_or(inside_any, hit, out=inside_any)
-            np.logical_and(inside_all, hit, out=inside_all)
+            d2 = np.sum((x - site) ** 2, axis=1)
+            np.logical_or(inside_any, d2 <= r2, out=inside_any)
+            np.logical_and(inside_all, d2 <= r2, out=inside_all)
         hits_any += int(np.count_nonzero(inside_any))
         hits_all += int(np.count_nonzero(inside_all))
         done += m

@@ -145,33 +145,6 @@ def test_mc_deterministic():
     assert a == b
 
 
-def _mc_counts_fresh_arrays(p, r, samples, seed):
-    """Monte Carlo hit counts with fresh temporaries per chunk and site."""
-    lo, hi = np.min(p.points, axis=0) - r, np.max(p.points, axis=0) + r
-    rng = np.random.default_rng(seed)
-    hits_any = hits_all = done = 0
-    while done < samples:
-        m = min(500_000, samples - done)
-        x = rng.uniform(lo, hi, size=(m, p.dimension))
-        inside = np.array([np.sum((x - site) ** 2, axis=1) <= r * r for site in p.points])
-        hits_any += int(np.count_nonzero(inside.any(axis=0)))
-        hits_all += int(np.count_nonzero(inside.all(axis=0)))
-        done += m
-    return hits_any, hits_all
-
-
-@pytest.mark.parametrize("dim, n_pts, samples", [(2, 5, 150_000), (3, 4, 500_001)])
-def test_mc_reused_buffers_bit_identical(dim, n_pts, samples, rng):
-    """Work arrays reused in place give the same draws and counts, bit for bit."""
-    cfg = random_config(rng, dim, n_pts)
-    for k, r in enumerate((0.3, 0.9)):
-        box = float(np.prod((np.max(cfg.points, axis=0) + r) - (np.min(cfg.points, axis=0) - r)))
-        hits_any, hits_all = _mc_counts_fresh_arrays(cfg, r, samples, 11 + k)
-        both = mc_ball_volume(cfg, r, "both", samples, 11 + k)
-        assert both["union"][0] == box * (hits_any / samples)
-        assert both["intersection"][0] == box * (hits_all / samples)
-
-
 def test_ode_vs_mc_random_configs(rng):
     for dim in (2, 3):
         cfg = random_config(rng, dim, 4)
