@@ -160,6 +160,10 @@ class BallSystem:
         self.delta = unit_ball_volume(p.dimension)
         self.families = tuple(families)
         scale = max(1.0, p.diameter)
+        # volumes are translation-invariant; regions about the centroid keep
+        # the facet tolerances, which scale with the halfspace offsets, relative
+        # to the configuration's extent rather than to its distance from 0
+        centred = PointConfiguration(p.dimension, p.points - p.points.mean(axis=0))
 
         def build(kind: str, i: int, others) -> RadialVolumeProfile | None:
             # a site in no furthest-site simplex has an empty or flat farthest
@@ -167,11 +171,11 @@ class BallSystem:
             # margin, and lower-dimensional farthest regions contribute 0
             if others is None:
                 return None
-            region = _voronoi(p, kind, i, others).region
+            region = _voronoi(centred, kind, i, others).region
             if kind == "farthest" and region.feasibility_margin() <= 1e-9 * scale:
                 return None
             try:
-                return volume_profile(region, p.points[i], self.r_max, self.control)
+                return volume_profile(region, centred.points[i], self.r_max, self.control)
             except (GeometryError, NumericalError) as exc:
                 raise type(exc)(f"{exc} ({kind} region of site {i})") from exc
 

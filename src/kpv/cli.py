@@ -7,6 +7,12 @@ written atomically (temp file + rename) and floats are rounded to 12
 significant digits in both formats, so a JSON and a CSV report of the same
 run carry identical values.
 
+JSON reports are written in one pass by ``_encode``: keys sorted, 2-space
+indent, each float as the repr of its 12-digit rounding, non-finite floats as
+``NaN``/``Infinity``/``-Infinity``, numpy arrays and scalars as their Python
+values.  The bytes are those of ``json.dumps(..., indent=2, sort_keys=True)``
+on the rounded report, and equal inputs give equal bytes.
+
 Exit codes: 0 success, 1 a theorem check exceeded its tolerance, 2 input
 error, 3 numerical/geometric failure.
 """
@@ -15,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,6 +60,7 @@ class ExperimentSpec:
 
 
 def _round12(obj):
+    """Copy of a report with floats rounded to 12 significant digits (CSV path)."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -67,6 +76,105 @@ def _round12(obj):
     return obj
 
 
+def _float_text(x: float) -> str:
+    """JSON text of x rounded to 12 significant digits: the repr of the rounded float."""
+    s = f"{x:.12g}"
+    # fixed notation with a fraction: at most 12 significant digits round-trip,
+    # so repr prints the same digits.  Integral values ("3" vs "3.0"), exponent
+    # forms ("1.5e+13" vs "15000000000000.0"; subnormals, whose shortest repr
+    # has fewer digits) and non-finite values take the repr of float(s).
+    if "." in s and "e" not in s:
+        return s
+    y = float(s)
+    if y != y:
+        return "NaN"
+    if y == math.inf:
+        return "Infinity"
+    if y == -math.inf:
+        return "-Infinity"
+    return float.__repr__(y)
+
+
+def _floats_text(values: list) -> list[str]:
+    """_float_text of every value of a list of floats, formatted in one pass."""
+    texts = (("%.12g\0" * len(values)) % tuple(values)).split("\0")
+    return [s if "." in s and "e" not in s else _float_text(x)
+            for s, x in zip(texts, values)]
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _rows_text(items: list, indent: str) -> str | None:
+    """Body of a list of plain floats or of float-only dicts sharing one key set.
+
+    None when items are of any other shape; the caller then encodes them one
+    by one.  Dict rows go through one template string for the whole list.
+    """
+    first = items[0]
+    sep = ",\n" + indent
+    if type(first) is float:
+        if all(type(v) is float for v in items):
+            return sep.join(_floats_text(items))
+        return None
+    if type(first) is not dict or not first:
+        return None
+    names = first.keys()
+    if not all(type(row) is dict and row.keys() == names for row in items):
+        return None
+    keys = sorted(first)
+    values = [row[k] for row in items for k in keys]
+    if not all(type(v) is float for v in values):
+        return None
+    inner = indent + "  "
+    row = ("{\n" + inner + (",\n" + inner).join(
+        _key_text(k).replace("%", "%%") + ": %s" for k in keys)
+        + "\n" + indent + "}")
+    return sep.join([row] * len(items)) % tuple(_floats_text(values))
+
+
+def _encode(obj, indent: str) -> str:
+    """JSON text of obj: sorted keys, 2-space indent, floats at 12 digits.
+
+    numpy arrays and scalars are written as their Python values.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            f"{_key_text(k)}: {_encode(obj[k], inner)}" for k in sorted(obj))
+            + "\n" + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        body = _rows_text(obj, inner)
+        if body is None:
+            body = (",\n" + inner).join([_encode(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(obj, np.ndarray):
+        return _encode(obj.tolist(), indent)
+    if isinstance(obj, np.floating):
+        return _float_text(float(obj))
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _flatten(prefix: str, obj, rows: list):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -79,12 +187,11 @@ def _flatten(prefix: str, obj, rows: list):
 
 
 def _write_report(report: dict, path: str | None, fmt: str):
-    report = _round12(report)
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _encode(report, "") + "\n"
     else:
         rows: list = []
-        _flatten("", report, rows)
+        _flatten("", _round12(report), rows)
         lines = ["key,value"]
         for key, val in rows:
             sval = json.dumps(val) if isinstance(val, str) else str(val)

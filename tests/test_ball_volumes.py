@@ -207,3 +207,23 @@ def test_single_family_system_guards():
     assert system.union_volume(1.0) > 0
     with pytest.raises(InputError):
         system.intersection_volume(1.0)
+
+
+@pytest.mark.parametrize("dim, n_pts", [(2, 12), (3, 8)])
+def test_sites_far_from_origin_match_unshifted(dim, n_pts):
+    # facet tolerances scale with the halfspace offsets: these sites shifted
+    # by 1e6 used to raise "facet dimension numerically ambiguous"
+    base = np.random.default_rng(5).uniform(-1.0, 1.0, (n_pts, dim))
+    near = BallSystem(PointConfiguration.from_points(base), np.inf)
+    far = BallSystem(PointConfiguration.from_points(base + 1e6), np.inf)
+    assert far.config.points[0, 0] > 1e6 - 1          # the system keeps its input
+    radii = near.off_breakpoint(np.linspace(0.6, 3.0, 9) * far.config.diameter)
+    # coordinates of 1e6 leave about 1e-10 of relative precision in the sites
+    for values in ("union_volume", "intersection_volume", "union_boundary",
+                   "intersection_boundary"):
+        expected = getattr(near, values)(radii)
+        assert np.all(expected > 0)
+        assert getattr(far, values)(radii) == pytest.approx(expected, rel=1e-8)
+    for which in ("union", "intersection"):
+        assert far.laurent_coefficients(which) == pytest.approx(
+            near.laurent_coefficients(which), rel=1e-8)
