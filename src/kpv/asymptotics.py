@@ -5,8 +5,8 @@ second coefficient equal to +/- the mean width of the hull of the centers.
 This module verifies those asymptotic identities against the mean-width
 module, using the exact Laurent coefficients that every ball system built to
 infinity carries, checks the union/intersection cancellation of the second
-coefficients, witnesses the dimension-lifting derivative identity with a
-paired-sample Monte Carlo in two extra dimensions, and locates the radius
+coefficients, checks the dimension-lifting derivative identity against the
+same configuration embedded two dimensions up, and locates the radius
 threshold beyond which all four large-radius rearrangement inequalities hold
 for an expansion pair.  One least-squares fit on a large-radius window
 remains, for the `kpv asymptotics` command, as an independent estimate.
@@ -257,76 +257,38 @@ def verify_ww_proposition(p: PointConfiguration,
 
 
 def verify_lift_identity(p: PointConfiguration, r_samples,
-                         samples: int = 10_000_000, seed: int = 0,
-                         delta_frac: float = 0.01,
                          step_control: StepControl | None = None) -> list[CheckReport]:
-    """V_n(r) = (1/2 pi r) dV_{n+2}/dr, checked by paired-sample Monte Carlo.
+    """V_n(r) = (1/2 pi r) dV_{n+2}/dr for the union and the intersection.
 
-    The (n+2)-volume derivative is a central difference at r*(1 +/- delta_frac)
-    evaluated on one common sample set, so only points in the thin shell
-    between the two radii contribute variance.  Raises NumericalError when
-    the Monte Carlo error cannot resolve the derivative.
+    The right side is the boundary measure of the configuration embedded in
+    E^(n+2), read off its ODE, against the n-volume of the configuration
+    itself; both systems are built once, to the largest radius.  The
+    tolerance, 1e-9 delta_n r^n (that of kp_threshold), is reported as the
+    check's "stderr".  Raises GeometryError for a radius on a breakpoint of
+    the lifted system, where its boundary measure is not read off.
     """
     r_samples = [float(r) for r in np.atleast_1d(np.asarray(r_samples, dtype=float))]
     if not r_samples:
         raise InputError("need at least one radius")
     n = p.dimension
-    lifted = embed(p, n + 2)
-    system = BallSystem(p, r_max=max(r_samples) * (1 + 1e-6), step_control=step_control)
+    r_max = max(r_samples) * (1 + 1e-6)
+    system = BallSystem(p, r_max=r_max, step_control=step_control)
+    lifted = BallSystem(embed(p, n + 2), r_max=r_max, step_control=step_control)
+    delta = unit_ball_volume(n)
     reports = []
-    for k, r in enumerate(r_samples):
-        dr = delta_frac * r
-        reports.extend(_lift_reports_at(system, lifted, r, dr, samples,
-                                        seed + 7919 * k))
+    for r in r_samples:
+        tol = 1e-9 * delta * r ** n
+        for which, boundary, volume in (
+                ("union", lifted.union_boundary, system.union_volume),
+                ("intersection", lifted.intersection_boundary, system.intersection_volume)):
+            lhs = boundary(r) / (2.0 * math.pi * r)
+            rhs = volume(r)
+            gap = abs(lhs - rhs)
+            reports.append(CheckReport(
+                claim=f"{which} volume matches lifted derivative at r={r:g}",
+                lhs=lhs, rhs=rhs, gap=gap, tolerance=tol, passed=gap <= tol,
+                extras={"stderr": tol}))
     return reports
-
-
-def _lift_reports_at(system: BallSystem, lifted: PointConfiguration, r: float,
-                     dr: float, samples: int, seed: int) -> list[CheckReport]:
-    pts = lifted.points
-    dim = lifted.dimension
-    lo = np.min(pts, axis=0) - (r + dr)
-    hi = np.max(pts, axis=0) + (r + dr)
-    box = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    counts = {"union": [0, 0], "intersection": [0, 0]}
-    done = 0
-    chunk = 1_000_000
-    while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.uniform(lo, hi, size=(m, dim))
-        d2 = [np.sum((x - site) ** 2, axis=1) for site in pts]
-        for radius, slot in ((r - dr, 0), (r + dr, 1)):
-            r2 = radius * radius
-            any_mask = np.zeros(m, dtype=bool)
-            all_mask = np.ones(m, dtype=bool)
-            for dd in d2:
-                np.logical_or(any_mask, dd <= r2, out=any_mask)
-                np.logical_and(all_mask, dd <= r2, out=all_mask)
-            counts["union"][slot] += int(np.count_nonzero(any_mask))
-            counts["intersection"][slot] += int(np.count_nonzero(all_mask))
-        done += m
-    out = []
-    for which in ("union", "intersection"):
-        k_low, k_high = counts[which]
-        shell = (k_high - k_low) / samples
-        diff = box * shell
-        se_diff = box * math.sqrt(max(shell * (1 - shell), 0.0) / samples)
-        lhs = diff / (2.0 * dr) / (2.0 * math.pi * r)
-        se = se_diff / (2.0 * dr) / (2.0 * math.pi * r)
-        rhs = (system.union_volume(r) if which == "union"
-               else system.intersection_volume(r))
-        if se > 0.25 * max(abs(rhs), 1e-12):
-            need = samples * (se / (0.25 * max(abs(rhs), 1e-12))) ** 2
-            raise NumericalError(
-                f"Monte Carlo too noisy to resolve the lifted derivative at r={r:g}: "
-                f"stderr {se:.3g} vs value {rhs:.3g}; need ~{need:.3g} samples")
-        gap = abs(lhs - rhs)
-        out.append(CheckReport(
-            claim=f"{which} volume matches lifted derivative at r={r:g}",
-            lhs=lhs, rhs=rhs, gap=gap, tolerance=3.0 * se, passed=gap <= 3.0 * se,
-            extras={"stderr": se, "samples": samples, "delta": dr}))
-    return out
 
 
 # ---------------------------------------------------------------------------

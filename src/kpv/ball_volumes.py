@@ -85,16 +85,24 @@ def delaunay_neighbours(p: PointConfiguration,
     regions) or the furthest-site triangulation (farthest regions), in
     ascending order.  A site in no furthest-site simplex is not a hull vertex,
     so its farthest region is empty or lower-dimensional: its entry is None.
-    Every other site is listed when qhull cannot triangulate (dimension 1,
-    N <= n, or all sites in a lower flat) and for a site qhull sets aside as
+    Sites spanning a k-flat with 2 <= k < n are triangulated in that flat:
+    their regions are prisms over the flat's regions, cut out by the same
+    bisectors.  Every other site is listed when the sites span a line or a
+    point, when qhull cannot triangulate (such as cospherical sites for the
+    furthest-site triangulation), and for a site qhull sets aside as
     coplanar; such a site also joins every other list.
     """
     n_pts = p.n_points
     every_other = [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
-    if p.dimension < 2:
+    centred = p.points - p.points.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centred, full_matrices=False)
+    rank = int(np.sum(svals > 1e-12 * svals[0]))
+    if rank < 2:
         return every_other
+    if rank < p.dimension:
+        centred = centred @ vt[:rank].T
     try:
-        tri = Delaunay(p.points - p.points.mean(axis=0), furthest_site=furthest)
+        tri = Delaunay(centred, furthest_site=furthest)
     except QhullError:
         return every_other
     indptr, indices = tri.vertex_neighbor_vertices

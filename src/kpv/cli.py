@@ -333,9 +333,7 @@ def _cmd_verify(spec: ExperimentSpec):
     (config,) = _load_configs(spec, 1)
     params = spec.parameters
     claim = params.get("claim") or "all"
-    seed = int(params.get("seed") or 0)
-    samples = int(params.get("samples") or 2_000_000)
-    params.update(claim=claim, seed=seed, samples=samples)
+    params["claim"] = claim
     reports = []
     if claim in ("capoyleas-pach", "all"):
         reports.append(verify_capoyleas_pach(config))
@@ -346,7 +344,7 @@ def _cmd_verify(spec: ExperimentSpec):
     if claim in ("lift", "all"):
         scale = max(1.0, config.diameter)
         radii = params.get("r") or [2.0 * scale, 5.0 * scale]
-        reports.extend(verify_lift_identity(config, radii, samples=samples, seed=seed))
+        reports.extend(verify_lift_identity(config, radii))
     if not reports:
         raise InputError(f"unknown claim {claim!r}")
     tol_override = params.get("tol")

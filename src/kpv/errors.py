@@ -16,4 +16,6 @@ class GeometryError(KpvError):
 
 class NumericalError(KpvError):
     """A numerical procedure failed its accuracy or conditioning target
-    (step controller, ill-conditioned fit, unresolved Monte Carlo error)."""
+    (quadrature that does not converge, ill-conditioned power fit, a profile
+    failing its invariant checks, inequalities still failing at the top of a
+    threshold grid)."""

@@ -167,15 +167,17 @@ class FaceData:
 # max-margin solver (exhaustive vertex enumeration, desk scale)
 # ---------------------------------------------------------------------------
 
-def _solve_max_margin(A: np.ndarray, b: np.ndarray, box: float) -> float:
+def _solve_max_margin(A: np.ndarray, b: np.ndarray,
+                      box: float) -> tuple[float, np.ndarray | None]:
     """Maximize t subject to A y + t <= b, |y_i| <= box, t <= box.
 
-    Returns the best margin found over all vertices of the (y, t) polytope;
-    -inf when the system is infeasible within roundoff tolerance.
+    Returns the best margin found over all vertices of the (y, t) polytope
+    and the y of that vertex; (-inf, None) when the system is infeasible
+    within roundoff tolerance.
     """
     m, d = A.shape
     if m == 0:
-        return box
+        return box, np.zeros(d)
     rows = np.zeros((m + 2 * d + 1, d + 1))
     rhs = np.zeros(m + 2 * d + 1)
     rows[:m, :d] = A
@@ -196,7 +198,7 @@ def _solve_max_margin(A: np.ndarray, b: np.ndarray, box: float) -> float:
     dets = np.abs(np.linalg.det(mats))
     good = dets > 1e-12
     if not np.any(good):
-        return -np.inf
+        return -np.inf, None
     sols = np.linalg.solve(mats[good], vecs[good][..., None])[..., 0]
     # reject vertices violating any constraint beyond roundoff at their scale;
     # the scale is that of the terms, since <row, vertex> may cancel (a vertex
@@ -206,16 +208,17 @@ def _solve_max_margin(A: np.ndarray, b: np.ndarray, box: float) -> float:
     with np.errstate(invalid="ignore"):
         feasible = np.all(vals - rhs[:, None] <= 1e-9 * denom, axis=0)
     if not np.any(feasible):
-        return -np.inf
-    return float(np.max(sols[feasible, d]))
+        return -np.inf, None
+    best = sols[feasible][np.argmax(sols[feasible, d])]
+    return float(best[d]), best[:d]
 
 
 def _max_margin_two_phase(A: np.ndarray, b: np.ndarray, scale: float) -> float:
     """Margin solve with a near box first, then a far box for remote regions."""
-    t = _solve_max_margin(A, b, box=100.0 * scale)
+    t = _solve_max_margin(A, b, box=100.0 * scale)[0]
     if t > 1e-6 * scale:
         return t
-    t_far = _solve_max_margin(A, b, box=1e5 * scale)
+    t_far = _solve_max_margin(A, b, box=1e5 * scale)[0]
     return max(t, t_far)
 
 

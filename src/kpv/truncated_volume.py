@@ -51,14 +51,9 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.special import gammaln
 
 from .errors import GeometryError, InputError, NumericalError
-from .polyhedra import FaceData, Halfspace, PolyhedralSet, face_data
+from .polyhedra import FaceData, Halfspace, PolyhedralSet, _solve_max_margin, face_data
 
 _EPS = np.finfo(float).eps
-
-# directional sampling budget for solid-angle fractions of cones with three
-# or more active halfspaces (exact closed forms cover the other cases)
-_OMEGA_SAMPLES = 1_000_000
-_OMEGA_SEED = 20230517
 
 # Chebyshev points of the first kind per quadrature piece (degree 24 series)
 _CHEB_POINTS = 25
@@ -128,9 +123,11 @@ def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _source(faces, base, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S(t) and an estimate of its error, at radii t = base + dt.
 
-    The error estimate adds up the face profiles' own error estimates and
-    the rounding of the sum.  Keeping base (a breakpoint) apart from dt keeps
-    t - h exact when t sits just past a face distance h.
+    The error estimate adds up the face profiles' own error estimates, the
+    rounding of the sum and that of rho = sqrt(t^2 - h^2), which just past
+    an onset (where V_i is still tiny) dominates.  Keeping base (a
+    breakpoint) apart from dt keeps t - h exact when t sits just past a face
+    distance h.
     """
     t = base + dt
     s = np.zeros_like(t)
@@ -140,9 +137,12 @@ def _source(faces, base, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         on = gap > 0.0
         if not on.any():
             continue
-        v, v_err = sub._volume(np.sqrt(gap[on] * (t[on] + h)))
+        rho = np.sqrt(gap[on] * (t[on] + h))
+        v, v_err = sub._volume(rho)
         s[on] += eps * h * v
-        err[on] += h * (v_err + 8.0 * _EPS * np.abs(v))
+        # rho off by eps * rho moves V_i by eps * rho * V_i' <= eps * m delta_m rho^m
+        slope = sub.dimension * sub.delta * rho ** sub.dimension
+        err[on] += h * (v_err + 8.0 * _EPS * (np.abs(v) + slope))
     return s, err
 
 
@@ -202,14 +202,13 @@ class RadialVolumeProfile:
     stops short of infinity.
     """
 
-    def __init__(self, dimension, breakpoints, omega, omega_stderr=0.0,
+    def __init__(self, dimension, breakpoints, omega,
                  pieces: _ChebyshevPieces | None = None, interval=None,
                  faces=(), r_max=np.inf, r_grid=None, reach=0.0):
         self.dimension = int(dimension)
         self.delta = unit_ball_volume(self.dimension)
         self.breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
         self.omega = float(omega)
-        self.omega_stderr = float(omega_stderr)
         self.cone_coef = self.omega * self.delta
         self.pieces = pieces
         self.interval = interval            # (a, b, t) for the 1-d base case
@@ -357,33 +356,30 @@ def _planar_cone_fraction(normals: np.ndarray) -> float:
     return best / (2.0 * math.pi)
 
 
-def _sampled_cone_fraction(normals: np.ndarray) -> tuple[float, float]:
-    """Monte Carlo direction fraction with its binomial standard error."""
-    n = normals.shape[1]
-    rng = np.random.default_rng(_OMEGA_SEED)
-    hits = 0
-    total = _OMEGA_SAMPLES
-    chunk = 250_000
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        g = rng.standard_normal((m, n))
-        hits += int(np.count_nonzero(np.all(g @ normals.T <= 0.0, axis=1)))
-        done += m
-    p = hits / total
-    return p, math.sqrt(max(p * (1 - p), 0.0) / total)
+def _solid_angle_fraction(active_normals: list[np.ndarray], dim: int) -> float:
+    """Direction fraction of the cone {u : <u, a> <= 0 for every active normal a}.
 
-
-def _solid_angle_fraction(active_normals: list[np.ndarray], dim: int) -> tuple[float, float]:
+    Closed forms cover at most two normals and the plane.  Otherwise the
+    fraction is W(0) / delta_n of the cone's own profile, built from the
+    point that maximizes the margin to all of its facets (so no normal is
+    active there and the recursion drops to lower-dimensional faces).  A
+    cone too thin for that point to clear the active-halfspace tolerance
+    counts as empty, as a set with such a margin does in volume_profile.
+    """
     if not active_normals:
-        return 1.0, 0.0
+        return 1.0
     if len(active_normals) == 1:
-        return 0.5, 0.0
+        return 0.5
     if len(active_normals) == 2:
-        return _wedge_fraction(active_normals[0], active_normals[1]), 0.0
+        return _wedge_fraction(active_normals[0], active_normals[1])
+    normals = np.array(active_normals)
     if dim == 2:
-        return _planar_cone_fraction(np.array(active_normals)), 0.0
-    return _sampled_cone_fraction(np.array(active_normals))
+        return _planar_cone_fraction(normals)
+    margin, inside = _solve_max_margin(normals, np.zeros(len(normals)), box=1.0)
+    if not margin > 1e-9 * (1.0 + float(np.linalg.norm(inside))):
+        return 0.0
+    cone = PolyhedralSet(dim, tuple(Halfspace(a, 0.0) for a in normals))
+    return volume_profile(cone, inside, np.inf).w_at_zero / unit_ball_volume(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +510,9 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
             raise GeometryError("polyhedral set is empty (infeasible halfspace system)")
         if margin <= 1e-9 * scale:
             return _zero_profile(P.dimension)
-        omega, omega_err = 0.0, 0.0
+        omega = 0.0
     else:
-        omega, omega_err = _solid_angle_fraction(active, P.dimension)
+        omega = _solid_angle_fraction(active, P.dimension)
 
     n = P.dimension
     breakpoints: list[float] = []
@@ -551,7 +547,7 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
         last = r_max if np.isfinite(r_max) else 2.0 * pieces.t_lo[-1]
         r_grid = np.concatenate(([0.0], pieces.t_lo, [last]))
     return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
-                               omega=omega, omega_stderr=omega_err, pieces=pieces,
+                               omega=omega, pieces=pieces,
                                faces=faces, r_max=r_max, r_grid=r_grid, reach=reach)
 
 

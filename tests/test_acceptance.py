@@ -16,7 +16,7 @@ from kpv.asymptotics import (kp_threshold, laurent_fit, mean_width_difference,
                              system_and_window, verify_lift_identity)
 from kpv.ball_volumes import BallSystem, mc_ball_volume, union_volume, \
     intersection_volume
-from kpv.configurations import (PointConfiguration, are_congruent,
+from kpv.configurations import (PointConfiguration, are_congruent, embed,
                                 random_expansion)
 from kpv.errors import GeometryError
 from kpv.meanwidth import (calibrate, mean_width_edge_sum_3d,
@@ -198,20 +198,57 @@ def test_criterion_06_ww_lemma_defect():
 
 # -- criterion 7 -------------------------------------------------------------
 
+def paired_lift_estimate(cfg, r, samples, seed, chunk=1_000_000):
+    """(1/2 pi r) dV_{n+2}/dr of the union by paired-sample Monte Carlo: (value, stderr).
+
+    The derivative is a central difference at r (1 +/- 0.01) counted on one
+    common sample set in E^(n+2), so only points in the thin shell between
+    the two radii contribute variance.
+    """
+    pts = embed(cfg, cfg.dimension + 2).points
+    dr = 0.01 * r
+    lo = np.min(pts, axis=0) - (r + dr)
+    hi = np.max(pts, axis=0) + (r + dr)
+    box = float(np.prod(hi - lo))
+    rng = np.random.default_rng(seed)
+    counts = [0, 0]
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        x = rng.uniform(lo, hi, size=(m, pts.shape[1]))
+        d2 = np.full(m, np.inf)                   # squared distance to the nearest site
+        for site in pts:
+            diff = x - site
+            np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+        for slot, radius in enumerate((r - dr, r + dr)):
+            counts[slot] += int(np.count_nonzero(d2 <= radius * radius))
+        done += m
+    shell = (counts[1] - counts[0]) / samples
+    scale = box / (2.0 * dr) / (2.0 * math.pi * r)
+    return scale * shell, scale * math.sqrt(shell * (1.0 - shell) / samples)
+
+
 def test_criterion_07_lift_identity():
     t0 = time.monotonic()
     single = PointConfiguration.from_points([[0.0, 0.0]])
+    radii = [2.0, 5.0, 10.0]
     for cfg, tag in ((single, "single ball"), (TWO_DISKS, "two disks")):
-        reports = verify_lift_identity(cfg, [2.0, 5.0, 10.0],
-                                       samples=10_000_000, seed=7007)
-        union_reports = [r for r in reports if r.claim.startswith("union")]
-        assert len(union_reports) == 3
-        for rep in union_reports:
+        # the ODE check: the boundary two dimensions up against the volume
+        reports = verify_lift_identity(cfg, radii)
+        assert len(reports) == 6
+        for rep in reports:
             assert rep.passed, f"{tag}: {rep.claim} gap={rep.gap} tol={rep.tolerance}"
+        # the independent oracle: the same derivative by paired sampling
+        union = [rep for rep in reports if rep.claim.startswith("union")]
+        for k, (r, rep) in enumerate(zip(radii, union)):
+            est, se = paired_lift_estimate(cfg, r, 10_000_000, 7007 + 7919 * k)
+            assert abs(est - rep.rhs) <= 3.0 * se, \
+                f"{tag} at r={r}: Monte Carlo {est} +/- {se} vs ODE {rep.rhs}"
     elapsed = time.monotonic() - t0
     assert elapsed < 180.0
-    _report(7, "lifted-derivative identity V_2 = dV_4/dr / (2 pi r) within "
-               "3 stderr at r in {2, 5, 10} with 1e7 paired samples", elapsed)
+    _report(7, "lifted-derivative identity V_2 = dV_4/dr / (2 pi r): ODE against "
+               "ODE within 1e-9 delta_2 r^2, and paired-sample Monte Carlo (1e7 "
+               "samples) within 3 stderr, at r in {2, 5, 10}", elapsed)
 
 
 # -- criterion 8 -------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_verify_ww_rejects_degenerate():
 
 def test_verify_lift_identity_single_ball():
     one = PointConfiguration.from_points([[0.0, 0.0]])
-    reports = verify_lift_identity(one, [2.0], samples=2_000_000, seed=12)
+    reports = verify_lift_identity(one, [2.0])
     for rep in reports:
         assert rep.passed
         assert rep.rhs == pytest.approx(math.pi * 4.0, rel=1e-9)
@@ -151,7 +151,7 @@ def test_verify_lift_identity_single_ball():
 
 def test_verify_lift_identity_disjoint_pair():
     far = PointConfiguration.from_points([[0.0, 0.0], [40.0, 0.0]])
-    reports = verify_lift_identity(far, [2.0], samples=2_000_000, seed=13)
+    reports = verify_lift_identity(far, [2.0])
     union = [r for r in reports if r.claim.startswith("union")][0]
     assert union.passed
     assert union.rhs == pytest.approx(2.0 * math.pi * 4.0, rel=1e-9)

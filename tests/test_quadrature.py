@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from kpv.asymptotics import reference_mean_width, verify_lift_identity
 from kpv.ball_volumes import BallSystem
-from kpv.configurations import PointConfiguration
+from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError
 from kpv.polyhedra import Halfspace, PolyhedralSet
 from kpv.truncated_volume import (StepControl, mc_truncated_volume, unit_ball_volume,
@@ -234,3 +235,32 @@ def test_unbounded_profile_covers_every_radius():
     for r in (1e2, 1e5, 1e8):
         assert delta * r * r < system.union_volume(r) < 3.0 * delta * r * r
         assert 0.0 < system.intersection_volume(r) < delta * r * r
+
+
+# Sites in a lower flat give farthest regions whose faces' sub-profiles rise
+# from zero at the same radius.  Just past such an onset the rounding of
+# sqrt(t^2 - h^2) moves the tiny V_i by eps * rho * V_i'; before the face-term
+# error counted it, the quadrature halved those pieces until it gave up
+# ("profile quadrature does not converge").
+def tied_onset_sets():
+    rng = np.random.default_rng(5)
+    draws = [rng.uniform(-1.0, 1.0, size) for size in ((4, 3), (6, 2), (4, 3), (6, 2))]
+    return {"3d-N4": draws[0], "2d-N6": draws[3]}
+
+
+@pytest.mark.parametrize("name", ["3d-N4", "2d-N6"])
+def test_tied_onsets_lifted_two_dimensions_build(name):
+    p = PointConfiguration.from_points(tied_onset_sets()[name])
+    BallSystem(embed(p, p.dimension + 2), np.inf)
+    reports = verify_lift_identity(p, [2.0 * p.diameter, 5.0 * p.diameter])
+    for rep in reports:
+        assert rep.gap <= REL * abs(rep.rhs), rep.claim
+
+
+def test_tied_onsets_lifted_one_dimension_build():
+    q = embed(PointConfiguration.from_points(tied_onset_sets()["2d-N6"]), 3)
+    system = BallSystem(q, np.inf)
+    m, _, method = reference_mean_width(q)
+    assert method == "exact2d+lift"
+    assert system.laurent_coefficients("union")[1] == pytest.approx(m, rel=REL)
+    assert system.laurent_coefficients("intersection")[1] == pytest.approx(-m, rel=REL)

@@ -5,10 +5,11 @@ import pytest
 
 from kpv.errors import GeometryError, InputError
 from kpv.polyhedra import Halfspace, PolyhedralSet
-from kpv.truncated_volume import (RadiusGrid, StepControl, check_ww_lemma,
-                                  fit_radial_powers, mc_truncated_volume,
-                                  profile_to_csv, unit_ball_volume,
-                                  volume_profile, w_prime_at_zero)
+from kpv.truncated_volume import (RadiusGrid, StepControl, _solid_angle_fraction,
+                                  check_ww_lemma, fit_radial_powers,
+                                  mc_truncated_volume, profile_to_csv,
+                                  unit_ball_volume, volume_profile,
+                                  w_prime_at_zero)
 
 from conftest import halfplane_truncated_area
 
@@ -241,16 +242,39 @@ def test_profile_rejects_evaluation_beyond_r_max():
         prof.value_scalar(6.0)
 
 
-def test_cone_octant_exact_and_sampled():
-    # three orthogonal halfspaces through the apex: omega = 1/8 exactly;
-    # the >=3-active-constraint path estimates it by directional sampling
-    hs = tuple(Halfspace(e, 0.0) for e in np.eye(3))
-    P = PolyhedralSet(3, hs)
-    prof = volume_profile(P, np.zeros(3), 4.0)
-    assert prof.omega == pytest.approx(0.125, abs=3.0 * prof.omega_stderr + 1e-12)
-    assert prof.omega_stderr > 0.0
-    want = 0.125 * unit_ball_volume(3) * 2.0 ** 3
-    assert prof.value_scalar(2.0) == pytest.approx(want, rel=3e-3)
+def _tetrahedron_vertex_normals():
+    """Outward normals of the three faces of a regular tetrahedron at (1, 1, 1)."""
+    v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    normals = []
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        a = np.cross(v[i] - v[0], v[j] - v[0])
+        normals.append(-a if np.dot(a, v[k] - v[0]) > 0 else a)
+    return normals
+
+
+@pytest.mark.parametrize("normals, want", [
+    (np.eye(3), 1.0 / 8.0),
+    (np.eye(4), 1.0 / 16.0),
+    (_tetrahedron_vertex_normals(), (3.0 * math.acos(1.0 / 3.0) - math.pi) / (4.0 * math.pi)),
+    (list(np.eye(3)) + [np.array([1.0, 1.0, 0.0])], 1.0 / 8.0),
+], ids=["octant", "orthant-4d", "tetrahedron-vertex", "octant-redundant"])
+def test_cone_fractions_exact(normals, want):
+    # three or more halfspaces through the apex: omega is W(0) / delta_n of
+    # the cone's own profile, exact to rounding
+    dim = len(normals[0])
+    P = PolyhedralSet(dim, tuple(Halfspace(np.asarray(a, dtype=float), 0.0) for a in normals))
+    prof = volume_profile(P, np.zeros(dim), 4.0)
+    assert prof.omega == pytest.approx(want, abs=1e-12)
+    if dim == 3 and want == 1.0 / 8.0:
+        cone = want * unit_ball_volume(3) * 2.0 ** 3
+        assert prof.value_scalar(2.0) == pytest.approx(cone, rel=1e-12)
+
+
+def test_flat_cone_fraction_is_zero():
+    # u_1 = 0, u_2 <= 0: a half-plane of directions, no interior
+    normals = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
+               np.array([0.0, 1.0, 0.0])]
+    assert _solid_angle_fraction(normals, 3) == 0.0
 
 
 def test_wedge_cone_exact_any_dimension():
@@ -261,7 +285,6 @@ def test_wedge_cone_exact_any_dimension():
     prof = volume_profile(P, np.zeros(3), 4.0)
     want = (math.pi - math.pi / 3.0) / (2.0 * math.pi)
     assert prof.omega == pytest.approx(want, abs=1e-12)
-    assert prof.omega_stderr == 0.0
 
 
 def test_w_prime_homogeneity_halfplane():
