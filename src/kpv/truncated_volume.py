@@ -361,10 +361,10 @@ def _solid_angle_fraction(active_normals: list[np.ndarray], dim: int) -> float:
 
     Closed forms cover at most two normals and the plane.  Otherwise the
     fraction is W(0) / delta_n of the cone's own profile, built from the
-    point that maximizes the margin to all of its facets (so no normal is
-    active there and the recursion drops to lower-dimensional faces).  A
-    cone too thin for that point to clear the active-halfspace tolerance
-    counts as empty, as a set with such a margin does in volume_profile.
+    point that maximizes the margin to all of its facets, so that the
+    recursion drops to lower-dimensional faces.  A cone too thin for that
+    point to clear volume_profile's active-halfspace tolerance counts as
+    empty, as a set with such a margin does there.
     """
     if not active_normals:
         return 1.0
@@ -375,10 +375,11 @@ def _solid_angle_fraction(active_normals: list[np.ndarray], dim: int) -> float:
     normals = np.array(active_normals)
     if dim == 2:
         return _planar_cone_fraction(normals)
-    margin, inside = _solve_max_margin(normals, np.zeros(len(normals)), box=1.0)
-    if not margin > 1e-9 * (1.0 + float(np.linalg.norm(inside))):
-        return 0.0
     cone = PolyhedralSet(dim, tuple(Halfspace(a, 0.0) for a in normals))
+    _, inside = _solve_max_margin(normals, np.zeros(len(normals)), box=1.0)
+    violated, active = _classify_base_point(cone, inside, 1.0 + float(np.linalg.norm(inside)))
+    if violated or active:
+        return 0.0
     return volume_profile(cone, inside, np.inf).w_at_zero / unit_ball_volume(dim)
 
 

@@ -270,6 +270,28 @@ def test_cone_fractions_exact(normals, want):
         assert prof.value_scalar(2.0) == pytest.approx(cone, rel=1e-12)
 
 
+def trihedral_fraction(normals):
+    """Direction fraction of {u : <u, n_i> <= 0}, i = 1..3, by Van Oosterom-Strackee."""
+    rays = []
+    for a, b, c in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        r = np.cross(normals[a], normals[b])
+        r = r if np.dot(r, normals[c]) <= 0 else -r
+        rays.append(r / np.linalg.norm(r))
+    r1, r2, r3 = rays
+    num = abs(np.dot(r1, np.cross(r2, r3)))
+    den = 1.0 + np.dot(r1, r2) + np.dot(r2, r3) + np.dot(r3, r1)
+    return 2.0 * math.atan2(num, den) / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trihedral_cone_fractions_match_closed_form(seed):
+    # three independent normals: a simplicial cone, whatever its shape
+    normals = np.random.default_rng([3, seed]).standard_normal((3, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    got = _solid_angle_fraction(list(normals), 3)
+    assert got == pytest.approx(trihedral_fraction(normals), abs=1e-12)
+
+
 def test_flat_cone_fraction_is_zero():
     # u_1 = 0, u_2 <= 0: a half-plane of directions, no interior
     normals = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
