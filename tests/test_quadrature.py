@@ -239,8 +239,8 @@ def test_unbounded_profile_covers_every_radius():
 
 # Sites in a lower flat give farthest regions whose faces' sub-profiles rise
 # from zero at the same radius.  Just past such an onset the rounding of
-# sqrt(t^2 - h^2) moves the tiny V_i by eps * rho * V_i'; before the face-term
-# error counted it, the quadrature halved those pieces until it gave up
+# sqrt(t^2 - h^2) moves the tiny V_i by eps * rho * V_i'; unless the face-term
+# error counts it, the quadrature halves those pieces until it gives up
 # ("profile quadrature does not converge").
 def tied_onset_sets():
     rng = np.random.default_rng(5)
