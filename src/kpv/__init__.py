@@ -17,12 +17,10 @@ from .polyhedra import (FaceData, Halfspace, PolyhedralSet, complement_set,
 from .meanwidth import (CalibrationConstant, EdgeCurvatureData, MeanWidthResult,
                         calibrate, edge_curvatures_3d, mean_width_edge_sum_3d,
                         mean_width_exact_2d, mean_width_quadrature)
-from .truncated_volume import (BallConstant, RadialVolumeProfile, RadiusGrid,
-                               StepControl, check_ww_lemma, mc_truncated_volume,
-                               unit_ball_volume, volume_profile, w_prime_at_zero)
-from .ball_volumes import (BallSystem, BallSystemVolumes, VoronoiRegion,
-                           boundary_volume, farthest_voronoi, intersection_volume,
-                           mc_ball_volume, nearest_voronoi, union_volume)
+from .truncated_volume import (RadialVolumeProfile, RadiusGrid, check_ww_lemma,
+                               mc_truncated_volume, unit_ball_volume, volume_profile)
+from .ball_volumes import (BallSystem, VoronoiRegion, farthest_voronoi,
+                           mc_ball_volume, nearest_voronoi)
 from .asymptotics import (CheckReport, LaurentFit, ThresholdResult,
                           kp_threshold, laurent_fit, mean_width_difference,
                           reference_mean_width,
@@ -39,11 +37,9 @@ __all__ = [
     "MeanWidthResult", "EdgeCurvatureData", "CalibrationConstant",
     "mean_width_quadrature", "mean_width_exact_2d", "edge_curvatures_3d",
     "mean_width_edge_sum_3d", "calibrate",
-    "RadialVolumeProfile", "BallConstant", "StepControl", "RadiusGrid",
-    "unit_ball_volume", "volume_profile", "w_prime_at_zero", "check_ww_lemma",
-    "mc_truncated_volume",
-    "VoronoiRegion", "BallSystemVolumes", "BallSystem", "nearest_voronoi",
-    "farthest_voronoi", "union_volume", "intersection_volume", "boundary_volume",
+    "RadialVolumeProfile", "RadiusGrid", "unit_ball_volume", "volume_profile",
+    "check_ww_lemma", "mc_truncated_volume",
+    "VoronoiRegion", "BallSystem", "nearest_voronoi", "farthest_voronoi",
     "mc_ball_volume",
     "LaurentFit", "CheckReport", "ThresholdResult", "laurent_fit",
     "mean_width_difference", "reference_mean_width",

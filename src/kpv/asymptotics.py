@@ -25,7 +25,7 @@ from .configurations import (PointConfiguration, are_congruent, embed,
 from .errors import GeometryError, InputError, NumericalError
 from .meanwidth import (calibrate, mean_width_edge_sum_3d, mean_width_exact_2d,
                         mean_width_quadrature)
-from .truncated_volume import RadiusGrid, StepControl, fit_radial_powers, unit_ball_volume
+from .truncated_volume import RadiusGrid, fit_radial_powers, unit_ball_volume
 
 DEFAULT_WINDOW_FACTOR = 10.0
 DEFAULT_WINDOW_SPAN = 100.0
@@ -103,8 +103,8 @@ class ThresholdResult:
 def laurent_fit(evaluate, n: int, terms: int, window: RadiusGrid) -> LaurentFit:
     """Least squares of V(r) against sum a_j r^j, j = n .. n-terms+1.
 
-    evaluate maps an array of radii to the array of volumes (a radial volume
-    profile, a BallSystem volume method, or any vectorised callable).  terms
+    evaluate maps an array of radii to the array of volumes (a BallSystem
+    volume method, RadialVolumeProfile.value, or any vectorised callable).  terms
     is capped at n+1 so the model stays inside the Laurent orders the volume
     function can carry against a meaningful constant term.
     """
@@ -122,8 +122,7 @@ def _config_scale(p: PointConfiguration) -> float:
     return max(p.diameter, 1e-2)
 
 
-def system_and_window(p: PointConfiguration, window: RadiusGrid | None,
-                      step_control: StepControl | None = None):
+def system_and_window(p: PointConfiguration, window: RadiusGrid | None):
     """The ball system and its Laurent fit window.
 
     An explicit window bounds the build.  Otherwise the system is built once
@@ -131,9 +130,9 @@ def system_and_window(p: PointConfiguration, window: RadiusGrid | None,
     breakpoints, with R = 10 * max(last breakpoint, configuration scale).
     """
     if window is not None:
-        system = BallSystem(p, r_max=window.r_max * (1 + 1e-6), step_control=step_control)
+        system = BallSystem(p, r_max=window.r_max * (1 + 1e-6))
         return system, window
-    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    system = BallSystem(p, r_max=np.inf)
     bp_max = float(system.breakpoints[-1]) if system.breakpoints.size else 0.0
     R = DEFAULT_WINDOW_FACTOR * max(bp_max, _config_scale(p))
     return system, RadiusGrid(r_min=R, r_max=DEFAULT_WINDOW_SPAN * R)
@@ -153,13 +152,14 @@ def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
         return res.value, 1e-12 * (1.0 + res.value), res.method
     if n == 3:
         centered = p.points - np.mean(p.points, axis=0)
-        svals = np.linalg.svd(centered, compute_uv=False) if p.n_points > 1 else np.zeros(1)
+        # full_matrices: vt has three rows even for one or two points
+        _, svals, vt = np.linalg.svd(centered)
         rank = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
         if rank == 3:
             res = mean_width_edge_sum_3d(p, calibrate(3, 3))
             return res.value, res.stderr, res.method
-        # flat configuration: measure in its own plane, lift by c_{2,3}
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        # flat configuration (a point has width 0): measure in its own plane,
+        # lift by c_{2,3}
         planar = PointConfiguration(2, centered @ vt[:2].T)
         perim = mean_width_exact_2d(planar).value
         return calibrate(2, 3).value * perim, 1e-12 * (1 + perim), "exact2d+lift"
@@ -181,13 +181,12 @@ def _verifier_tolerance(m_value: float, m_err: float, n: int) -> float:
     return max(0.01 * abs(m_value), 1e-6 * unit_ball_volume(n), 3.0 * m_err)
 
 
-def verify_capoyleas_pach(p: PointConfiguration,
-                          step_control: StepControl | None = None) -> CheckReport:
+def verify_capoyleas_pach(p: PointConfiguration) -> CheckReport:
     """Union volume second coefficient against the hull mean width."""
     n = p.dimension
     if n not in (2, 3):
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
-    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    system = BallSystem(p, r_max=np.inf)
     lead, a = system.laurent_coefficients("union")
     m, m_err, method = reference_mean_width(p)
     tol = _verifier_tolerance(m, m_err, n)
@@ -198,13 +197,12 @@ def verify_capoyleas_pach(p: PointConfiguration,
         extras={"leading_coefficient": lead, "mean_width_method": method})
 
 
-def verify_csikos(p: PointConfiguration,
-                  step_control: StepControl | None = None) -> list[CheckReport]:
+def verify_csikos(p: PointConfiguration) -> list[CheckReport]:
     """Intersection second coefficient is -M, and the pair sum cancels it."""
     n = p.dimension
     if n not in (2, 3):
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
-    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    system = BallSystem(p, r_max=np.inf)
     lead_i, ai = system.laurent_coefficients("intersection")
     lead_u, au = system.laurent_coefficients("union")
     sn, sn1 = lead_u + lead_i, au + ai
@@ -229,8 +227,7 @@ def verify_csikos(p: PointConfiguration,
     return reports
 
 
-def verify_ww_proposition(p: PointConfiguration,
-                          step_control: StepControl | None = None) -> CheckReport:
+def verify_ww_proposition(p: PointConfiguration) -> CheckReport:
     """d/ds (W_n + W^n)(0) = 0 for N <= n+1 points in general position."""
     n = p.dimension
     N = p.n_points
@@ -245,7 +242,7 @@ def verify_ww_proposition(p: PointConfiguration,
                            lhs=0.0, rhs=0.0, gap=0.0,
                            tolerance=1e-6 * unit_ball_volume(n), passed=True,
                            extras={"note": "single ball: both profiles are delta_n r^n"})
-    system = BallSystem(p, r_max=np.inf, step_control=step_control)
+    system = BallSystem(p, r_max=np.inf)
     au = system.laurent_coefficients("union")[1]
     ai = system.laurent_coefficients("intersection")[1]
     defect = abs(au + ai)
@@ -256,8 +253,7 @@ def verify_ww_proposition(p: PointConfiguration,
                        extras={"union_coefficient": au, "intersection_coefficient": ai})
 
 
-def verify_lift_identity(p: PointConfiguration, r_samples,
-                         step_control: StepControl | None = None) -> list[CheckReport]:
+def verify_lift_identity(p: PointConfiguration, r_samples) -> list[CheckReport]:
     """V_n(r) = (1/2 pi r) dV_{n+2}/dr for the union and the intersection.
 
     The right side is the boundary measure of the configuration embedded in
@@ -272,8 +268,8 @@ def verify_lift_identity(p: PointConfiguration, r_samples,
         raise InputError("need at least one radius")
     n = p.dimension
     r_max = max(r_samples) * (1 + 1e-6)
-    system = BallSystem(p, r_max=r_max, step_control=step_control)
-    lifted = BallSystem(embed(p, n + 2), r_max=r_max, step_control=step_control)
+    system = BallSystem(p, r_max=r_max)
+    lifted = BallSystem(embed(p, n + 2), r_max=r_max)
     delta = unit_ball_volume(n)
     reports = []
     for r in r_samples:
@@ -295,8 +291,8 @@ def verify_lift_identity(p: PointConfiguration, r_samples,
 # threshold finder
 # ---------------------------------------------------------------------------
 
-def kp_threshold(p: PointConfiguration, q: PointConfiguration, grid: RadiusGrid,
-                 step_control: StepControl | None = None) -> ThresholdResult:
+def kp_threshold(p: PointConfiguration, q: PointConfiguration,
+                 grid: RadiusGrid) -> ThresholdResult:
     """Scan a radius grid for the four large-radius rearrangement inequalities.
 
     Requires q to be an expansion of p in the same dimension.  Congruent
@@ -317,8 +313,8 @@ def kp_threshold(p: PointConfiguration, q: PointConfiguration, grid: RadiusGrid,
                                all_hold=True, strictness_margin=0.0,
                                margins=np.zeros((radii.size, 4)), congruent=True)
 
-    sys_p = BallSystem(p, r_max=grid.r_max * (1 + 1e-6), step_control=step_control)
-    sys_q = BallSystem(q, r_max=grid.r_max * (1 + 1e-6), step_control=step_control)
+    sys_p = BallSystem(p, r_max=grid.r_max * (1 + 1e-6))
+    sys_q = BallSystem(q, r_max=grid.r_max * (1 + 1e-6))
 
     used = sys_p.off_breakpoint(sys_q.off_breakpoint(sys_p.off_breakpoint(radii)))
     norm = used ** (n - 1)

@@ -25,10 +25,12 @@ from scipy.spatial import Delaunay, QhullError
 from .configurations import PointConfiguration, distance_matrix
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet
-from .truncated_volume import (RadialVolumeProfile, StepControl, unit_ball_volume,
-                               volume_profile)
+from .truncated_volume import RadialVolumeProfile, unit_ball_volume, volume_profile
 
 DISTINCT_SITE_TOL = 1e-9
+# boundary measures are read only at radii at least BREAKPOINT_TOL * max(1, r)
+# away from every profile breakpoint
+BREAKPOINT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -44,20 +46,6 @@ class VoronoiRegion:
         if self.kind == "nearest":
             return False
         return not self.region.is_feasible(tol)
-
-
-@dataclass(frozen=True)
-class BallSystemVolumes:
-    """Volumes (and, for the ODE path, boundary volumes) at one radius."""
-
-    r: float
-    union_volume: float | None = None
-    intersection_volume: float | None = None
-    union_boundary: float | None = None
-    intersection_boundary: float | None = None
-    method: str = "voronoi_ode"
-    union_stderr: float | None = None
-    intersection_stderr: float | None = None
 
 
 def _check_distinct(p: PointConfiguration):
@@ -148,25 +136,24 @@ def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
 
 
 class BallSystem:
-    """Per-site truncated-region profiles for one configuration.
+    """Union and intersection volumes of one configuration's balls, by radius.
 
-    Profiles are built once up to r_max (np.inf covers every radius) and then
-    evaluated at a radius or a whole array of radii in one pass, so radius
-    scans (threshold searches, Laurent windows) stay cheap.  Sums reduce in
-    ascending site order.  Built with r_max = np.inf, the system also
-    carries the exact leading Laurent coefficients of both volume functions.
+    This is the way to evaluate them: the per-site nearest and farthest
+    region profiles are built once up to r_max (np.inf covers every radius),
+    and union_volume, intersection_volume, union_boundary and
+    intersection_boundary sum them at a radius or a whole array of radii in
+    one pass, so radius scans (threshold searches, Laurent windows) stay
+    cheap.  Sums reduce in ascending site order.  Built with r_max = np.inf,
+    the system also carries the exact leading Laurent coefficients of both
+    volume functions.
     """
 
-    def __init__(self, p: PointConfiguration, r_max: float,
-                 step_control: StepControl | None = None,
-                 families: tuple = ("nearest", "farthest")):
+    def __init__(self, p: PointConfiguration, r_max: float):
         _check_distinct(p)
         self.config = p
         self.r_max = float(r_max)
-        self.control = step_control or StepControl()
         self.dimension = p.dimension
         self.delta = unit_ball_volume(p.dimension)
-        self.families = tuple(families)
         scale = max(1.0, p.diameter)
         # volumes are translation-invariant; regions about the centroid keep
         # the facet tolerances, which scale with the halfspace offsets, relative
@@ -183,13 +170,11 @@ class BallSystem:
             if kind == "farthest" and region.feasibility_margin() <= 1e-9 * scale:
                 return None
             try:
-                return volume_profile(region, centred.points[i], self.r_max, self.control)
+                return volume_profile(region, centred.points[i], self.r_max)
             except (GeometryError, NumericalError) as exc:
                 raise type(exc)(f"{exc} ({kind} region of site {i})") from exc
 
         def family(kind: str) -> list:
-            if kind not in self.families:
-                return []
             nbs = delaunay_neighbours(p, furthest=kind == "farthest")
             return [build(kind, i, others) for i, others in enumerate(nbs)]
 
@@ -209,10 +194,6 @@ class BallSystem:
                 total = total + (prof.derivative(arr) if derivative else prof.value(arr))
         return float(total) if total.ndim == 0 else total
 
-    def _require(self, family: str):
-        if family not in self.families:
-            raise InputError(f"system was built without the {family} family")
-
     def laurent_coefficients(self, which: str) -> tuple[float, float]:
         """Exact (a_n, a_{n-1}) of the union or intersection volume at infinity.
 
@@ -221,7 +202,6 @@ class BallSystem:
         """
         if which not in ("union", "intersection"):
             raise InputError(f"which must be 'union' or 'intersection', got {which!r}")
-        self._require("nearest" if which == "union" else "farthest")
         profiles = [prof for prof in (self.nearest_profiles if which == "union"
                                       else self.farthest_profiles) if prof is not None]
         if any(prof.w_at_zero is None for prof in profiles):
@@ -231,12 +211,10 @@ class BallSystem:
 
     def union_volume(self, r):
         """Union volume at a radius (float) or an array of radii (array)."""
-        self._require("nearest")
         return self._sum(self.nearest_profiles, r)
 
     def intersection_volume(self, r):
         """Intersection volume at a radius (float) or an array of radii (array)."""
-        self._require("farthest")
         return self._sum(self.farthest_profiles, r)
 
     def _breakpoint_gap(self, r: np.ndarray) -> np.ndarray:
@@ -250,7 +228,7 @@ class BallSystem:
         if not self.breakpoints.size:
             return
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        tol = self.control.breakpoint_tol * np.maximum(1.0, arr)
+        tol = BREAKPOINT_TOL * np.maximum(1.0, arr)
         bad = np.flatnonzero(self._breakpoint_gap(arr) < tol)
         if bad.size:
             rb, tb = float(arr[bad[0]]), float(tol[bad[0]])
@@ -259,7 +237,7 @@ class BallSystem:
                 f"offset the radius by at least {tb:g}")
 
     def off_breakpoint(self, r):
-        """Nearest radius at least the event tolerance away from breakpoints.
+        """Nearest radius at least BREAKPOINT_TOL * max(1, r) away from breakpoints.
 
         Radius grids built from the configuration diameter hit bisector
         distances exactly; callers scanning many radii nudge them with this
@@ -271,7 +249,7 @@ class BallSystem:
             return r
         out = np.atleast_1d(arr).copy()
         for _ in range(64):
-            tol = self.control.breakpoint_tol * np.maximum(1.0, out)
+            tol = BREAKPOINT_TOL * np.maximum(1.0, out)
             near = self._breakpoint_gap(out) < tol
             if not near.any():
                 return float(out[0]) if arr.ndim == 0 else out
@@ -280,77 +258,19 @@ class BallSystem:
         raise GeometryError(f"could not move radius {stuck:g} off the breakpoint set")
 
     def union_boundary(self, r):
+        """Boundary measure of the union, d/dr of its volume, off breakpoints."""
         self._check_off_breakpoint(r)
         return self._sum(self.nearest_profiles, r, derivative=True)
 
     def intersection_boundary(self, r):
+        """Boundary measure of the intersection, d/dr of its volume, off breakpoints."""
         self._check_off_breakpoint(r)
         return self._sum(self.farthest_profiles, r, derivative=True)
 
-    def volumes(self, r: float, boundaries: bool = True) -> BallSystemVolumes:
-        ub = ib = None
-        if boundaries:
-            ub = self.union_boundary(r)
-            ib = self.intersection_boundary(r)
-        return BallSystemVolumes(r=r,
-                                 union_volume=self.union_volume(r),
-                                 intersection_volume=self.intersection_volume(r),
-                                 union_boundary=ub, intersection_boundary=ib,
-                                 method="voronoi_ode")
-
 
 # ---------------------------------------------------------------------------
-# operations
+# Monte Carlo oracle
 # ---------------------------------------------------------------------------
-
-def union_volume(p: PointConfiguration, r: float, method: str = "voronoi_ode",
-                 samples: int = 1_000_000, seed: int = 0,
-                 step_control: StepControl | None = None) -> BallSystemVolumes:
-    """Volume of the union of balls of radius r about the points."""
-    if method == "voronoi_ode":
-        system = BallSystem(p, r_max=r * (1 + 1e-9), step_control=step_control,
-                            families=("nearest",))
-        return BallSystemVolumes(r=r, union_volume=system.union_volume(r),
-                                 method="voronoi_ode")
-    if method == "monte_carlo":
-        est, se = mc_ball_volume(p, r, "union", samples, seed)
-        return BallSystemVolumes(r=r, union_volume=est, union_stderr=se,
-                                 method="monte_carlo")
-    raise InputError(f"unknown method {method!r}")
-
-
-def intersection_volume(p: PointConfiguration, r: float, method: str = "voronoi_ode",
-                        samples: int = 1_000_000, seed: int = 0,
-                        step_control: StepControl | None = None) -> BallSystemVolumes:
-    """Volume of the intersection of balls of radius r (0 when empty)."""
-    if method == "voronoi_ode":
-        system = BallSystem(p, r_max=r * (1 + 1e-9), step_control=step_control,
-                            families=("farthest",))
-        return BallSystemVolumes(r=r, intersection_volume=system.intersection_volume(r),
-                                 method="voronoi_ode")
-    if method == "monte_carlo":
-        est, se = mc_ball_volume(p, r, "intersection", samples, seed)
-        return BallSystemVolumes(r=r, intersection_volume=est, intersection_stderr=se,
-                                 method="monte_carlo")
-    raise InputError(f"unknown method {method!r}")
-
-
-def boundary_volume(p: PointConfiguration, r: float, which: str,
-                    step_control: StepControl | None = None) -> float:
-    """(n-1)-volume of the boundary of the union or intersection at radius r.
-
-    Read off the ODE right-hand sides (d/dr of the volume), not finite
-    differences.  Raises when r sits on a profile breakpoint.
-    """
-    if which not in ("union", "intersection"):
-        raise InputError(f"which must be 'union' or 'intersection', got {which!r}")
-    family = "nearest" if which == "union" else "farthest"
-    system = BallSystem(p, r_max=r * (1 + 1e-9), step_control=step_control,
-                        families=(family,))
-    if which == "union":
-        return system.union_boundary(r)
-    return system.intersection_boundary(r)
-
 
 def _mc_counts(p: PointConfiguration, r: float, samples: int, seed: int):
     pts = p.points

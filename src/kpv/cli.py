@@ -1,11 +1,11 @@
 """Batch experiment runner.
 
 Ingests JSON configuration files, dispatches the computational modules, and
-emits reproducible JSON or CSV reports.  Every report embeds the resolved
-parameter set and the tool version so any run can be replayed; outputs are
-written atomically (temp file + rename) and floats are rounded to 12
-significant digits in both formats, so a JSON and a CSV report of the same
-run carry identical values.
+emits reproducible JSON or CSV reports.  Every report embeds the parameters
+its command read, defaults resolved, and the tool version so any run can be
+replayed; outputs are written atomically (temp file + rename) and floats are
+rounded to 12 significant digits in both formats, so a JSON and a CSV report
+of the same run carry identical values.
 
 JSON reports are written in one pass by ``_encode``: keys sorted, 2-space
 indent, each float as the repr of its 12-digit rounding, non-finite floats as
@@ -57,6 +57,22 @@ class ExperimentSpec:
     parameters: dict = field(default_factory=dict)
     output: str | None = None
     fmt: str = "json"
+
+
+class _Parameters:
+    """A spec's parameters as one command reads them; its report lists those read."""
+
+    def __init__(self, given: dict):
+        self._given = given
+        self.read: dict = {}
+
+    def get(self, key: str, default=None):
+        """The given value of key, or default when none was given (None)."""
+        value = self._given.get(key)
+        if value is None:
+            value = default
+        self.read[key] = value
+        return value
 
 
 def _round12(obj):
@@ -220,12 +236,13 @@ def _load_configs(spec: ExperimentSpec, expected: int) -> list[PointConfiguratio
     return [load_configuration(path) for path in spec.inputs]
 
 
-def _radii(spec: ExperimentSpec, default_scale: float) -> list[float]:
-    params = spec.parameters
-    if params.get("r") is not None:
-        return [float(v) for v in np.atleast_1d(params["r"])]
-    if params.get("r_grid") is not None:
-        lo, hi, count = params["r_grid"]
+def _radii(params: _Parameters, default_scale: float) -> list[float]:
+    r = params.get("r")
+    if r is not None:
+        return [float(v) for v in np.atleast_1d(r)]
+    r_grid = params.get("r_grid")
+    if r_grid is not None:
+        lo, hi, count = r_grid
         return [float(v) for v in np.geomspace(lo, hi, int(count))]
     return [default_scale]
 
@@ -242,13 +259,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 # command implementations (each returns (results dict, exit code))
 # ---------------------------------------------------------------------------
 
-def _cmd_meanwidth(spec: ExperimentSpec):
+def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    params = spec.parameters
-    method = params.get("method") or "auto"
-    nodes = int(params.get("nodes") or 100_000)
-    seed = int(params.get("seed") or 0)
-    params.update(method=method, nodes=nodes, seed=seed)
+    method = params.get("method", "auto")
+    if method in ("auto", "quadrature"):
+        nodes, seed = int(params.get("nodes", 100_000)), int(params.get("seed", 0))
     if method == "auto":
         value, err, used = reference_mean_width(config, nodes=nodes, seed=seed)
         res = {"value": value, "stderr": err, "method": used, "nodes_used": nodes}
@@ -269,12 +284,10 @@ def _cmd_meanwidth(spec: ExperimentSpec):
     return res, EXIT_OK
 
 
-def _cmd_volume(spec: ExperimentSpec):
+def _cmd_volume(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    params = spec.parameters
-    method = params.get("method") or "voronoi_ode"
-    radii = _radii(spec, max(1.0, config.diameter))
-    params["method"] = method
+    method = params.get("method", "voronoi_ode")
+    radii = _radii(params, max(1.0, config.diameter))
     out = {"method": method, "radii": radii, "volumes": []}
     if method == "voronoi_ode":
         system = BallSystem(config, r_max=max(radii) * (1 + 1e-9))
@@ -283,9 +296,8 @@ def _cmd_volume(spec: ExperimentSpec):
         out["volumes"] = [{"r": r, "union": u, "intersection": i}
                           for r, u, i in zip(radii, union, inter)]
     elif method == "monte_carlo":
-        samples = int(params.get("samples") or 1_000_000)
-        seed = int(params.get("seed") or 0)
-        params.update(samples=samples, seed=seed)
+        samples = int(params.get("samples", 1_000_000))
+        seed = int(params.get("seed", 0))
         for k, r in enumerate(radii):
             both = mc_ball_volume(config, r, "both", samples, seed + k)
             (u, su), (i, si) = both["union"], both["intersection"]
@@ -297,9 +309,9 @@ def _cmd_volume(spec: ExperimentSpec):
     return out, EXIT_OK
 
 
-def _cmd_boundary(spec: ExperimentSpec):
+def _cmd_boundary(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    radii = _radii(spec, max(1.0, config.diameter))
+    radii = _radii(params, max(1.0, config.diameter))
     system = BallSystem(config, r_max=max(radii) * (1 + 1e-9))
     union = system.union_boundary(np.asarray(radii)).tolist()
     inter = system.intersection_boundary(np.asarray(radii)).tolist()
@@ -308,14 +320,13 @@ def _cmd_boundary(spec: ExperimentSpec):
     return {"boundaries": rows}, EXIT_OK
 
 
-def _cmd_asymptotics(spec: ExperimentSpec):
+def _cmd_asymptotics(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    params = spec.parameters
     n = config.dimension
-    terms = int(params.get("terms") or min(4, n + 1))
-    window = None
-    if params.get("window") is not None:
-        lo, hi, count = params["window"]
+    terms = int(params.get("terms", min(4, n + 1)))
+    window = params.get("window")
+    if window is not None:
+        lo, hi, count = window
         window = RadiusGrid(r_min=lo, r_max=hi, count=int(count))
     system, window = system_and_window(config, window)
     res = {"window": [window.r_min, window.r_max, window.count], "terms": terms}
@@ -329,11 +340,9 @@ def _cmd_asymptotics(spec: ExperimentSpec):
     return res, EXIT_OK
 
 
-def _cmd_verify(spec: ExperimentSpec):
+def _cmd_verify(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    params = spec.parameters
-    claim = params.get("claim") or "all"
-    params["claim"] = claim
+    claim = params.get("claim", "all")
     reports = []
     if claim in ("capoyleas-pach", "all"):
         reports.append(verify_capoyleas_pach(config))
@@ -361,12 +370,12 @@ def _cmd_verify(spec: ExperimentSpec):
         EXIT_OK if all_pass else EXIT_VERIFY_FAILED)
 
 
-def _cmd_threshold(spec: ExperimentSpec):
+def _cmd_threshold(spec: ExperimentSpec, params: _Parameters):
     p, q = _load_configs(spec, 2)
-    params = spec.parameters
     diam = max(p.diameter, q.diameter, 1e-2)
-    if params.get("r_grid") is not None:
-        lo, hi, count = params["r_grid"]
+    r_grid = params.get("r_grid")
+    if r_grid is not None:
+        lo, hi, count = r_grid
         grid = RadiusGrid(lo, hi, int(count))
     else:
         grid = RadiusGrid(diam, 1000.0 * diam, 24)
@@ -374,13 +383,10 @@ def _cmd_threshold(spec: ExperimentSpec):
     return result.to_dict(), EXIT_OK
 
 
-def _cmd_generate(spec: ExperimentSpec):
+def _cmd_generate(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    params = spec.parameters
-    seed = int(params["seed"]) if params.get("seed") is not None else 0
-    magnitude = (float(params["magnitude"])
-                 if params.get("magnitude") is not None else 0.1)
-    params.update(seed=seed, magnitude=magnitude)
+    seed = int(params.get("seed", 0))
+    magnitude = float(params.get("magnitude", 0.1))
     out = spec.output
     if out is None:
         raise InputError("generate needs --out PREFIX for the pair files")
@@ -412,13 +418,14 @@ def run(spec: ExperimentSpec) -> int:
     """
     if spec.command not in _COMMANDS:
         raise InputError(f"unknown command {spec.command!r}")
-    results, code = _COMMANDS[spec.command](spec)
+    params = _Parameters(spec.parameters)
+    results, code = _COMMANDS[spec.command](spec, params)
     report = {
         "tool": "kpv",
         "version": __version__,
         "command": spec.command,
         "parameters": {"inputs": list(spec.inputs), **{
-            k: v for k, v in spec.parameters.items() if v is not None}},
+            k: v for k, v in params.read.items() if v is not None}},
         "results": results,
     }
     _write_report(report, spec.output if spec.command != "generate" else None,

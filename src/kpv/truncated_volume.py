@@ -25,11 +25,11 @@ already-built lower-dimensional profiles:
   S(1/s) s^(n-1) is analytic at s = 0 (so is W(s) = s^n V(1/s)), and one
   series reaches infinity.
 
-A piece is halved until its trailing Chebyshev coefficients fall below the
-relative tolerance.  The recursion bottoms out at exact interval overlap
-lengths in dimension one.  Evaluating a profile at any number of radii is one
-searchsorted plus one Clenshaw pass; dV/dr is read off the ODE right-hand
-side.
+A piece is halved until its trailing Chebyshev coefficients fall below RTOL
+relative to its largest one.  The recursion bottoms out at exact interval
+overlap lengths in dimension one.  Evaluating a profile at any number of radii
+is one searchsorted plus one Clenshaw pass; dV/dr is read off the ODE
+right-hand side.
 
 The first two Taylor coefficients of W (the leading Laurent coefficients of V
 at infinity) are exact by-products of the build: W(0) = omega * delta_n - I(inf)
@@ -51,9 +51,13 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.special import gammaln
 
 from .errors import GeometryError, InputError, NumericalError
-from .polyhedra import FaceData, Halfspace, PolyhedralSet, _solve_max_margin, face_data
+from .polyhedra import Halfspace, PolyhedralSet, _solve_max_margin, face_data
 
 _EPS = np.finfo(float).eps
+
+# A quadrature piece is accepted once its trailing Chebyshev coefficients fall
+# below RTOL times its largest one
+RTOL = 1e-10
 
 # Chebyshev points of the first kind per quadrature piece (degree 24 series)
 _CHEB_POINTS = 25
@@ -79,32 +83,6 @@ def unit_ball_volume(n: int) -> float:
     if n < 0:
         raise InputError("dimension must be non-negative")
     return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
-
-
-@dataclass(frozen=True)
-class BallConstant:
-    """Unit-ball volume bundled with its dimension."""
-
-    n: int
-    delta: float
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "BallConstant":
-        return cls(n=n, delta=unit_ball_volume(n))
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Tolerances for the profile quadrature.
-
-    rtol is the relative size, against the piece's largest coefficient, below
-    which the trailing Chebyshev coefficients of a quadrature piece must fall
-    before the piece is accepted; breakpoint_tol is the distance (relative to
-    max(1, r)) that derivative evaluations must keep from breakpoints.
-    """
-
-    rtol: float = 1e-10
-    breakpoint_tol: float = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +173,16 @@ class _ChebyshevPieces:
 class RadialVolumeProfile:
     """Volume of a ball-truncated polyhedral set as a function of the radius.
 
-    Supports evaluation and differentiation on [0, r_max] (r_max may be
-    infinite), on scalars or arrays of radii.  w_at_zero / w_prime_at_zero
-    hold the first two Taylor coefficients of W(s) = s^n V(1/s) at s = 0,
-    set exactly at construction; w_at_zero stays None when the quadrature
-    stops short of infinity.
+    Built by volume_profile.  value and derivative evaluate V and dV/dr on
+    [0, r_max] (r_max may be infinite), at one radius or a whole array of
+    radii in one pass.  w_at_zero / w_prime_at_zero hold the first two Taylor
+    coefficients of W(s) = s^n V(1/s) at s = 0, set exactly at construction;
+    w_at_zero stays None when the quadrature stops short of infinity.
     """
 
     def __init__(self, dimension, breakpoints, omega,
                  pieces: _ChebyshevPieces | None = None, interval=None,
-                 faces=(), r_max=np.inf, r_grid=None, reach=0.0):
+                 faces=(), r_max=np.inf, reach=0.0):
         self.dimension = int(dimension)
         self.delta = unit_ball_volume(self.dimension)
         self.breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
@@ -215,10 +193,6 @@ class RadialVolumeProfile:
         self.faces = list(faces)            # (h_i, eps_i, sub-profile), h_i > 0
         self.r_max = float(r_max)
         self.reach = float(reach)           # distance from the base point to P
-        self.r_grid = (np.asarray(r_grid, dtype=float) if r_grid is not None
-                       else np.linspace(0.0, self.r_max if np.isfinite(self.r_max)
-                                        else 2.0 * max(self.breakpoints.max(initial=0.0), 1.0),
-                                        33))
         self.w_at_zero: float | None = None
         self.w_prime_at_zero: float | None = None
         if self.interval is not None:
@@ -243,11 +217,6 @@ class RadialVolumeProfile:
             # I(inf) is the constant of the tail piece that reaches 1/t = 0
             self.w_at_zero = self.cone_coef - float(self.pieces.offset[-1])
 
-    @property
-    def values(self) -> np.ndarray:
-        """V on r_grid."""
-        return np.asarray(self.value(self.r_grid))
-
     # -- evaluation ---------------------------------------------------------
 
     def _check_range(self, rmax_requested: float):
@@ -270,6 +239,7 @@ class RadialVolumeProfile:
         return (self.cone_coef - i) * rn, (i_err + 4.0 * _EPS * self.cone_coef) * rn
 
     def value(self, r) -> np.ndarray | float:
+        """V at a radius (float) or an array of radii (array)."""
         arr = np.asarray(r, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -280,12 +250,6 @@ class RadialVolumeProfile:
                 self._check_range(float(np.max(arr[pos])))
             out[pos] = self._volume(arr[pos])[0]
         return float(out[0]) if scalar else out
-
-    __call__ = value
-
-    def value_scalar(self, r: float) -> float:
-        """V(r) at one radius."""
-        return float(self.value(float(r)))
 
     def derivative(self, r) -> np.ndarray | float:
         """dV/dr recovered from the ODE right-hand side (not differences)."""
@@ -305,27 +269,6 @@ class RadialVolumeProfile:
             s, _ = _source(self.faces, 0.0, rr)
             out[pos] = (self.dimension * self._volume(rr)[0] - s) / rr
         return float(out[0]) if scalar else out
-
-    def derivative_scalar(self, r: float) -> float:
-        """dV/dr at one radius."""
-        return float(self.derivative(float(r)))
-
-    # -- invariant checks (used by the test suite) --------------------------
-
-    def validate(self, rel_tol: float = 1e-9) -> None:
-        v = self.values
-        if v.size:
-            scale = max(float(np.max(v)), 1e-300)
-            if np.min(v) < -rel_tol * scale:
-                raise NumericalError("profile values dropped below zero")
-            if np.min(np.diff(v)) < -rel_tol * scale:
-                raise NumericalError("profile values are not non-decreasing")
-            bound = self.delta * self.r_grid ** self.dimension
-            if np.any(v > bound * (1 + rel_tol) + rel_tol * scale):
-                raise NumericalError("profile exceeds the ball-volume bound")
-        if self.w_at_zero is not None:
-            if not -rel_tol <= self.w_at_zero <= self.delta * (1 + rel_tol) + rel_tol:
-                raise NumericalError("leading coefficient outside [0, delta_n]")
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +344,15 @@ def _interval_profile(P: PolyhedralSet, p0: np.ndarray) -> RadialVolumeProfile:
         a = b = 0.5 * (a + b)
     bps = [abs(t - a), abs(t - b)]
     bps = sorted({round(x, 15) for x in bps if np.isfinite(x) and x > 0})
-    grid_hi = max([x for x in (abs(t - a), abs(t - b)) if np.isfinite(x)], default=1.0)
     return RadialVolumeProfile(
         dimension=1, breakpoints=np.asarray(bps),
         omega=(1.0 if a < t < b else (0.5 if a == t or b == t else 0.0)),
-        interval=(a, b, t), r_grid=np.linspace(0.0, 2.0 * max(grid_hi, 1.0), 33),
-        reach=max(a - t, t - b, 0.0))
+        interval=(a, b, t), reach=max(a - t, t - b, 0.0))
 
 
 def _zero_profile(dimension: int) -> RadialVolumeProfile:
     return RadialVolumeProfile(dimension=dimension, breakpoints=np.zeros(0), omega=0.0,
-                               r_grid=np.linspace(0.0, 1.0, 5), reach=np.inf)
+                               reach=np.inf)
 
 
 def _classify_base_point(P: PolyhedralSet, p0: np.ndarray, scale: float):
@@ -429,7 +370,7 @@ def _classify_base_point(P: PolyhedralSet, p0: np.ndarray, scale: float):
 
 
 def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
-               rtol: float, onset: int | None) -> _ChebyshevPieces:
+               onset: int | None) -> _ChebyshevPieces:
     """Adaptive Chebyshev quadrature of S(t) t^(-n-1) between the knots.
 
     Every segment [knots[k], knots[k+1]] starts as one piece in u, with
@@ -437,7 +378,7 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
     and the tail [tail_from, inf) as one piece in s = 1/t.  All pending
     pieces are sampled together, so each round costs one vectorised
     sub-profile call per face.  A piece is halved for the next round while
-    its last three coefficients exceed both rtol times its largest one and
+    its last three coefficients exceed both RTOL times its largest one and
     the error its face terms carry in.
     """
     base = np.asarray(knots[:-1], dtype=float)
@@ -471,7 +412,7 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
         trailing = np.max(np.abs(coeffs[:, -3:]), axis=1)
         # no point resolving the integrand below the error of its face terms
         noise = np.max(s_err.reshape(t.shape) * weight, axis=1)
-        ok = ((trailing <= np.maximum(rtol * np.max(np.abs(coeffs), axis=1), noise))
+        ok = ((trailing <= np.maximum(RTOL * np.max(np.abs(coeffs), axis=1), noise))
               | (depth >= _MAX_HALVINGS))
         # error estimate per unit half-width: interpolation plus face-term error
         err = 2.0 * (trailing + noise)
@@ -483,8 +424,7 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
     return _ChebyshevPieces(*(np.concatenate(parts) for parts in zip(*done)))
 
 
-def volume_profile(P: PolyhedralSet, p0, r_max: float,
-                   step_control: StepControl | None = None) -> RadialVolumeProfile:
+def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
     """Build V(r) for the truncated polytope P intersect B(p0, r) on [0, r_max].
 
     r_max may be infinite.  Face profiles are built recursively one dimension
@@ -494,7 +434,6 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
     r_max reaches past twice the last breakpoint, in 1/r to infinity.
     Raises GeometryError for infeasible P.
     """
-    control = step_control or StepControl()
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (P.dimension,):
         raise InputError(f"base point shape {p0.shape} does not match E^{P.dimension}")
@@ -521,7 +460,7 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
     # outside P, the nearest point of P lies on a face
     reach = np.inf if violated else 0.0
     for f in face_data(P, p0):
-        sub = volume_profile(f.induced_face, np.zeros(n - 1), np.inf, control)
+        sub = volume_profile(f.induced_face, np.zeros(n - 1), np.inf)
         if f.h > 1e-12 * scale:
             breakpoints.append(f.h)
             faces.append((f.h, float(f.epsilon), sub))
@@ -534,7 +473,6 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
             merged.append(b)
 
     pieces = None
-    r_grid = None
     h0 = min((h for h, _, _ in faces), default=np.inf)
     if h0 < r_max:
         tail_from = 2.0 * merged[-1]
@@ -544,12 +482,10 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float,
         onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
                     len(knots) - 2)
         pieces = _integrate(faces, n, knots, tail_from if r_max > tail_from else None,
-                            control.rtol, onset if 0 < reach < end else None)
-        last = r_max if np.isfinite(r_max) else 2.0 * pieces.t_lo[-1]
-        r_grid = np.concatenate(([0.0], pieces.t_lo, [last]))
+                            onset if 0 < reach < end else None)
     return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
                                omega=omega, pieces=pieces,
-                               faces=faces, r_max=r_max, r_grid=r_grid, reach=reach)
+                               faces=faces, r_max=r_max, reach=reach)
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +531,11 @@ def fit_radial_powers(evaluate, n: int, terms: int, window: RadiusGrid,
     return scaled * window.r_min ** powers, resid, cond
 
 
-def w_prime_at_zero(profile: RadialVolumeProfile) -> float:
-    """W'(0), the second Laurent coefficient of the profile at infinity.
-
-    Exact for every profile, whatever its r_max: the ODE gives it as
-    sum_i eps_i h_i W_i(0) over the faces, whose profiles reach infinity.
-    """
-    return profile.w_prime_at_zero
-
-
 # ---------------------------------------------------------------------------
 # the complementary-halfspace cancellation check
 # ---------------------------------------------------------------------------
 
-def check_ww_lemma(halfspaces, p0, step_control: StepControl | None = None) -> float:
+def check_ww_lemma(halfspaces, p0) -> float:
     """Defect |W'_P(0) + W'_Pbar(0)| for P and its complementary-halfspace set.
 
     Requires k <= n halfspaces in general position (linearly independent
@@ -629,7 +556,7 @@ def check_ww_lemma(halfspaces, p0, step_control: StepControl | None = None) -> f
                             "(normals linearly dependent)")
     P = PolyhedralSet(dimension=n, halfspaces=hs)
     Pbar = PolyhedralSet(dimension=n, halfspaces=tuple(h.flipped() for h in hs))
-    return abs(sum(volume_profile(S, p0, np.inf, step_control).w_prime_at_zero
+    return abs(sum(volume_profile(S, p0, np.inf).w_prime_at_zero
                    for S in (P, Pbar)))
 
 
@@ -665,13 +592,3 @@ def mc_truncated_volume(P: PolyhedralSet, p0, r: float, samples: int,
     p = hits / samples
     return ball * p, ball * math.sqrt(max(p * (1 - p), 0.0) / samples)
 
-
-def profile_to_csv(profile: RadialVolumeProfile, path, radii=None) -> None:
-    """Serialize a profile as CSV with columns r, V, dV/dr."""
-    rr = np.asarray(radii if radii is not None else profile.r_grid, dtype=float)
-    vv = np.asarray(profile.value(rr))
-    dd = np.asarray(profile.derivative(rr))
-    with open(path, "w") as fh:
-        fh.write("r,V,dVdr\n")
-        for r, v, d in zip(rr, vv, dd):
-            fh.write(f"{r:.12g},{v:.12g},{d:.12g}\n")

@@ -14,8 +14,7 @@ import pytest
 
 from kpv.asymptotics import (kp_threshold, laurent_fit, mean_width_difference,
                              system_and_window, verify_lift_identity)
-from kpv.ball_volumes import BallSystem, mc_ball_volume, union_volume, \
-    intersection_volume
+from kpv.ball_volumes import BallSystem, mc_ball_volume
 from kpv.configurations import (PointConfiguration, are_congruent, embed,
                                 random_expansion)
 from kpv.errors import GeometryError
@@ -67,16 +66,16 @@ def planar_fit_suite():
 
 def test_criterion_01_two_disk_lens():
     t0 = time.monotonic()
-    res_u = union_volume(TWO_DISKS, 1.0, method="voronoi_ode")
-    res_i = intersection_volume(TWO_DISKS, 1.0, method="voronoi_ode")
+    system = BallSystem(TWO_DISKS, r_max=1.0)
+    union, intersection = system.union_volume(1.0), system.intersection_volume(1.0)
     elapsed = time.monotonic() - t0
     union_oracle = two_disk_union(1.0, 1.0)          # 5.054816...
     lens_oracle = lens_area(1.0, 1.0)                # 1.228370...
-    assert abs(res_u.union_volume - union_oracle) <= 1e-6 * union_oracle
-    assert abs(res_i.intersection_volume - lens_oracle) <= 1e-6 * lens_oracle
+    assert abs(union - union_oracle) <= 1e-6 * union_oracle
+    assert abs(intersection - lens_oracle) <= 1e-6 * lens_oracle
     assert elapsed < 1.0
-    _report(1, f"lens union {res_u.union_volume:.6f}, "
-               f"intersection {res_i.intersection_volume:.6f} within 1e-6", elapsed)
+    _report(1, f"lens union {union:.6f}, "
+               f"intersection {intersection:.6f} within 1e-6", elapsed)
 
 
 # -- criterion 2 -------------------------------------------------------------
@@ -320,7 +319,7 @@ def test_criterion_10_pole_structure(planar_fit_suite):
     poly = PolyhedralSet(2, hs)
     prof = volume_profile(poly, np.zeros(2), 2500.0)
     bp = float(prof.breakpoints[-1])
-    fit = laurent_fit(prof, 2, 3, RadiusGrid(10.0 * bp, 1000.0 * bp))
+    fit = laurent_fit(prof.value, 2, 3, RadiusGrid(10.0 * bp, 1000.0 * bp))
     assert abs(fit.coefficient(2)) <= 1e-6
     elapsed = time.monotonic() - t0
     _report(10, "union profiles carry leading coefficient delta_n within 0.5%; "

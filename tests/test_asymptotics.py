@@ -55,6 +55,14 @@ def test_reference_mean_width_planar_in_3d():
     assert method == "exact2d+lift"
 
 
+def test_reference_mean_width_of_lower_rank_sets_in_3d():
+    # a point has mean width 0; a segment of length L has pi L (2L times c_{2,3})
+    value, err, _ = reference_mean_width(PointConfiguration.from_points([[0.3, -1.0, 2.0]]))
+    assert value == 0.0 and err > 0.0
+    seg = PointConfiguration.from_points([[0.3, -1.0, 2.0], [1.3, -1.0, 2.0]])
+    assert reference_mean_width(seg)[0] == pytest.approx(math.pi, rel=1e-12)
+
+
 def test_verify_capoyleas_pach_segment_and_square():
     for cfg, m in ((SEGMENT, 2.0), (SQUARE, 4.0)):
         rep = verify_capoyleas_pach(cfg)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kpv.ball_volumes import (BallSystem, boundary_volume, farthest_voronoi,
-                              intersection_volume, mc_ball_volume,
-                              nearest_voronoi, union_volume)
+from kpv.ball_volumes import (BallSystem, farthest_voronoi, mc_ball_volume,
+                              nearest_voronoi)
 from kpv.configurations import PointConfiguration
 from kpv.errors import GeometryError, InputError
 from kpv.meanwidth import edge_functional_3d, mean_width_exact_2d
@@ -65,33 +64,34 @@ def test_duplicate_sites_rejected():
 
 def test_union_volume_single_ball():
     one = PointConfiguration.from_points([[0.3, -0.7]])
-    res = union_volume(one, 2.0)
-    assert res.union_volume == pytest.approx(math.pi * 4.0, rel=1e-12)
+    assert BallSystem(one, r_max=2.0).union_volume(2.0) == pytest.approx(
+        math.pi * 4.0, rel=1e-12)
 
 
 def test_two_disk_lens_oracle():
-    res_u = union_volume(TWO, 1.0)
-    res_i = intersection_volume(TWO, 1.0)
-    assert res_u.union_volume == pytest.approx(two_disk_union(1.0, 1.0), rel=1e-6)
-    assert res_i.intersection_volume == pytest.approx(lens_area(1.0, 1.0), rel=1e-6)
+    system = BallSystem(TWO, r_max=1.0)
+    assert system.union_volume(1.0) == pytest.approx(two_disk_union(1.0, 1.0), rel=1e-6)
+    assert system.intersection_volume(1.0) == pytest.approx(lens_area(1.0, 1.0), rel=1e-6)
 
 
 def test_disjoint_balls_add():
     far = PointConfiguration.from_points([[0.0, 0.0], [10.0, 0.0]])
-    assert union_volume(far, 1.0).union_volume == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert intersection_volume(far, 1.0).intersection_volume == 0.0
+    system = BallSystem(far, r_max=1.0)
+    assert system.union_volume(1.0) == pytest.approx(2.0 * math.pi, rel=1e-9)
+    assert system.intersection_volume(1.0) == 0.0
 
 
 def test_boundary_single_ball():
     one = PointConfiguration.from_points([[0.0, 0.0, 0.0]])
-    area = boundary_volume(one, 2.0, "union")
+    area = BallSystem(one, r_max=2.0).union_boundary(2.0)
     assert area == pytest.approx(4.0 * math.pi * 4.0, rel=1e-12)
 
 
 def test_boundary_two_disks_arc_oracle():
     # union: two arcs of 2pi - 2*arccos(1/2); intersection: two of 2*arccos(1/2)
-    bu = boundary_volume(TWO, 1.0, "union")
-    bi = boundary_volume(TWO, 1.0, "intersection")
+    system = BallSystem(TWO, r_max=1.0)
+    bu = system.union_boundary(1.0)
+    bi = system.intersection_boundary(1.0)
     assert bu == pytest.approx(8.0 * math.pi / 3.0, rel=1e-6)
     assert bi == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
 
@@ -161,13 +161,8 @@ def test_ode_vs_mc_random_configs(rng):
 
 
 def test_methods_dispatch():
-    res = union_volume(TWO, 1.0, method="monte_carlo", samples=50_000, seed=1)
-    assert res.method == "monte_carlo"
-    assert res.union_stderr > 0
-    with pytest.raises(InputError):
-        union_volume(TWO, 1.0, method="magic")
-    with pytest.raises(InputError):
-        boundary_volume(TWO, 1.0, "surface")
+    _, stderr = mc_ball_volume(TWO, 1.0, "union", 50_000, seed=1)
+    assert stderr > 0
 
 
 def test_laurent_coefficients_planar_hull_perimeter(rng):
@@ -200,13 +195,6 @@ def test_laurent_leading_coefficient_needs_tail():
         system.laurent_coefficients("union")
     with pytest.raises(InputError):
         BallSystem(TWO, r_max=np.inf).laurent_coefficients("both")
-
-
-def test_single_family_system_guards():
-    system = BallSystem(TWO, r_max=2.0, families=("nearest",))
-    assert system.union_volume(1.0) > 0
-    with pytest.raises(InputError):
-        system.intersection_volume(1.0)
 
 
 @pytest.mark.parametrize("dim, n_pts", [(2, 12), (3, 8)])

@@ -186,6 +186,40 @@ def test_verify_lift_command_writes_report(two_disks, tmp_path):
     assert res["all_pass"] is True
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["volume", "--method", "monte_carlo", "--r", "1.0", "--samples", "0"], "samples"),
+    (["meanwidth", "--method", "quadrature", "--nodes", "0"], "nodes"),
+    (["asymptotics", "--terms", "0"], "terms"),
+], ids=["samples", "nodes", "terms"])
+def test_explicit_zero_is_rejected_not_defaulted(argv, bad, two_disks, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main(argv + ["--config", two_disks, "--out", str(out)]) == EXIT_INPUT
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_lists_only_the_parameters_read(two_disks, tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "csikos", "--config", two_disks, "--samples", "10",
+                 "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["parameters"] == {
+        "inputs": [two_disks], "claim": "csikos"}
+    assert main(["volume", "--config", two_disks, "--r", "1.0", "--samples", "10",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["parameters"] == {
+        "inputs": [two_disks], "method": "voronoi_ode", "r": [1.0]}
+
+
+def test_verify_capoyleas_pach_single_point_in_3d(tmp_path):
+    path = tmp_path / "one.json"
+    save_configuration(PointConfiguration.from_points([[0.5, -1.0, 2.0]]), path)
+    out = tmp_path / "v.json"
+    assert main(["verify", "capoyleas-pach", "--config", str(path),
+                 "--out", str(out)]) == EXIT_OK
+    (check,) = json.loads(out.read_text())["results"]["checks"]
+    assert check["rhs"] == 0.0 and check["pass"] is True
+
+
 def test_monte_carlo_volume_samples_each_radius_once(two_disks, tmp_path):
     out = tmp_path / "mc.json"
     code = main(["volume", "--config", two_disks, "--r-grid", "0.6:1.4:3",

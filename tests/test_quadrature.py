@@ -15,8 +15,8 @@ from kpv.ball_volumes import BallSystem
 from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError
 from kpv.polyhedra import Halfspace, PolyhedralSet
-from kpv.truncated_volume import (StepControl, mc_truncated_volume, unit_ball_volume,
-                                  volume_profile)
+from kpv import truncated_volume
+from kpv.truncated_volume import mc_truncated_volume, unit_ball_volume, volume_profile
 
 REL = 1e-12
 
@@ -159,12 +159,14 @@ def test_clustered_breakpoints_match_greens_theorem(centre, above):
     assert prof.value(1e4) == pytest.approx(area, rel=1e-7)
 
 
-def test_step_control_splits_more_under_tighter_tolerance():
+def test_step_control_splits_more_under_tighter_tolerance(monkeypatch):
     angles = 2.0 * np.pi * np.arange(12) / 12.0
     P = polygon_set(np.column_stack((np.cos(angles), np.sin(angles))))
     p0 = np.array([1e-5, 2e-5])
-    loose = volume_profile(P, p0, np.inf, StepControl(rtol=1e-4))
-    tight = volume_profile(P, p0, np.inf, StepControl(rtol=1e-13))
+    monkeypatch.setattr(truncated_volume, "RTOL", 1e-4)
+    loose = volume_profile(P, p0, np.inf)
+    monkeypatch.setattr(truncated_volume, "RTOL", 1e-13)
+    tight = volume_profile(P, p0, np.inf)
     assert len(tight.pieces) > len(loose.pieces)
 
 
@@ -191,8 +193,8 @@ def test_array_evaluation_equals_scalar_path():
         slopes = prof.derivative(radii)
         assert values.shape == slopes.shape == radii.shape
         for r, v, s in zip(radii, values, slopes):
-            assert v == prof.value(float(r)) == prof.value_scalar(r)
-            assert s == prof.derivative(float(r)) == prof.derivative_scalar(r)
+            assert v == prof.value(float(r))
+            assert s == prof.derivative(float(r))
 
 
 def test_derivative_is_boundary_length_of_halfplane():

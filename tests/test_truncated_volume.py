@@ -5,11 +5,10 @@ import pytest
 
 from kpv.errors import GeometryError, InputError
 from kpv.polyhedra import Halfspace, PolyhedralSet
-from kpv.truncated_volume import (RadiusGrid, StepControl, _solid_angle_fraction,
-                                  check_ww_lemma, fit_radial_powers,
-                                  mc_truncated_volume, profile_to_csv,
-                                  unit_ball_volume, volume_profile,
-                                  w_prime_at_zero)
+from kpv import truncated_volume
+from kpv.truncated_volume import (RadiusGrid, _solid_angle_fraction, check_ww_lemma,
+                                  fit_radial_powers, mc_truncated_volume,
+                                  unit_ball_volume, volume_profile)
 
 from conftest import halfplane_truncated_area
 
@@ -28,8 +27,8 @@ def test_interval_base_case():
     # P = {x >= 0} in E^1, base point -1: at r=3 the overlap is [0, 2]
     P = PolyhedralSet(1, (Halfspace(np.array([-1.0]), 0.0),))
     prof = volume_profile(P, np.array([-1.0]), 10.0)
-    assert prof.value_scalar(3.0) == pytest.approx(2.0, abs=1e-15)
-    assert prof.value_scalar(0.5) == 0.0
+    assert prof.value(3.0) == pytest.approx(2.0, abs=1e-15)
+    assert prof.value(0.5) == 0.0
     assert sorted(prof.breakpoints.tolist()) == [1.0]
 
 
@@ -37,8 +36,8 @@ def test_interval_bounded():
     P = PolyhedralSet(1, (Halfspace(np.array([1.0]), 2.0),
                           Halfspace(np.array([-1.0]), 0.0)))
     prof = volume_profile(P, np.array([0.5]), 10.0)
-    assert prof.value_scalar(0.25) == pytest.approx(0.5)
-    assert prof.value_scalar(5.0) == pytest.approx(2.0)
+    assert prof.value(0.25) == pytest.approx(0.5)
+    assert prof.value(5.0) == pytest.approx(2.0)
     # W coefficients exact: V -> constant 2, so W(0)=0, W'(0)=2
     assert prof.w_at_zero == pytest.approx(0.0)
     assert prof.w_prime_at_zero == pytest.approx(2.0)
@@ -49,7 +48,7 @@ def test_untruncated_ball_exact():
     prof = volume_profile(P, np.zeros(3), 5.0)
     delta = unit_ball_volume(3)
     for r in (0.5, 2.0, 4.9):
-        assert prof.value_scalar(r) == pytest.approx(delta * r ** 3, rel=1e-14)
+        assert prof.value(r) == pytest.approx(delta * r ** 3, rel=1e-14)
     assert prof.w_at_zero == pytest.approx(delta)
     assert prof.w_prime_at_zero == 0.0
     assert prof.breakpoints.size == 0
@@ -60,7 +59,7 @@ def test_halfplane_profile_matches_circular_segment():
     prof = volume_profile(P, np.zeros(2), 50.0)
     for r in (0.5, 1.0, 1.2, 2.0, 7.5, 49.0):
         want = halfplane_truncated_area(1.0, r)
-        assert prof.value_scalar(r) == pytest.approx(want, rel=1e-8)
+        assert prof.value(r) == pytest.approx(want, rel=1e-8)
     assert prof.breakpoints.tolist() == [1.0]
 
 
@@ -70,14 +69,14 @@ def test_halfplane_derivative_matches_finite_difference():
     for r in (1.7, 3.0):
         fd = (halfplane_truncated_area(1.0, r + 1e-6)
               - halfplane_truncated_area(1.0, r - 1e-6)) / 2e-6
-        assert prof.derivative_scalar(r) == pytest.approx(fd, rel=1e-5)
+        assert prof.derivative(r) == pytest.approx(fd, rel=1e-5)
 
 
 def test_w_coefficients_halfplane():
     # V(r) = (pi/2) r^2 + 2 r - 1/(3r) + O(r^-3): W(0) = pi/2, W'(0) = 2
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), np.inf)
-    w1 = w_prime_at_zero(prof)
+    w1 = prof.w_prime_at_zero
     assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert w1 == pytest.approx(2.0, abs=1e-12)
 
@@ -85,7 +84,7 @@ def test_w_coefficients_halfplane():
 def test_w_coefficients_complement_halfplane():
     P = PolyhedralSet(2, (halfplane(-1, 0, -1),))
     prof = volume_profile(P, np.zeros(2), np.inf)
-    w1 = w_prime_at_zero(prof)
+    w1 = prof.w_prime_at_zero
     assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert w1 == pytest.approx(-2.0, abs=1e-12)
 
@@ -95,7 +94,7 @@ def test_w_prime_needs_long_profile():
     # stopped at r_max = 5 has it exactly
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), 5.0)
-    assert w_prime_at_zero(prof) == pytest.approx(2.0, abs=1e-12)
+    assert prof.w_prime_at_zero == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cone_profile_quadrant():
@@ -103,14 +102,14 @@ def test_cone_profile_quadrant():
     P = PolyhedralSet(2, (halfplane(1, 0, 0), halfplane(0, 1, 0)))
     prof = volume_profile(P, np.zeros(2), 8.0)
     assert prof.omega == pytest.approx(0.25, abs=1e-12)
-    assert prof.value_scalar(2.0) == pytest.approx(math.pi, rel=1e-12)
+    assert prof.value(2.0) == pytest.approx(math.pi, rel=1e-12)
     assert prof.w_prime_at_zero == 0.0
 
 
 def test_zero_profile_for_degenerate_slab():
     P = PolyhedralSet(2, (halfplane(1, 0, 0), halfplane(-1, 0, 0)))
     prof = volume_profile(P, np.array([2.0, 0.0]), 5.0)
-    assert prof.value_scalar(4.0) == 0.0
+    assert prof.value(4.0) == 0.0
 
 
 def test_infeasible_raises():
@@ -127,7 +126,14 @@ def test_profile_invariants_random(rng):
         P = PolyhedralSet(2, tuple(Halfspace(normals[i], offsets[i])
                                    for i in range(k)))
         prof = volume_profile(P, np.zeros(2), 20.0)
-        prof.validate(rel_tol=1e-8)
+        radii = np.linspace(0.0, 20.0, 401)
+        v = prof.value(radii)
+        tol = 1e-8 * max(float(np.max(v)), 1e-300)
+        assert np.min(v) >= -tol                              # non-negative
+        assert np.min(np.diff(v)) >= -tol                     # non-decreasing
+        assert np.all(v <= prof.delta * radii ** 2 * (1 + 1e-8) + tol)   # ball bound
+        if prof.w_at_zero is not None:
+            assert -1e-8 <= prof.w_at_zero <= prof.delta * (1 + 1e-8) + 1e-8
 
 
 def test_additivity_across_a_splitting_hyperplane():
@@ -140,8 +146,8 @@ def test_additivity_across_a_splitting_hyperplane():
     pl = volume_profile(left, p0, 20.0)
     pr = volume_profile(right, p0, 20.0)
     for r in (0.5, 1.3, 4.0, 18.0):
-        assert pl.value_scalar(r) + pr.value_scalar(r) == pytest.approx(
-            pw.value_scalar(r), rel=1e-8)
+        assert pl.value(r) + pr.value(r) == pytest.approx(
+            pw.value(r), rel=1e-8)
 
 
 def test_mc_untruncated_all_hits():
@@ -171,7 +177,7 @@ def test_ode_vs_mc_random_polytope(rng):
     prof = volume_profile(P, np.zeros(3), 6.0)
     for r in (1.0, 4.0):
         est, se = mc_truncated_volume(P, np.zeros(3), r, 400_000, seed=17)
-        assert abs(prof.value_scalar(r) - est) <= 3.5 * se
+        assert abs(prof.value(r) - est) <= 3.5 * se
 
 
 def test_check_ww_lemma_single_halfplane():
@@ -216,30 +222,22 @@ def test_fit_residual_decays_with_window():
     assert res_far < res_near
 
 
-def test_step_control_is_honored():
+def test_step_control_is_honored(monkeypatch):
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
-    loose = volume_profile(P, np.zeros(2), 10.0, StepControl(rtol=1e-6))
-    tight = volume_profile(P, np.zeros(2), 10.0, StepControl(rtol=1e-12))
+    monkeypatch.setattr(truncated_volume, "RTOL", 1e-6)
+    loose = volume_profile(P, np.zeros(2), 10.0)
+    monkeypatch.setattr(truncated_volume, "RTOL", 1e-12)
+    tight = volume_profile(P, np.zeros(2), 10.0)
     want = halfplane_truncated_area(1.0, 8.0)
-    assert abs(tight.value_scalar(8.0) - want) <= abs(loose.value_scalar(8.0) - want) + 1e-13
-    assert tight.r_grid.size >= loose.r_grid.size
-
-
-def test_profile_csv(tmp_path):
-    P = PolyhedralSet(2, (halfplane(1, 0, 1),))
-    prof = volume_profile(P, np.zeros(2), 5.0)
-    path = tmp_path / "profile.csv"
-    profile_to_csv(prof, path, radii=np.linspace(0.1, 4.9, 9))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,V,dVdr"
-    assert len(lines) == 10
+    assert abs(tight.value(8.0) - want) <= abs(loose.value(8.0) - want) + 1e-13
+    assert len(tight.pieces) >= len(loose.pieces)
 
 
 def test_profile_rejects_evaluation_beyond_r_max():
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), 5.0)
     with pytest.raises(InputError):
-        prof.value_scalar(6.0)
+        prof.value(6.0)
 
 
 def _tetrahedron_vertex_normals():
@@ -267,7 +265,7 @@ def test_cone_fractions_exact(normals, want):
     assert prof.omega == pytest.approx(want, abs=1e-12)
     if dim == 3 and want == 1.0 / 8.0:
         cone = want * unit_ball_volume(3) * 2.0 ** 3
-        assert prof.value_scalar(2.0) == pytest.approx(cone, rel=1e-12)
+        assert prof.value(2.0) == pytest.approx(cone, rel=1e-12)
 
 
 def trihedral_fraction(normals):
@@ -314,4 +312,4 @@ def test_w_prime_homogeneity_halfplane():
     for lam in (1.0, 3.0):
         P = PolyhedralSet(2, (halfplane(1, 0, lam),))
         prof = volume_profile(P, np.zeros(2), 1100.0 * lam)
-        assert w_prime_at_zero(prof) == pytest.approx(2.0 * lam, rel=1e-3)
+        assert prof.w_prime_at_zero == pytest.approx(2.0 * lam, rel=1e-3)
