@@ -272,34 +272,50 @@ class BallSystem:
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
-def _mc_counts(p: PointConfiguration, r: float, samples: int, seed: int):
-    pts = p.points
-    lo = np.min(pts, axis=0) - r
-    hi = np.max(pts, axis=0) + r
-    box = float(np.prod(hi - lo))
+# rows drawn per generator call; the stream does not depend on this size
+MC_CHUNK = 500_000
+# samples counted at a time, so the per-site work arrays stay in cache
+MC_BLOCK = 16_384
+
+
+def _distance_hits(sites, lo, hi, radii, samples: int, seed: int):
+    """Hit counts of uniform samples in the box [lo, hi]: (nearest, farthest).
+
+    The samples are default_rng(seed).uniform(lo, hi, (m, n)) in chunks of
+    MC_CHUNK rows.  Entry k of nearest (farthest) counts the samples within
+    radii[k] of their nearest (farthest) site, i.e. in the union
+    (intersection) of the balls.  Squared distances add the coordinates left
+    to right, as np.sum(axis=1) does for a row.
+    """
+    sites = np.asarray(sites, dtype=float)
+    r2 = np.asarray(radii, dtype=float) ** 2
+    near_hits = [0] * r2.size
+    far_hits = [0] * r2.size
+    buffers = np.empty((4, MC_BLOCK))
     rng = np.random.default_rng(seed)
-    hits_any = 0
-    hits_all = 0
     done = 0
-    chunk = 500_000
-    r2 = r * r
     while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.uniform(lo, hi, size=(m, p.dimension))
-        inside_any = np.zeros(m, dtype=bool)
-        inside_all = np.ones(m, dtype=bool)
-        for site in pts:
-            d2 = np.sum((x - site) ** 2, axis=1)
-            np.logical_or(inside_any, d2 <= r2, out=inside_any)
-            np.logical_and(inside_all, d2 <= r2, out=inside_all)
-        hits_any += int(np.count_nonzero(inside_any))
-        hits_all += int(np.count_nonzero(inside_all))
+        m = min(MC_CHUNK, samples - done)
+        x = rng.uniform(lo, hi, size=(m, sites.shape[1]))
+        for start in range(0, m, MC_BLOCK):
+            cols = x[start:start + MC_BLOCK].T      # strided coordinate columns
+            near, far, d2, term = buffers[:, :cols.shape[1]]
+            near.fill(np.inf)
+            far.fill(0.0)
+            for site in sites:
+                np.subtract(cols[0], site[0], out=d2)
+                np.multiply(d2, d2, out=d2)
+                for col, c in zip(cols[1:], site[1:]):
+                    np.subtract(col, c, out=term)
+                    np.multiply(term, term, out=term)
+                    np.add(d2, term, out=d2)
+                np.minimum(near, d2, out=near)
+                np.maximum(far, d2, out=far)
+            for k, rr in enumerate(r2):
+                near_hits[k] += int(np.count_nonzero(near <= rr))
+                far_hits[k] += int(np.count_nonzero(far <= rr))
         done += m
-    out = {}
-    for name, hits in (("union", hits_any), ("intersection", hits_all)):
-        frac = hits / samples
-        out[name] = (box * frac, box * math.sqrt(max(frac * (1 - frac), 0.0) / samples))
-    return out
+    return near_hits, far_hits
 
 
 def mc_ball_volume(p: PointConfiguration, r: float, which: str,
@@ -314,5 +330,13 @@ def mc_ball_volume(p: PointConfiguration, r: float, which: str,
     if which not in ("union", "intersection", "both"):
         raise InputError(
             f"which must be 'union', 'intersection' or 'both', got {which!r}")
-    counts = _mc_counts(p, r, samples, seed)
-    return counts if which == "both" else counts[which]
+    pts = p.points
+    lo = np.min(pts, axis=0) - r
+    hi = np.max(pts, axis=0) + r
+    box = float(np.prod(hi - lo))
+    (hits_any,), (hits_all,) = _distance_hits(pts, lo, hi, [r], samples, seed)
+    out = {}
+    for name, hits in (("union", hits_any), ("intersection", hits_all)):
+        frac = hits / samples
+        out[name] = (box * frac, box * math.sqrt(max(frac * (1 - frac), 0.0) / samples))
+    return out if which == "both" else out[which]

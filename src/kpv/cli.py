@@ -266,6 +266,9 @@ def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
         nodes, seed = int(params.get("nodes", 100_000)), int(params.get("seed", 0))
     if method == "auto":
         value, err, used = reference_mean_width(config, nodes=nodes, seed=seed)
+        if used != "quadrature":       # an exact path: no node was used
+            del params.read["nodes"], params.read["seed"]
+            nodes = 0
         res = {"value": value, "stderr": err, "method": used, "nodes_used": nodes}
     elif method == "exact2d":
         r = mean_width_exact_2d(config)

@@ -14,7 +14,7 @@ import pytest
 
 from kpv.asymptotics import (kp_threshold, laurent_fit, mean_width_difference,
                              system_and_window, verify_lift_identity)
-from kpv.ball_volumes import BallSystem, mc_ball_volume
+from kpv.ball_volumes import BallSystem, _distance_hits, mc_ball_volume
 from kpv.configurations import (PointConfiguration, are_congruent, embed,
                                 random_expansion)
 from kpv.errors import GeometryError
@@ -92,10 +92,10 @@ def test_criterion_02_ode_vs_monte_carlo():
         diam = max(cfg.diameter, 0.5)
         system = BallSystem(cfg, r_max=2.3 * diam)
         for j, r in enumerate((0.85 * diam, 1.4 * diam, 2.2 * diam)):
+            both = mc_ball_volume(cfg, r, "both", 1_000_000, seed=9000 + 31 * k + j)
             for which, ode in (("union", system.union_volume(r)),
                                ("intersection", system.intersection_volume(r))):
-                est, se = mc_ball_volume(cfg, r, which, 1_000_000,
-                                         seed=9000 + 31 * k + j)
+                est, se = both[which]
                 if se == 0.0:
                     assert abs(ode - est) <= 1e-9 * max(1.0, est)
                 else:
@@ -197,7 +197,7 @@ def test_criterion_06_ww_lemma_defect():
 
 # -- criterion 7 -------------------------------------------------------------
 
-def paired_lift_estimate(cfg, r, samples, seed, chunk=1_000_000):
+def paired_lift_estimate(cfg, r, samples, seed):
     """(1/2 pi r) dV_{n+2}/dr of the union by paired-sample Monte Carlo: (value, stderr).
 
     The derivative is a central difference at r (1 +/- 0.01) counted on one
@@ -209,20 +209,8 @@ def paired_lift_estimate(cfg, r, samples, seed, chunk=1_000_000):
     lo = np.min(pts, axis=0) - (r + dr)
     hi = np.max(pts, axis=0) + (r + dr)
     box = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    counts = [0, 0]
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.uniform(lo, hi, size=(m, pts.shape[1]))
-        d2 = np.full(m, np.inf)                   # squared distance to the nearest site
-        for site in pts:
-            diff = x - site
-            np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
-        for slot, radius in enumerate((r - dr, r + dr)):
-            counts[slot] += int(np.count_nonzero(d2 <= radius * radius))
-        done += m
-    shell = (counts[1] - counts[0]) / samples
+    (inner, outer), _ = _distance_hits(pts, lo, hi, (r - dr, r + dr), samples, seed)
+    shell = (outer - inner) / samples
     scale = box / (2.0 * dr) / (2.0 * math.pi * r)
     return scale * shell, scale * math.sqrt(shell * (1.0 - shell) / samples)
 

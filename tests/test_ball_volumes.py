@@ -145,6 +145,70 @@ def test_mc_deterministic():
     assert a == b
 
 
+def _mc_per_site_loop(p, r, samples, seed):
+    """The per-site Monte Carlo loop the blocked counter replaced: its oracle.
+
+    Same draws (default_rng(seed).uniform over the box, 500,000 rows at a
+    time); every site's squared distances come from np.sum(axis=1).
+    """
+    pts = p.points
+    lo = np.min(pts, axis=0) - r
+    hi = np.max(pts, axis=0) + r
+    box = float(np.prod(hi - lo))
+    rng = np.random.default_rng(seed)
+    hits_any = hits_all = done = 0
+    while done < samples:
+        m = min(500_000, samples - done)
+        x = rng.uniform(lo, hi, size=(m, p.dimension))
+        inside_any = np.zeros(m, dtype=bool)
+        inside_all = np.ones(m, dtype=bool)
+        for site in pts:
+            d2 = np.sum((x - site) ** 2, axis=1)
+            np.logical_or(inside_any, d2 <= r * r, out=inside_any)
+            np.logical_and(inside_all, d2 <= r * r, out=inside_all)
+        hits_any += int(np.count_nonzero(inside_any))
+        hits_all += int(np.count_nonzero(inside_all))
+        done += m
+    out = {}
+    for name, hits in (("union", hits_any), ("intersection", hits_all)):
+        frac = hits / samples
+        out[name] = (box * frac, box * math.sqrt(max(frac * (1 - frac), 0.0) / samples))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_mc_matches_per_site_loop(dim):
+    # sample counts around one counting block (16,384), and a single sample
+    rng = np.random.default_rng(50 + dim)
+    for n_pts in (1, 2, 5, 9):
+        cfg = random_config(rng, dim, n_pts)
+        for samples in (1, 7, 16383, 16384, 16385):
+            for r in (0.01, 0.7, 3.0):
+                assert mc_ball_volume(cfg, r, "both", samples, 11) == \
+                    _mc_per_site_loop(cfg, r, samples, 11), (n_pts, samples, r)
+
+
+@pytest.mark.parametrize("dim, n_pts, r", [
+    (1, 1, 0.7), (2, 5, 0.7), (3, 2, 3.0), (4, 5, 0.01), (5, 9, 0.7)])
+def test_mc_matches_per_site_loop_across_chunks(dim, n_pts, r):
+    # one sample past a 500,000-row chunk, and exactly two chunks
+    cfg = random_config(np.random.default_rng(60 + dim), dim, n_pts)
+    for samples in (500_001, 1_000_000):
+        assert mc_ball_volume(cfg, r, "both", samples, 13) == \
+            _mc_per_site_loop(cfg, r, samples, 13)
+
+
+def test_mc_zero_hits_and_halves_of_both():
+    far = PointConfiguration.from_points([[0.0, 0.0], [10.0, 0.0]])
+    both = mc_ball_volume(far, 1.0, "both", 16385, seed=3)
+    assert both == _mc_per_site_loop(far, 1.0, 16385, 3)
+    assert both["intersection"] == (0.0, 0.0)
+    for which in ("union", "intersection"):
+        assert mc_ball_volume(far, 1.0, which, 16385, seed=3) == both[which]
+        assert mc_ball_volume(TWO, 0.7, which, 40_000, seed=8) == \
+            mc_ball_volume(TWO, 0.7, "both", 40_000, seed=8)[which]
+
+
 def test_ode_vs_mc_random_configs(rng):
     for dim in (2, 3):
         cfg = random_config(rng, dim, 4)

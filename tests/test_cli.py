@@ -136,6 +136,23 @@ def test_meanwidth_quadrature_command(two_disks, tmp_path):
     assert res["value"] == pytest.approx(2.0, abs=3 * res["stderr"])
 
 
+def test_meanwidth_auto_reports_nodes_only_when_quadrature_ran(two_disks, tmp_path):
+    exact, quad = tmp_path / "e.json", tmp_path / "q.json"
+    assert main(["meanwidth", "--config", two_disks, "--out", str(exact)]) == EXIT_OK
+    rep = json.loads(exact.read_text())
+    assert rep["results"]["method"] == "exact2d"
+    assert rep["results"]["nodes_used"] == 0
+    assert "nodes" not in rep["parameters"] and "seed" not in rep["parameters"]
+    simplex = tmp_path / "simplex4.json"
+    save_configuration(PointConfiguration.from_points(np.eye(4)), simplex)
+    assert main(["meanwidth", "--config", str(simplex), "--nodes", "2048",
+                 "--out", str(quad)]) == EXIT_OK
+    rep = json.loads(quad.read_text())
+    assert rep["results"]["method"] == "quadrature"
+    assert rep["results"]["nodes_used"] == 2048
+    assert rep["parameters"]["nodes"] == 2048 and rep["parameters"]["seed"] == 0
+
+
 def test_asymptotics_command(two_disks, tmp_path):
     out = tmp_path / "a.json"
     code = main(["asymptotics", "--config", two_disks,
