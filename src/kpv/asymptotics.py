@@ -139,17 +139,18 @@ def system_and_window(p: PointConfiguration, window: RadiusGrid | None):
 
 
 def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
-                         seed: int = 433494437) -> tuple[float, float, str]:
-    """Best available mean width with an error bound: (value, err, method).
+                         seed: int = 433494437) -> tuple[float, float, str, int]:
+    """Best available mean width with an error bound: (value, err, method, nodes_used).
 
     Exact in the plane; edge sums for full-dimensional 3-d hulls; planar
     3-d configurations are rotated into their spanning plane and lifted with
-    the exact constant c_{2,3}; quadrature elsewhere.
+    the exact constant c_{2,3}; quadrature elsewhere.  nodes_used is the
+    number of sphere directions the quadrature took (0 on the exact paths).
     """
     n = p.dimension
     if n == 2:
         res = mean_width_exact_2d(p)
-        return res.value, 1e-12 * (1.0 + res.value), res.method
+        return res.value, 1e-12 * (1.0 + res.value), res.method, 0
     if n == 3:
         centered = p.points - np.mean(p.points, axis=0)
         # full_matrices: vt has three rows even for one or two points
@@ -157,22 +158,22 @@ def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
         rank = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
         if rank == 3:
             res = mean_width_edge_sum_3d(p, calibrate(3, 3))
-            return res.value, res.stderr, res.method
+            return res.value, res.stderr, res.method, 0
         # flat configuration (a point has width 0): measure in its own plane,
         # lift by c_{2,3}
         planar = PointConfiguration(2, centered @ vt[:2].T)
         perim = mean_width_exact_2d(planar).value
-        return calibrate(2, 3).value * perim, 1e-12 * (1 + perim), "exact2d+lift"
+        return calibrate(2, 3).value * perim, 1e-12 * (1 + perim), "exact2d+lift", 0
     res = mean_width_quadrature(p, nodes=nodes, seed=seed)
-    return res.value, res.stderr, res.method
+    return res.value, res.stderr, res.method, res.nodes_used
 
 
 def mean_width_difference(p: PointConfiguration, q: PointConfiguration,
                           nodes: int = 200_000, seed: int = 433494437
                           ) -> tuple[float, float]:
     """M(q) - M(p) with an error bound: the sum of both sides' bounds."""
-    vp, ep, _ = reference_mean_width(p, nodes=nodes, seed=seed)
-    vq, eq, _ = reference_mean_width(q, nodes=nodes, seed=seed)
+    vp, ep, _, _ = reference_mean_width(p, nodes=nodes, seed=seed)
+    vq, eq, _, _ = reference_mean_width(q, nodes=nodes, seed=seed)
     return vq - vp, ep + eq + 1e-12 * (abs(vp) + abs(vq) + 1.0)
 
 
@@ -188,7 +189,7 @@ def verify_capoyleas_pach(p: PointConfiguration) -> CheckReport:
         raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
     system = BallSystem(p, r_max=np.inf)
     lead, a = system.laurent_coefficients("union")
-    m, m_err, method = reference_mean_width(p)
+    m, m_err, method, _ = reference_mean_width(p)
     tol = _verifier_tolerance(m, m_err, n)
     gap = abs(a - m)
     return CheckReport(
@@ -206,7 +207,7 @@ def verify_csikos(p: PointConfiguration) -> list[CheckReport]:
     lead_i, ai = system.laurent_coefficients("intersection")
     lead_u, au = system.laurent_coefficients("union")
     sn, sn1 = lead_u + lead_i, au + ai
-    m, m_err, method = reference_mean_width(p)
+    m, m_err, method, _ = reference_mean_width(p)
     tol = _verifier_tolerance(m, m_err, n)
     delta = unit_ball_volume(n)
     reports = [

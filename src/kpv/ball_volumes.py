@@ -3,12 +3,22 @@
 The decomposition: the union of balls of radius r is the disjoint (up to
 measure zero) union of the nearest-point Voronoi regions truncated at radius
 r around their sites, and the intersection is the analogous union of
-truncated farthest-point regions.  A site's region is cut out by the
-bisectors with its Delaunay neighbours only (the furthest-site triangulation
-for farthest regions), the other bisectors being redundant.  Each truncated
-region is a ball-truncated polyhedral set, so its radial volume profile comes
-from the recursive ODE engine; summing profiles per site gives exact volumes,
-and summing the ODE right-hand sides gives exact boundary measures.
+truncated farthest-point regions.  Each truncated region is a ball-truncated
+polyhedral set, so its radial volume profile comes from the recursive ODE
+engine; summing profiles per site gives exact volumes, and summing the ODE
+right-hand sides gives exact boundary measures.
+
+For sites spanning E^n (n >= 2) the regions' faces are read off the Delaunay
+triangulation (the furthest-site one for farthest regions; N = n + 1 sites
+are their own simplex): the face dual to a simplex sigma has its base point
+at sigma's circumcentre and its facets dual to the simplices one site
+larger, so each face profile is built once per simplex and shared by its
+sites, with no facet extraction.  The fallbacks cut each region out by the
+bisectors with its Delaunay neighbours and find its facets with
+polyhedra.face_data: sites spanning a lower flat (triangulated in the flat,
+or every other site on a line), a family qhull cannot triangulate or that
+has a site qhull sets aside as coplanar, and a family with an ill-conditioned
+circumcentre (MAX_CIRCUMCENTRE_COND).
 
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
@@ -16,6 +26,7 @@ the independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +36,8 @@ from scipy.spatial import Delaunay, QhullError
 from .configurations import PointConfiguration, distance_matrix
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet
-from .truncated_volume import RadialVolumeProfile, unit_ball_volume, volume_profile
+from .truncated_volume import (RadialVolumeProfile, _interval_profile, _profile_from_faces,
+                               _solid_angle_fraction, unit_ball_volume, volume_profile)
 
 DISTINCT_SITE_TOL = 1e-9
 # boundary measures are read only at radii at least BREAKPOINT_TOL * max(1, r)
@@ -65,6 +77,12 @@ def _bisector(pi: np.ndarray, pj: np.ndarray) -> Halfspace:
     return Halfspace(normal=v, offset=0.5 * float(np.dot(pj, pj) - np.dot(pi, pi)))
 
 
+def _affine_rank(centred: np.ndarray) -> tuple[int, np.ndarray]:
+    """Dimension of the flat spanned by centred sites, and its directions (rows)."""
+    _, svals, vt = np.linalg.svd(centred, full_matrices=False)
+    return int(np.sum(svals > 1e-12 * svals[0])), vt
+
+
 def delaunay_neighbours(p: PointConfiguration,
                         furthest: bool = False) -> list[np.ndarray | None]:
     """Per site, the other sites whose bisectors can bound its Voronoi region.
@@ -83,8 +101,7 @@ def delaunay_neighbours(p: PointConfiguration,
     n_pts = p.n_points
     every_other = [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
     centred = p.points - p.points.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centred, full_matrices=False)
-    rank = int(np.sum(svals > 1e-12 * svals[0]))
+    rank, vt = _affine_rank(centred)
     if rank < 2:
         return every_other
     if rank < p.dimension:
@@ -135,6 +152,175 @@ def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
     return _all_bisector_voronoi(p, "farthest", i)
 
 
+# ---------------------------------------------------------------------------
+# the face lattice of a full-rank triangulation
+# ---------------------------------------------------------------------------
+
+# A family whose circumcentre solves are worse conditioned than this is built
+# from bisectors instead: a centre's error grows as the condition number times
+# the rounding of the sites.
+MAX_CIRCUMCENTRE_COND = 1e8
+
+
+def _full_rank_simplices(centred: np.ndarray, furthest: bool) -> np.ndarray | None:
+    """Simplices of the (furthest-site) Delaunay triangulation of full-rank sites.
+
+    N = n + 1 sites are their own simplex.  None when qhull fails or sets a
+    site aside as coplanar.
+    """
+    n_pts, n = centred.shape
+    if n_pts == n + 1:
+        return np.arange(n_pts)[None, :]
+    try:
+        tri = Delaunay(centred, furthest_site=furthest)
+    except QhullError:
+        return None
+    return None if tri.coplanar.size else tri.simplices
+
+
+def _circumcentres(points: np.ndarray, groups: np.ndarray):
+    """Circumcentres of simplices (rows of site indices) and their orthogonal flats.
+
+    Returns (centres, normals): normals[k] is an orthonormal basis (rows) of
+    the directions orthogonal to simplex k, along which its Voronoi face
+    extends.  None when a solve is singular or ill-conditioned.
+    """
+    verts = points[groups]
+    if groups.shape[1] == 1:
+        return verts[:, 0], np.broadcast_to(np.eye(points.shape[1]),
+                                            (groups.shape[0],) + (points.shape[1],) * 2)
+    edges = verts[:, 1:] - verts[:, :1]
+    u, svals, vt = np.linalg.svd(edges)
+    if not np.all(svals[:, -1] * MAX_CIRCUMCENTRE_COND > svals[:, 0]):
+        return None
+    # the centre is p_0 + x with 2 <x, e_j> = |e_j|^2 and x in the span of the edges
+    m = edges.shape[1]
+    y = np.einsum("kji,kj->ki", u, 0.5 * np.sum(edges * edges, axis=2)) / svals
+    return verts[:, 0] + np.einsum("ki,kin->kn", y, vt[:, :m]), vt[:, m:]
+
+
+def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
+                      r_max: float, scale: float) -> list | None:
+    """Per-site region profiles of one family, read off its triangulation.
+
+    The face of a region dual to the simplex sigma is the set F_sigma of
+    points equidistant from sigma's sites and nearer to (farther from) them
+    than to every other site.  Its base point is sigma's circumcentre
+    c_sigma, whichever site the recursion started from, so its profile is
+    built once and shared by every site of sigma.  Its facets are the faces
+    F_tau of the simplices tau = sigma + {k} in the triangulation, at
+    distance |c_tau - c_sigma|, with the sign of |c_sigma - p_k| - R_sigma
+    (reversed for farthest regions).  Faces of zero extent (sites on a
+    common sphere) are dropped.  Returns None when a circumcentre solve is
+    ill-conditioned.
+    """
+    lattice = _Lattice(points, simplices, kind == "nearest", scale)
+    n = points.shape[1]
+    by_size: list[dict] = [{} for _ in range(n + 1)]    # sigma -> its full simplices
+    for t, simplex in enumerate(lattice.full):
+        for m in range(1, n + 1):
+            for sigma in itertools.combinations(simplex, m):
+                by_size[m].setdefault(sigma, []).append(t)
+    solved = _circumcentres(points, np.array(lattice.full))
+    if solved is None:
+        return None
+    lattice.vertices = solved[0]
+    for m in range(n, 0, -1):
+        faces = list(by_size[m])
+        solved = _circumcentres(points, np.array(faces))
+        if solved is None:
+            return None
+        for sigma, c, normal in zip(faces, *solved):
+            lattice.centre[sigma] = c
+            star = by_size[m][sigma]
+            try:
+                lattice.profile[sigma] = (
+                    lattice.segment(sigma, star, c, normal[0]) if m == n else
+                    lattice.face(sigma, star, c, normal, r_max if m == 1 else np.inf))
+            except (GeometryError, NumericalError) as exc:
+                where = f"region of site {sigma[0]}" if m == 1 else f"face of sites {sigma}"
+                raise type(exc)(f"{exc} ({kind} {where})") from exc
+    return [lattice.profile.get((i,)) for i in range(points.shape[0])]
+
+
+class _Lattice:
+    """Face profiles of one family, built from the 1-d faces up to the regions."""
+
+    def __init__(self, points, simplices, nearest: bool, scale: float):
+        self.points = points
+        self.full = np.sort(simplices, axis=1).tolist()
+        self.nearest = nearest
+        self.scale = scale
+        self.tol = 1e-12 * scale
+        self.vertices = None        # circumcentres of the full simplices
+        self.centre: dict = {}      # sigma -> c_sigma
+        self.profile: dict = {}     # sigma -> profile of F_sigma, None if flat
+        self.rays: dict = {}        # sigma -> direction, for 1-d faces that are rays
+
+    def segment(self, sigma, star, c, u):
+        """Exact profile of the 1-d face F_sigma about c_sigma, or None if a point.
+
+        Its ends are the circumcentres of the one or two simplices that
+        contain sigma, at <c_tau - c_sigma, u> along the face's line; each
+        bounds the face from the side away from (farthest: toward) the
+        simplex's other site.
+        """
+        a, b = -np.inf, np.inf
+        for t in star:
+            k = next(v for v in self.full[t] if v not in sigma)
+            end = float(np.dot(self.vertices[t] - c, u))
+            if (np.dot(self.points[k] - c, u) > 0.0) == self.nearest:
+                b = min(b, end)
+            else:
+                a = max(a, end)
+        if len(star) == 1:
+            self.rays[sigma] = u if math.isinf(b) else -u
+        if b - a <= 2.0 * self.tol:
+            return None
+        return _interval_profile(a, b, 0.0)
+
+    def face(self, sigma, star, c, normal, r_max):
+        """Profile of the face F_sigma (dimension >= 2) about c_sigma, or None if flat."""
+        d = normal.shape[0]
+        # F_sigma is the hull of its vertices plus the cone of its rays: it
+        # has zero extent unless their differences span its d directions
+        spans = [self.vertices[star[1:]] - self.vertices[star[0]]]
+        cofaces = {}                # tau -> the site k of tau = sigma + {k}
+        for t in star:
+            for k in self.full[t]:
+                if k in sigma:
+                    continue
+                cofaces[tuple(sorted(sigma + (k,)))] = k
+                ridge = tuple(v for v in self.full[t] if v != k)
+                if ridge in self.rays:
+                    spans.append(self.scale * self.rays[ridge][None, :])
+        spans = np.concatenate(spans)
+        if spans.shape[0] < d or np.linalg.svd(spans, compute_uv=False)[d - 1] <= self.tol:
+            return None
+
+        sites = list(cofaces.values())
+        h = np.linalg.norm(np.array([self.centre[tau] for tau in cofaces]) - c, axis=1)
+        dist = np.linalg.norm(self.points[sites] - c, axis=1)
+        inside = dist >= np.linalg.norm(self.points[sigma[0]] - c)
+        eps = np.where(inside == self.nearest, 1, -1)
+        # slack tolerance of the base point, as for bisector-built sets
+        on = h <= 1e-9 * self.scale
+        facets = [(float(hk), int(ek), self.profile[tau])
+                  for tau, hk, ek in zip(cofaces, h, eps) if self.profile[tau] is not None]
+        violated = bool(np.any(~on & (eps < 0)))
+        if violated:
+            omega = 0.0
+        elif not on.any():
+            omega = 1.0
+        else:
+            # outward normals in the face's flat: toward p_k for nearest regions
+            out = (self.points[np.array(sites)[on]] - c) @ normal.T
+            out /= np.linalg.norm(out, axis=1, keepdims=True)
+            omega = _solid_angle_fraction(list(out if self.nearest else -out), d)
+        return _profile_from_faces(d, omega, facets, r_max, np.inf if violated else 0.0,
+                                   self.scale)
+
+
 class BallSystem:
     """Union and intersection volumes of one configuration's balls, by radius.
 
@@ -143,7 +329,9 @@ class BallSystem:
     and union_volume, intersection_volume, union_boundary and
     intersection_boundary sum them at a radius or a whole array of radii in
     one pass, so radius scans (threshold searches, Laurent windows) stay
-    cheap.  Sums reduce in ascending site order.  Built with r_max = np.inf,
+    cheap.  For sites spanning E^n, n >= 2, the sites of a Delaunay simplex
+    share its face's profile (see the module docstring).  Sums reduce in
+    ascending site order.  Built with r_max = np.inf,
     the system also carries the exact leading Laurent coefficients of both
     volume functions.
     """
@@ -159,6 +347,8 @@ class BallSystem:
         # the facet tolerances, which scale with the halfspace offsets, relative
         # to the configuration's extent rather than to its distance from 0
         centred = PointConfiguration(p.dimension, p.points - p.points.mean(axis=0))
+        full_rank = (p.dimension >= 2
+                     and _affine_rank(centred.points)[0] == p.dimension)
 
         def build(kind: str, i: int, others) -> RadialVolumeProfile | None:
             # a site in no furthest-site simplex has an empty or flat farthest
@@ -175,7 +365,15 @@ class BallSystem:
                 raise type(exc)(f"{exc} ({kind} region of site {i})") from exc
 
         def family(kind: str) -> list:
-            nbs = delaunay_neighbours(p, furthest=kind == "farthest")
+            furthest = kind == "farthest"
+            if full_rank:
+                simplices = _full_rank_simplices(centred.points, furthest)
+                if simplices is not None:
+                    profiles = _lattice_profiles(centred.points, simplices, kind,
+                                                 self.r_max, scale)
+                    if profiles is not None:
+                        return profiles
+            nbs = delaunay_neighbours(p, furthest=furthest)
             return [build(kind, i, others) for i, others in enumerate(nbs)]
 
         self.nearest_profiles = family("nearest")

@@ -136,7 +136,9 @@ class _ChebyshevPieces:
     """
 
     def __init__(self, base, lo, hi, tail, coeffs, err):
-        order = np.argsort(np.where(tail, 1.0 / hi, base + lo * lo), kind="stable")
+        # by segment and then by u (tail pieces by 1/hi): halvings chasing a
+        # kink can leave pieces narrower than the spacing of doubles in t
+        order = np.lexsort((np.where(tail, -hi, lo), np.where(tail, 1.0 / hi, base)))
         base, lo, hi, tail = base[order], lo[order], hi[order], tail[order]
         coeffs, err = coeffs[order], err[order]
         half = 0.5 * (hi - lo)
@@ -164,7 +166,8 @@ class _ChebyshevPieces:
         k, rr = k[inside], r[inside]
         v = np.where(self.tail[k], 1.0 / rr, np.sqrt(np.maximum(rr - self.base[k], 0.0)))
         lo, hi = self.lo[k], self.hi[k]
-        x = (2.0 * v - lo - hi) / (hi - lo)
+        # a radius between two such pieces maps just outside [-1, 1]
+        x = np.clip((2.0 * v - lo - hi) / (hi - lo), -1.0, 1.0)
         out[inside] = self.offset[k] + _clenshaw(self.coeffs[k], x)
         err[inside] = self.error[k]
         return out, err
@@ -330,7 +333,8 @@ def _solid_angle_fraction(active_normals: list[np.ndarray], dim: int) -> float:
 # profile construction
 # ---------------------------------------------------------------------------
 
-def _interval_profile(P: PolyhedralSet, p0: np.ndarray) -> RadialVolumeProfile:
+def _interval_ends(P: PolyhedralSet) -> tuple[float, float]:
+    """[a, b], the 1-d set P (a or b infinite when unbounded)."""
     a, b = -np.inf, np.inf
     for h in P.halfspaces:
         if h.normal[0] > 0:
@@ -339,7 +343,11 @@ def _interval_profile(P: PolyhedralSet, p0: np.ndarray) -> RadialVolumeProfile:
             a = max(a, -h.offset / (-h.normal[0]))
     if a > b + 1e-12 * max(1.0, abs(a), abs(b)):
         raise GeometryError("1-d polyhedral set is empty")
-    t = float(p0[0])
+    return a, b
+
+
+def _interval_profile(a: float, b: float, t: float) -> RadialVolumeProfile:
+    """Exact profile of the interval [a, b] about the base point t."""
     if a > b:
         a = b = 0.5 * (a + b)
     bps = [abs(t - a), abs(t - b)]
@@ -424,6 +432,47 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
     return _ChebyshevPieces(*(np.concatenate(parts) for parts in zip(*done)))
 
 
+def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
+                        scale: float) -> RadialVolumeProfile:
+    """Profile of an n-dimensional set from its genuine facets' data.
+
+    faces lists (h, eps, sub) per facet: the distance from the base point to
+    the facet's hyperplane, the sign of the base point's side and the facet's
+    own profile about the foot point.  Facets closer than 1e-12 * scale enter
+    only through their breakpoints and reach.  reach is 0 when the base point
+    lies in the set and infinite otherwise; the nearest point of the set then
+    lies on a facet.
+    """
+    breakpoints: list[float] = []
+    terms = []
+    for h, eps, sub in faces:
+        if h > 1e-12 * scale:
+            breakpoints.append(h)
+            terms.append((h, float(eps), sub))
+        breakpoints.extend(math.sqrt(h * h + b * b) for b in sub.breakpoints)
+        reach = min(reach, math.hypot(h, sub.reach))
+
+    merged: list[float] = []
+    for b in sorted(breakpoints):
+        if not merged or b - merged[-1] > 1e-12 * scale:
+            merged.append(b)
+
+    pieces = None
+    h0 = min((h for h, _, _ in terms), default=np.inf)
+    if h0 < r_max:
+        tail_from = 2.0 * merged[-1]
+        end = min(r_max, tail_from)
+        knots = [h0] + [b for b in merged if h0 < b < end] + [end]
+        # the segment on which V rises from zero, if the base point is outside P
+        onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
+                    len(knots) - 2)
+        pieces = _integrate(terms, n, knots, tail_from if r_max > tail_from else None,
+                            onset if 0 < reach < end else None)
+    return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
+                               omega=omega, pieces=pieces,
+                               faces=terms, r_max=r_max, reach=reach)
+
+
 def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
     """Build V(r) for the truncated polytope P intersect B(p0, r) on [0, r_max].
 
@@ -440,7 +489,7 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
     if not r_max > 0:
         raise InputError("r_max must be positive")
     if P.dimension == 1:
-        return _interval_profile(P, p0)
+        return _interval_profile(*_interval_ends(P), float(p0[0]))
 
     scale = max(P.scale(), 1.0 + float(np.linalg.norm(p0)))
     violated, active = _classify_base_point(P, p0, scale)
@@ -453,39 +502,10 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
         omega = 0.0
     else:
         omega = _solid_angle_fraction(active, P.dimension)
-
-    n = P.dimension
-    breakpoints: list[float] = []
-    faces = []
-    # outside P, the nearest point of P lies on a face
-    reach = np.inf if violated else 0.0
-    for f in face_data(P, p0):
-        sub = volume_profile(f.induced_face, np.zeros(n - 1), np.inf)
-        if f.h > 1e-12 * scale:
-            breakpoints.append(f.h)
-            faces.append((f.h, float(f.epsilon), sub))
-        breakpoints.extend(math.sqrt(f.h * f.h + b * b) for b in sub.breakpoints)
-        reach = min(reach, math.hypot(f.h, sub.reach))
-
-    merged: list[float] = []
-    for b in sorted(breakpoints):
-        if not merged or b - merged[-1] > 1e-12 * scale:
-            merged.append(b)
-
-    pieces = None
-    h0 = min((h for h, _, _ in faces), default=np.inf)
-    if h0 < r_max:
-        tail_from = 2.0 * merged[-1]
-        end = min(r_max, tail_from)
-        knots = [h0] + [b for b in merged if h0 < b < end] + [end]
-        # the segment on which V rises from zero, if the base point is outside P
-        onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
-                    len(knots) - 2)
-        pieces = _integrate(faces, n, knots, tail_from if r_max > tail_from else None,
-                            onset if 0 < reach < end else None)
-    return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
-                               omega=omega, pieces=pieces,
-                               faces=faces, r_max=r_max, reach=reach)
+    faces = [(f.h, f.epsilon, volume_profile(f.induced_face, np.zeros(P.dimension - 1), np.inf))
+             for f in face_data(P, p0)]
+    return _profile_from_faces(P.dimension, omega, faces, r_max,
+                               np.inf if violated else 0.0, scale)
 
 
 # ---------------------------------------------------------------------------

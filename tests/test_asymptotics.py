@@ -49,7 +49,7 @@ def test_laurent_fit_window_validation():
 def test_reference_mean_width_planar_in_3d():
     flat = PointConfiguration.from_points(
         [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    value, err, method = reference_mean_width(flat)
+    value, err, method, _ = reference_mean_width(flat)
     # perimeter 4 lifted by c_{2,3} ~ pi/2
     assert value == pytest.approx(4.0 * math.pi / 2.0, rel=5e-3)
     assert method == "exact2d+lift"
@@ -57,7 +57,7 @@ def test_reference_mean_width_planar_in_3d():
 
 def test_reference_mean_width_of_lower_rank_sets_in_3d():
     # a point has mean width 0; a segment of length L has pi L (2L times c_{2,3})
-    value, err, _ = reference_mean_width(PointConfiguration.from_points([[0.3, -1.0, 2.0]]))
+    value, err, _, _ = reference_mean_width(PointConfiguration.from_points([[0.3, -1.0, 2.0]]))
     assert value == 0.0 and err > 0.0
     seg = PointConfiguration.from_points([[0.3, -1.0, 2.0], [1.3, -1.0, 2.0]])
     assert reference_mean_width(seg)[0] == pytest.approx(math.pi, rel=1e-12)

@@ -153,6 +153,20 @@ def test_meanwidth_auto_reports_nodes_only_when_quadrature_ran(two_disks, tmp_pa
     assert rep["parameters"]["nodes"] == 2048 and rep["parameters"]["seed"] == 0
 
 
+def test_meanwidth_auto_reports_the_nodes_the_quadrature_used(tmp_path):
+    # the antithetic quadrature rounds an odd node count up to whole pairs
+    simplex = tmp_path / "simplex4.json"
+    save_configuration(PointConfiguration.from_points(np.eye(4)), simplex)
+    reports = {}
+    for method in ("auto", "quadrature"):
+        out = tmp_path / f"{method}.json"
+        assert main(["meanwidth", "--config", str(simplex), "--method", method,
+                     "--nodes", "5", "--out", str(out)]) == EXIT_OK
+        reports[method] = json.loads(out.read_text())["results"]
+    assert reports["auto"] == reports["quadrature"]
+    assert reports["auto"]["nodes_used"] == 6
+
+
 def test_asymptotics_command(two_disks, tmp_path):
     out = tmp_path / "a.json"
     code = main(["asymptotics", "--config", two_disks,

@@ -1,73 +1,100 @@
-"""Voronoi regions cut out by Delaunay neighbours against all N-1 bisectors.
+"""BallSystem against Voronoi regions cut out by all N-1 bisectors.
 
-BallSystem builds each site's region from its Delaunay (nearest) or
-furthest-site Delaunay (farthest) neighbours only.  The reference here is the
-same BallSystem with every other site as a neighbour, which is the
-all-bisector construction; the two must give the same volumes, boundaries and
-Laurent coefficients.
+For full-rank sites BallSystem reads every region's faces off the Delaunay
+(nearest) or furthest-site Delaunay (farthest) triangulation and shares one
+profile per simplex; otherwise it cuts each region out by its Delaunay
+neighbours' bisectors.  The reference here cuts each region out by all N-1
+bisectors with nearest_voronoi / farthest_voronoi and finds its facets with
+face_data inside volume_profile, one site at a time; the two must give the
+same volumes, boundaries and Laurent coefficients.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
-from kpv import ball_volumes, polyhedra
+from kpv import ball_volumes, polyhedra, truncated_volume
 from kpv.ball_volumes import (BallSystem, delaunay_neighbours, farthest_voronoi,
                               nearest_voronoi)
-from kpv.configurations import PointConfiguration
+from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError
 from kpv.polyhedra import face_data
+from kpv.truncated_volume import unit_ball_volume, volume_profile
 
 from conftest import random_config, random_orthogonal
 
 REL = 1e-12
 
 
-def all_other_sites(p, furthest=False):
-    return [np.delete(np.arange(p.n_points), i) for i in range(p.n_points)]
+class AllBisectorReference:
+    """Per-site profiles of the all-bisector regions, summed site by site.
 
+    Regions are built about the sites' centroid, as BallSystem builds them; a
+    farthest region of margin at most 1e-9 * max(1, diameter) is empty or
+    flat and contributes nothing.
+    """
 
-def reference_system(p, r_max, monkeypatch):
-    """BallSystem with every region cut out by all N-1 bisectors."""
-    with monkeypatch.context() as m:
-        m.setattr(ball_volumes, "delaunay_neighbours", all_other_sites)
-        return BallSystem(p, r_max)
+    def __init__(self, p, r_max):
+        centred = PointConfiguration(p.dimension, p.points - p.points.mean(axis=0))
+        scale = max(1.0, p.diameter)
+        self.nearest = [volume_profile(nearest_voronoi(centred, i).region, centred.points[i],
+                                       r_max) for i in range(p.n_points)]
+        self.farthest = []
+        for i in range(p.n_points):
+            region = farthest_voronoi(centred, i).region
+            if region.feasibility_margin() > 1e-9 * scale:
+                self.farthest.append(volume_profile(region, centred.points[i], r_max))
+        bps = [b for prof in self.nearest + self.farthest for b in prof.breakpoints]
+        self.breakpoints = np.unique(bps)
+
+    def values(self, radii):
+        return np.concatenate([sum(prof.value(radii) for prof in self.nearest),
+                               sum(prof.value(radii) for prof in self.farthest),
+                               sum(prof.derivative(radii) for prof in self.nearest),
+                               sum(prof.derivative(radii) for prof in self.farthest)])
+
+    def laurent_coefficients(self, which):
+        profiles = self.nearest if which == "union" else self.farthest
+        return (sum(prof.w_at_zero for prof in profiles),
+                sum(prof.w_prime_at_zero for prof in profiles))
 
 
 def system_values(system, radii):
-    radii = system.off_breakpoint(radii)
     return np.concatenate([system.union_volume(radii), system.intersection_volume(radii),
                            system.union_boundary(radii),
                            system.intersection_boundary(radii)])
 
 
-def assert_same_system(p, monkeypatch, r_max=np.inf):
-    pruned = BallSystem(p, r_max)
-    full = reference_system(p, r_max, monkeypatch)
+def assert_same_system(p, r_max=np.inf):
+    system = BallSystem(p, r_max)
+    full = AllBisectorReference(p, r_max)
     top = min(r_max, 3.0 * p.diameter)
-    radii = np.linspace(0.02, 0.999, 13) * top
-    a, b = system_values(pruned, radii), system_values(full, radii)
+    radii = system.off_breakpoint(np.linspace(0.02, 0.999, 13) * top)
+    a, b = system_values(system, radii), full.values(radii)
     scale = np.maximum(np.abs(b), REL * np.max(np.abs(b)))
     assert np.max(np.abs(a - b) / scale) <= REL
     if np.isinf(r_max):
         for which in ("union", "intersection"):
-            got = pruned.laurent_coefficients(which)
+            got = system.laurent_coefficients(which)
             want = full.laurent_coefficients(which)
             assert got == pytest.approx(want, rel=REL, abs=REL * abs(want[0]))
-    return pruned
+    return system
 
 
-@pytest.mark.parametrize("dim, n_pts, seed", [(2, 16, 1), (2, 40, 2), (3, 6, 3), (3, 12, 4)])
-def test_pruned_system_matches_all_bisectors(dim, n_pts, seed, monkeypatch):
+@pytest.mark.parametrize("dim, n_pts, seed", [(2, 16, 1), (2, 40, 2), (3, 6, 3), (3, 12, 4),
+                                               (4, 7, 5)])
+def test_pruned_system_matches_all_bisectors(dim, n_pts, seed):
     p = random_config(np.random.default_rng([20240211, seed]), dim, n_pts)
-    assert_same_system(p, monkeypatch)
+    assert_same_system(p)
 
 
 def test_many_site_build_solves_few_margin_problems(monkeypatch):
-    """2-d N=60 to 0.15 diam: 381 max-margin solves (8117 with all bisectors)."""
+    """2-d N=60 to 0.15 diam: no max-margin solve (8117 with all bisectors)."""
     solve = polyhedra._solve_max_margin
     calls = []
 
@@ -75,9 +102,66 @@ def test_many_site_build_solves_few_margin_problems(monkeypatch):
         calls.append(1)
         return solve(*args, **kwargs)
     monkeypatch.setattr(polyhedra, "_solve_max_margin", counted)
+    monkeypatch.setattr(truncated_volume, "_solve_max_margin", counted)
     p = random_config(np.random.default_rng(3), 2, 60)
     BallSystem(p, 0.15 * p.diameter)
-    assert len(calls) <= 8 * p.n_points
+    assert len(calls) == 0
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """Families read off a triangulation, and face profiles built per dimension."""
+    built = {"families": [], "faces": {}}
+    read = ball_volumes._lattice_profiles
+
+    def spy_family(points, simplices, kind, *args):
+        out = read(points, simplices, kind, *args)
+        if out is not None:
+            built["families"].append(kind)
+        return out
+    monkeypatch.setattr(ball_volumes, "_lattice_profiles", spy_family)
+    for name in ("_interval_profile", "_profile_from_faces"):
+        def spy_face(*args, make=getattr(ball_volumes, name)):
+            prof = make(*args)
+            built["faces"][prof.dimension] = built["faces"].get(prof.dimension, 0) + 1
+            return prof
+        monkeypatch.setattr(ball_volumes, name, spy_face)
+    return built
+
+
+@pytest.mark.parametrize("dim, n_pts", [(2, 30), (3, 12), (4, 8)])
+def test_one_profile_per_simplex(dim, n_pts, rng, lattice_builds):
+    p = random_config(rng, dim, n_pts)
+    BallSystem(p, np.inf)
+    assert lattice_builds["families"] == ["nearest", "farthest"]
+    # the face of a simplex with m sites has dimension n - m + 1
+    want = {}
+    for furthest in (False, True):
+        simplices = Delaunay(p.points, furthest_site=furthest).simplices
+        for m in range(1, dim + 1):
+            faces = {c for s in simplices for c in itertools.combinations(sorted(s), m)}
+            want[dim - m + 1] = want.get(dim - m + 1, 0) + len(faces)
+    assert lattice_builds["faces"] == want
+
+
+@pytest.mark.parametrize("points", [[[0, 0], [1, 0], [0.3, 0.8]],
+                                    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]]],
+                         ids=["triangle-2d", "tetrahedron-3d"])
+def test_simplex_sites_build_both_families_without_qhull(points, lattice_builds, monkeypatch):
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("qhull called")
+    monkeypatch.setattr(ball_volumes, "Delaunay", no_qhull)
+    assert_same_system(PointConfiguration.from_points(points))
+    assert lattice_builds["families"] == ["nearest", "farthest"]
+
+
+def test_face_error_names_family_and_simplex(monkeypatch):
+    def fail(*args):
+        raise GeometryError("no face")
+    monkeypatch.setattr(ball_volumes, "_interval_profile", fail)
+    p = PointConfiguration.from_points([[0, 0], [1, 0], [0.3, 0.8]])
+    with pytest.raises(GeometryError, match=r"^no face \(nearest face of sites \(0, 1\)\)$"):
+        BallSystem(p, np.inf)
 
 
 @pytest.mark.parametrize("dim, n_pts", [(2, 24), (3, 10)])
@@ -119,19 +203,19 @@ def test_farthest_neighbours_skip_interior_and_hull_edge_sites():
     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]],
 ], ids=["collinear-2d", "coplanar-3d", "pair-2d", "triangle-2d", "triangle-3d",
         "tetrahedron-3d"])
-def test_fallback_inputs_match_all_bisectors(points, monkeypatch):
+def test_fallback_inputs_match_all_bisectors(points):
     p = PointConfiguration.from_points(points)
     lists = delaunay_neighbours(p) + delaunay_neighbours(p, furthest=True)
     if len(points) <= p.dimension + 1:
         # too few sites for one of the triangulations: every other site is used
         assert any(nb is not None and len(nb) == p.n_points - 1 for nb in lists)
-    assert_same_system(p, monkeypatch)
-    assert_same_system(p, monkeypatch, r_max=0.7 * p.diameter)
+    assert_same_system(p)
+    assert_same_system(p, r_max=0.7 * p.diameter)
 
 
 @pytest.mark.parametrize("points", [[[0.0]], [[0.0], [1.0]], [[0.0], [2.5], [1.0], [-0.4]]],
                          ids=["one-site", "pair", "four-sites"])
-def test_one_dimensional_inputs_match_all_bisectors(points, monkeypatch):
+def test_one_dimensional_inputs_match_all_bisectors(points):
     p = PointConfiguration.from_points(points)
     for furthest in (False, True):
         assert [nb.tolist() for nb in delaunay_neighbours(p, furthest)] == \
@@ -142,22 +226,33 @@ def test_one_dimensional_inputs_match_all_bisectors(points, monkeypatch):
         assert system.union_volume(1.5) == pytest.approx(3.0, rel=REL)
         assert system.intersection_volume(1.5) == pytest.approx(3.0, rel=REL)
         return
-    assert_same_system(p, monkeypatch)
-    assert_same_system(p, monkeypatch, r_max=0.7 * p.diameter)
+    assert_same_system(p)
+    assert_same_system(p, r_max=0.7 * p.diameter)
 
 
-@pytest.mark.parametrize("points", [
-    [[0, 0], [1, 0], [1, 1], [0, 1]],                               # unit square
-    [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],    # unit cube
-    [[0, 0], [2, 0], [1, 0], [2, 1], [0, 1], [0.7, 0.4]],           # hull-edge point
+@pytest.mark.parametrize("points, families, faces", [
+    # 5 edges, the diagonal's face is a point
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], ["nearest"], {2: 4, 1: 4}),
+    # 12 hull triangles, whose faces are rays, and 12 cube edges; the faces
+    # of inner triangles, face and body diagonals are the centre
+    ([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], ["nearest"],
+     {3: 8, 2: 12, 1: 12}),
+    # a hull-edge point; the farthest family is a cocircular rectangle
+    ([[0, 0], [2, 0], [1, 0], [2, 1], [0, 1], [0.7, 0.4]], ["nearest", "farthest"],
+     {2: 6 + 4, 1: 10 + 4}),
 ], ids=["unit-square", "unit-cube", "hull-edge"])
-def test_degenerate_inputs_match_all_bisectors(points, monkeypatch):
+def test_degenerate_inputs_match_all_bisectors(points, families, faces, lattice_builds):
     p = PointConfiguration.from_points(points)
-    assert_same_system(p, monkeypatch)
-    assert_same_system(p, monkeypatch, r_max=0.7 * p.diameter)
+    assert_same_system(p)
+    # faces of zero extent are dropped; qhull cannot build the furthest-site
+    # triangulation of the cospherical square and cube, whose farthest
+    # regions then come from bisectors
+    assert lattice_builds["families"] == families
+    assert lattice_builds["faces"] == faces
+    assert_same_system(p, r_max=0.7 * p.diameter)
 
 
-def test_large_offset_matches_all_bisectors(monkeypatch):
+def test_large_offset_matches_all_bisectors():
     # sites a few units apart, 1e6 away from the origin (the far box of the
     # max-margin solve then cancels in its roundoff test)
     base = np.array([[0.0, 0.0], [10.0, 1.0], [4.0, 9.0], [-6.0, 7.0], [-8.0, -3.0],
@@ -167,7 +262,7 @@ def test_large_offset_matches_all_bisectors(monkeypatch):
             for nb in delaunay_neighbours(offset, furthest=True)] == \
            [None if nb is None else nb.tolist()
             for nb in delaunay_neighbours(PointConfiguration.from_points(base), True)]
-    pruned = assert_same_system(offset, monkeypatch, r_max=3.0 * offset.diameter)
+    pruned = assert_same_system(offset, r_max=3.0 * offset.diameter)
     unshifted = BallSystem(PointConfiguration.from_points(base), 3.0 * offset.diameter)
     radii = np.linspace(0.1, 2.9, 8) * offset.diameter
     # coordinates of 1e6 leave about 1e-10 of relative precision in the sites
@@ -175,10 +270,36 @@ def test_large_offset_matches_all_bisectors(monkeypatch):
                                                        rel=1e-8)
 
 
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+CUBE = np.array(list(itertools.product(range(2), repeat=3)), dtype=float)
+
+
+@pytest.mark.parametrize("sites, moved, j", [
+    # the corner (0, 1) moved by 1e-9 gives a diagonal face of length ~1e-9
+    # that facet extraction cannot call a face or not
+    (SQUARE, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-9, 1.0]]), 1e-9),
+    # sites moved by 1e-6 split the cube's centre into Voronoi vertices 1e-6
+    # apart, joined by thin faces whose profiles halve pieces finer than the
+    # spacing of doubles near their onsets
+    (CUBE, CUBE + 1e-6 * np.random.default_rng([6, 7]).standard_normal(CUBE.shape), 1e-6),
+], ids=["square-corner", "cube-jitter"])
+def test_jittered_lattice_matches_the_lattice(sites, moved, j):
+    got = BallSystem(PointConfiguration.from_points(moved), np.inf)
+    want = BallSystem(PointConfiguration.from_points(sites), np.inf)
+    radii = np.linspace(0.05, 2.0, 27)
+    ball = unit_ball_volume(sites.shape[1]) * radii ** sites.shape[1]
+    # boundaries move by O(sqrt(j)) just past an onset; volumes by O(j)
+    for f in ("union_volume", "intersection_volume"):
+        assert np.max(np.abs(getattr(got, f)(radii) - getattr(want, f)(radii)) / ball) < 10 * j
+
+
 def test_ambiguous_facet_error_names_region():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-9, 1.0]])
+    # the same quadrilateral in a plane of E^3: its regions are prisms, cut
+    # out by bisectors and passed through facet extraction
+    pts = embed(PointConfiguration.from_points(
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-9, 1.0]]), 3)
     with pytest.raises(GeometryError) as err:
-        BallSystem(PointConfiguration.from_points(pts), np.inf)
+        BallSystem(pts, np.inf)
     msg = str(err.value)
     assert msg.startswith("facet dimension numerically ambiguous")
     assert msg.endswith("(nearest region of site 1)")

@@ -262,7 +262,7 @@ def test_tied_onsets_lifted_two_dimensions_build(name):
 def test_tied_onsets_lifted_one_dimension_build():
     q = embed(PointConfiguration.from_points(tied_onset_sets()["2d-N6"]), 3)
     system = BallSystem(q, np.inf)
-    m, _, method = reference_mean_width(q)
+    m, _, method, _ = reference_mean_width(q)
     assert method == "exact2d+lift"
     assert system.laurent_coefficients("union")[1] == pytest.approx(m, rel=REL)
     assert system.laurent_coefficients("intersection")[1] == pytest.approx(-m, rel=REL)
