@@ -157,7 +157,7 @@ def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
         _, svals, vt = np.linalg.svd(centered)
         rank = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
         if rank == 3:
-            res = mean_width_edge_sum_3d(p, calibrate(3, 3))
+            res = mean_width_edge_sum_3d(p)
             return res.value, res.stderr, res.method, 0
         # flat configuration (a point has width 0): measure in its own plane,
         # lift by c_{2,3}

@@ -8,17 +8,18 @@ polyhedral set, so its radial volume profile comes from the recursive ODE
 engine; summing profiles per site gives exact volumes, and summing the ODE
 right-hand sides gives exact boundary measures.
 
-For sites spanning E^n (n >= 2) the regions' faces are read off the Delaunay
-triangulation (the furthest-site one for farthest regions; N = n + 1 sites
-are their own simplex): the face dual to a simplex sigma has its base point
-at sigma's circumcentre and its facets dual to the simplices one site
-larger, so each face profile is built once per simplex and shared by its
-sites, with no facet extraction.  The fallbacks cut each region out by the
-bisectors with its Delaunay neighbours and find its facets with
-polyhedra.face_data: sites spanning a lower flat (triangulated in the flat,
-or every other site on a line), a family qhull cannot triangulate or that
-has a site qhull sets aside as coplanar, and a family with an ill-conditioned
-circumcentre (MAX_CIRCUMCENTRE_COND).
+The regions' faces are read off the Delaunay triangulation of the sites in
+the k-flat they span (the furthest-site one for farthest regions; k + 1
+sites are their own simplex, and sites on a line pair up in order along
+it): the face dual to a simplex sigma has its base point at sigma's
+circumcentre and its facets dual to the simplices one site larger, so each
+face profile is built once per simplex and shared by its sites, with no
+facet extraction.  The geometry stays in the sites' own coordinates; only
+the triangulation sees coordinates in the flat.  A family qhull cannot
+triangulate, that has a site qhull sets aside as coplanar, or that has an
+ill-conditioned circumcentre (MAX_CIRCUMCENTRE_COND) falls back to cutting
+each region out by all the bisectors and finding its facets with
+polyhedra.face_data.
 
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
@@ -83,77 +84,34 @@ def _affine_rank(centred: np.ndarray) -> tuple[int, np.ndarray]:
     return int(np.sum(svals > 1e-12 * svals[0])), vt
 
 
-def delaunay_neighbours(p: PointConfiguration,
-                        furthest: bool = False) -> list[np.ndarray | None]:
-    """Per site, the other sites whose bisectors can bound its Voronoi region.
-
-    These are the site's neighbours in the Delaunay triangulation (nearest
-    regions) or the furthest-site triangulation (farthest regions), in
-    ascending order.  A site in no furthest-site simplex is not a hull vertex,
-    so its farthest region is empty or lower-dimensional: its entry is None.
-    Sites spanning a k-flat with 2 <= k < n are triangulated in that flat:
-    their regions are prisms over the flat's regions, cut out by the same
-    bisectors.  Every other site is listed when the sites span a line or a
-    point, when qhull cannot triangulate (such as cospherical sites for the
-    furthest-site triangulation), and for a site qhull sets aside as
-    coplanar; such a site also joins every other list.
-    """
-    n_pts = p.n_points
-    every_other = [np.delete(np.arange(n_pts), i) for i in range(n_pts)]
-    centred = p.points - p.points.mean(axis=0)
-    rank, vt = _affine_rank(centred)
-    if rank < 2:
-        return every_other
-    if rank < p.dimension:
-        centred = centred @ vt[:rank].T
-    try:
-        tri = Delaunay(centred, furthest_site=furthest)
-    except QhullError:
-        return every_other
-    indptr, indices = tri.vertex_neighbor_vertices
-    in_simplex = np.zeros(n_pts, dtype=bool)
-    in_simplex[tri.simplices.ravel()] = True
-    set_aside = np.unique(tri.coplanar[:, 0])
-    out: list[np.ndarray | None] = []
-    for i in range(n_pts):
-        if i in set_aside or (not furthest and not in_simplex[i]):
-            out.append(every_other[i])
-        elif in_simplex[i]:
-            nb = np.union1d(indices[indptr[i]:indptr[i + 1]], set_aside)
-            out.append(nb[nb != i])
-        else:
-            out.append(None)
-    return out
-
-
-def _voronoi(p: PointConfiguration, kind: str, i: int, neighbours) -> VoronoiRegion:
-    """Region of site i cut out by the bisectors with the sites in neighbours."""
+def _voronoi(p: PointConfiguration, kind: str, i: int) -> VoronoiRegion:
+    """Region of site i cut out by the bisectors with every other site."""
     pts = p.points
-    hs = tuple(_bisector(pts[i], pts[j]) for j in neighbours)
+    hs = tuple(_bisector(pts[i], pts[j]) for j in range(p.n_points) if j != i)
     if kind == "farthest":
         hs = tuple(h.flipped() for h in hs)
     return VoronoiRegion(kind=kind, site_index=i, region=PolyhedralSet(p.dimension, hs))
 
 
-def _all_bisector_voronoi(p: PointConfiguration, kind: str, i: int) -> VoronoiRegion:
+def _checked_voronoi(p: PointConfiguration, kind: str, i: int) -> VoronoiRegion:
     _check_distinct(p)
     if not 0 <= i < p.n_points:
         raise InputError(f"site index {i} out of range")
-    return _voronoi(p, kind, i, [j for j in range(p.n_points) if j != i])
+    return _voronoi(p, kind, i)
 
 
 def nearest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
     """Nearest-point region of site i: all bisector halfspaces toward i."""
-    return _all_bisector_voronoi(p, "nearest", i)
+    return _checked_voronoi(p, "nearest", i)
 
 
 def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
     """Farthest-point region of site i (may be empty for interior sites)."""
-    return _all_bisector_voronoi(p, "farthest", i)
+    return _checked_voronoi(p, "farthest", i)
 
 
 # ---------------------------------------------------------------------------
-# the face lattice of a full-rank triangulation
+# the face lattice of a triangulation in the sites' flat
 # ---------------------------------------------------------------------------
 
 # A family whose circumcentre solves are worse conditioned than this is built
@@ -162,17 +120,25 @@ def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
 MAX_CIRCUMCENTRE_COND = 1e8
 
 
-def _full_rank_simplices(centred: np.ndarray, furthest: bool) -> np.ndarray | None:
-    """Simplices of the (furthest-site) Delaunay triangulation of full-rank sites.
+def _triangulation(centred: np.ndarray, rank: int, basis: np.ndarray,
+                   furthest: bool) -> np.ndarray | None:
+    """Simplices of the (furthest-site) Delaunay triangulation of the sites in their flat.
 
-    N = n + 1 sites are their own simplex.  None when qhull fails or sets a
-    site aside as coplanar.
+    The sites span a flat of dimension rank along the first rank rows of
+    basis.  rank + 1 sites are their own simplex; sites on a line pair up
+    with their neighbours in order along it (the furthest-site triangulation
+    is the outermost pair); otherwise qhull triangulates their coordinates
+    in the flat.  None when qhull fails or sets a site aside as coplanar.
     """
     n_pts, n = centred.shape
-    if n_pts == n + 1:
+    if n_pts == rank + 1:
         return np.arange(n_pts)[None, :]
+    if rank == 1:
+        order = np.argsort(centred @ basis[0])
+        return order[None, [0, -1]] if furthest else np.column_stack((order[:-1], order[1:]))
     try:
-        tri = Delaunay(centred, furthest_site=furthest)
+        tri = Delaunay(centred if rank == n else centred @ basis[:rank].T,
+                       furthest_site=furthest)
     except QhullError:
         return None
     return None if tri.coplanar.size else tri.simplices
@@ -193,8 +159,11 @@ def _circumcentres(points: np.ndarray, groups: np.ndarray):
     u, svals, vt = np.linalg.svd(edges)
     if not np.all(svals[:, -1] * MAX_CIRCUMCENTRE_COND > svals[:, 0]):
         return None
-    # the centre is p_0 + x with 2 <x, e_j> = |e_j|^2 and x in the span of the edges
     m = edges.shape[1]
+    if m == 1:
+        # the midpoint, free of the solve's rounding
+        return 0.5 * (verts[:, 0] + verts[:, 1]), vt[:, 1:]
+    # the centre is p_0 + x with 2 <x, e_j> = |e_j|^2 and x in the span of the edges
     y = np.einsum("kji,kj->ki", u, 0.5 * np.sum(edges * edges, axis=2)) / svals
     return verts[:, 0] + np.einsum("ki,kin->kn", y, vt[:, :m]), vt[:, m:]
 
@@ -203,29 +172,38 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
                       r_max: float, scale: float) -> list | None:
     """Per-site region profiles of one family, read off its triangulation.
 
-    The face of a region dual to the simplex sigma is the set F_sigma of
-    points equidistant from sigma's sites and nearer to (farther from) them
-    than to every other site.  Its base point is sigma's circumcentre
-    c_sigma, whichever site the recursion started from, so its profile is
-    built once and shared by every site of sigma.  Its facets are the faces
-    F_tau of the simplices tau = sigma + {k} in the triangulation, at
-    distance |c_tau - c_sigma|, with the sign of |c_sigma - p_k| - R_sigma
-    (reversed for farthest regions).  Faces of zero extent (sites on a
-    common sphere) are dropped.  Returns None when a circumcentre solve is
-    ill-conditioned.
+    The sites span a k-flat of E^n and the simplices (k + 1 sites each)
+    triangulate it.  The face of a region dual to the simplex sigma is the
+    set F_sigma of points equidistant from sigma's sites and nearer to
+    (farther from) them than to every other site.  Its base point is sigma's
+    circumcentre c_sigma, whichever site the recursion started from, so its
+    profile is built once and shared by every site of sigma.  The face of a
+    full simplex is the (n - k)-flat through its centre; the facets of any
+    other face are the faces F_tau of the simplices tau = sigma + {j} in the
+    triangulation, at distance |c_tau - c_sigma|, with the sign of
+    |c_sigma - p_j| - R_sigma (reversed for farthest regions).  Faces of zero
+    extent (sites on a common sphere) are dropped.  Returns None when a
+    circumcentre solve is ill-conditioned.
     """
     lattice = _Lattice(points, simplices, kind == "nearest", scale)
     n = points.shape[1]
-    by_size: list[dict] = [{} for _ in range(n + 1)]    # sigma -> its full simplices
+    k = simplices.shape[1] - 1
+    by_size: list[dict] = [{} for _ in range(k + 1)]    # sigma -> its full simplices
     for t, simplex in enumerate(lattice.full):
-        for m in range(1, n + 1):
+        for m in range(1, k + 1):
             for sigma in itertools.combinations(simplex, m):
                 by_size[m].setdefault(sigma, []).append(t)
     solved = _circumcentres(points, np.array(lattice.full))
     if solved is None:
         return None
     lattice.vertices = solved[0]
-    for m in range(n, 0, -1):
+    # the n - k directions off the sites' flat, along which every face extends
+    lattice.off_flat = scale * solved[1][0]
+    flat = None if k == n else _profile_from_faces(n - k, 1.0, [], np.inf, 0.0, scale)
+    for simplex, c in zip(lattice.full, lattice.vertices):
+        lattice.centre[tuple(simplex)] = c
+        lattice.profile[tuple(simplex)] = flat
+    for m in range(k, 0, -1):
         faces = list(by_size[m])
         solved = _circumcentres(points, np.array(faces))
         if solved is None:
@@ -233,9 +211,11 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
         for sigma, c, normal in zip(faces, *solved):
             lattice.centre[sigma] = c
             star = by_size[m][sigma]
+            if m == k and len(star) == 1:
+                lattice.add_ray(sigma, star[0], c, normal)
             try:
                 lattice.profile[sigma] = (
-                    lattice.segment(sigma, star, c, normal[0]) if m == n else
+                    lattice.segment(sigma, star, c, normal[0]) if normal.shape[0] == 1 else
                     lattice.face(sigma, star, c, normal, r_max if m == 1 else np.inf))
             except (GeometryError, NumericalError) as exc:
                 where = f"region of site {sigma[0]}" if m == 1 else f"face of sites {sigma}"
@@ -244,7 +224,7 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
 
 
 class _Lattice:
-    """Face profiles of one family, built from the 1-d faces up to the regions."""
+    """Face profiles of one family, built from the smallest faces up to the regions."""
 
     def __init__(self, points, simplices, nearest: bool, scale: float):
         self.points = points
@@ -253,9 +233,21 @@ class _Lattice:
         self.scale = scale
         self.tol = 1e-12 * scale
         self.vertices = None        # circumcentres of the full simplices
+        self.off_flat = None        # directions off the sites' flat, times scale
         self.centre: dict = {}      # sigma -> c_sigma
-        self.profile: dict = {}     # sigma -> profile of F_sigma, None if flat
-        self.rays: dict = {}        # sigma -> direction, for 1-d faces that are rays
+        self.profile: dict = {}     # sigma -> profile of F_sigma, None if of zero extent
+        self.rays: dict = {}        # ridge -> line along which its face runs off
+
+    def add_ray(self, sigma, t, c, normal):
+        """Record the ray of the hull ridge sigma, whose face leaves simplex t's centre.
+
+        It runs along the component of p_j - c_sigma in sigma's normal
+        space, j the other site of t (away from p_j for nearest regions,
+        toward it for farthest ones; only its line enters the extent test).
+        """
+        j = next(v for v in self.full[t] if v not in sigma)
+        v = normal.T @ (normal @ (self.points[j] - c))
+        self.rays[sigma] = v / np.linalg.norm(v)
 
     def segment(self, sigma, star, c, u):
         """Exact profile of the 1-d face F_sigma about c_sigma, or None if a point.
@@ -273,18 +265,17 @@ class _Lattice:
                 b = min(b, end)
             else:
                 a = max(a, end)
-        if len(star) == 1:
-            self.rays[sigma] = u if math.isinf(b) else -u
         if b - a <= 2.0 * self.tol:
             return None
         return _interval_profile(a, b, 0.0)
 
     def face(self, sigma, star, c, normal, r_max):
-        """Profile of the face F_sigma (dimension >= 2) about c_sigma, or None if flat."""
+        """Profile of the face F_sigma (dimension >= 2) about c_sigma; None at zero extent."""
         d = normal.shape[0]
-        # F_sigma is the hull of its vertices plus the cone of its rays: it
-        # has zero extent unless their differences span its d directions
-        spans = [self.vertices[star[1:]] - self.vertices[star[0]]]
+        # F_sigma is the hull of its vertices plus the cone of its rays, times
+        # the directions off the flat: it has zero extent unless their
+        # differences span its d directions
+        spans = [self.vertices[star[1:]] - self.vertices[star[0]], self.off_flat]
         cofaces = {}                # tau -> the site k of tau = sigma + {k}
         for t in star:
             for k in self.full[t]:
@@ -329,11 +320,10 @@ class BallSystem:
     and union_volume, intersection_volume, union_boundary and
     intersection_boundary sum them at a radius or a whole array of radii in
     one pass, so radius scans (threshold searches, Laurent windows) stay
-    cheap.  For sites spanning E^n, n >= 2, the sites of a Delaunay simplex
-    share its face's profile (see the module docstring).  Sums reduce in
-    ascending site order.  Built with r_max = np.inf,
-    the system also carries the exact leading Laurent coefficients of both
-    volume functions.
+    cheap.  The sites of a Delaunay simplex share its face's profile (see
+    the module docstring).  Sums reduce in ascending site order.  Built with
+    r_max = np.inf, the system also carries the exact leading Laurent
+    coefficients of both volume functions.
     """
 
     def __init__(self, p: PointConfiguration, r_max: float):
@@ -347,16 +337,12 @@ class BallSystem:
         # the facet tolerances, which scale with the halfspace offsets, relative
         # to the configuration's extent rather than to its distance from 0
         centred = PointConfiguration(p.dimension, p.points - p.points.mean(axis=0))
-        full_rank = (p.dimension >= 2
-                     and _affine_rank(centred.points)[0] == p.dimension)
+        rank, basis = _affine_rank(centred.points)
 
-        def build(kind: str, i: int, others) -> RadialVolumeProfile | None:
-            # a site in no furthest-site simplex has an empty or flat farthest
-            # region; nearest regions always contain their site with positive
-            # margin, and lower-dimensional farthest regions contribute 0
-            if others is None:
-                return None
-            region = _voronoi(centred, kind, i, others).region
+        def build(kind: str, i: int) -> RadialVolumeProfile | None:
+            # lower-dimensional farthest regions contribute 0; nearest regions
+            # always contain their site with positive margin
+            region = _voronoi(centred, kind, i).region
             if kind == "farthest" and region.feasibility_margin() <= 1e-9 * scale:
                 return None
             try:
@@ -365,16 +351,13 @@ class BallSystem:
                 raise type(exc)(f"{exc} ({kind} region of site {i})") from exc
 
         def family(kind: str) -> list:
-            furthest = kind == "farthest"
-            if full_rank:
-                simplices = _full_rank_simplices(centred.points, furthest)
-                if simplices is not None:
-                    profiles = _lattice_profiles(centred.points, simplices, kind,
-                                                 self.r_max, scale)
-                    if profiles is not None:
-                        return profiles
-            nbs = delaunay_neighbours(p, furthest=furthest)
-            return [build(kind, i, others) for i, others in enumerate(nbs)]
+            simplices = _triangulation(centred.points, rank, basis, kind == "farthest")
+            if simplices is not None:
+                profiles = _lattice_profiles(centred.points, simplices, kind,
+                                             self.r_max, scale)
+                if profiles is not None:
+                    return profiles
+            return [build(kind, i) for i in range(p.n_points)]
 
         self.nearest_profiles = family("nearest")
         self.farthest_profiles = family("farthest")

@@ -39,8 +39,7 @@ from .ball_volumes import BallSystem, mc_ball_volume
 from .configurations import (PointConfiguration, load_configuration,
                              random_expansion, save_configuration)
 from .errors import GeometryError, InputError, KpvError, NumericalError
-from .meanwidth import calibrate, mean_width_edge_sum_3d, mean_width_exact_2d, \
-    mean_width_quadrature
+from .meanwidth import mean_width_edge_sum_3d, mean_width_exact_2d, mean_width_quadrature
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -278,7 +277,7 @@ def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
         res = {"value": r.value, "stderr": r.stderr, "method": r.method,
                "nodes_used": r.nodes_used}
     elif method in ("edge_sum", "edge_sum_3d"):
-        r = mean_width_edge_sum_3d(config, calibrate(3, 3))
+        r = mean_width_edge_sum_3d(config)
         res = {"value": r.value, "stderr": r.stderr, "method": r.method,
                "nodes_used": r.nodes_used}
     else:

@@ -198,11 +198,9 @@ def edge_functional_3d(points: PointConfiguration) -> float:
     return sum(e.exterior_angle * e.length for e in edge_curvatures_3d(points))
 
 
-def mean_width_edge_sum_3d(points: PointConfiguration,
-                           c: CalibrationConstant) -> MeanWidthResult:
+def mean_width_edge_sum_3d(points: PointConfiguration) -> MeanWidthResult:
     """Mean width from the edge functional: c * sum(beta * d), c = calibrate(3, 3)."""
-    if not (c.n0 == 3 and c.n == 3):
-        raise InputError("edge-sum evaluation needs the constant from calibrate(3, 3)")
+    c = calibrate(3, 3)
     s = edge_functional_3d(points)
     return MeanWidthResult(value=c.value * s, method="edge_sum_3d",
                            stderr=_STDERR_FLOOR * (1 + c.value * s), nodes_used=0)

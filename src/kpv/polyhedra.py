@@ -10,11 +10,9 @@ Feasibility and facet-dimension questions are decided by a small max-margin
 problem solved by exhaustive vertex enumeration, which is exact at desk scale
 (dimension <= 4, a dozen constraints) and avoids a general LP dependency.
 Its cost grows combinatorially with the number of halfspaces.  BallSystem
-reads the faces of full-rank site sets off their Delaunay triangulation and
-does not come here; only its fallbacks (see ball_volumes) pass Voronoi
-regions to facet extraction, cut out by their Delaunay neighbours'
-bisectors, and the induced faces of such a region still carry every other
-halfspace of that region.
+reads the faces of its regions off the sites' Delaunay triangulation and
+does not come here; only its fallback (see ball_volumes) passes Voronoi
+regions cut out by all the bisectors to facet extraction.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ from kpv.ball_volumes import BallSystem, _distance_hits, mc_ball_volume
 from kpv.configurations import (PointConfiguration, are_congruent, embed,
                                 random_expansion)
 from kpv.errors import GeometryError
-from kpv.meanwidth import (calibrate, mean_width_edge_sum_3d,
-                           mean_width_exact_2d, mean_width_quadrature)
+from kpv.meanwidth import mean_width_edge_sum_3d, mean_width_exact_2d, mean_width_quadrature
 from kpv.polyhedra import Halfspace, PolyhedralSet
 from kpv.truncated_volume import (RadiusGrid, check_ww_lemma, unit_ball_volume,
                                   volume_profile)
@@ -118,11 +117,10 @@ def test_criterion_03_mean_width_cross_method():
         exact = mean_width_exact_2d(cfg)
         quad = mean_width_quadrature(cfg, 4096)
         assert abs(exact.value - quad.value) <= 3.0 * quad.stderr
-    c33 = calibrate(3, 3)
     for k in range(25):
         n_pts = int(rng.integers(4, 10))
         cfg = PointConfiguration.from_points(rng.uniform(-1, 1, size=(n_pts, 3)))
-        es = mean_width_edge_sum_3d(cfg, c33)
+        es = mean_width_edge_sum_3d(cfg)
         quad = mean_width_quadrature(cfg, 40_000, seed=500 + k)
         combined = math.hypot(es.stderr, quad.stderr)
         assert abs(es.value - quad.value) <= 3.0 * combined, (

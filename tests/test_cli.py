@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import kpv.cli
+from kpv.asymptotics import CheckReport
 from kpv.ball_volumes import BallSystem, mc_ball_volume
 from kpv.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED,
                      ExperimentSpec, main, run)
@@ -56,10 +58,13 @@ def test_missing_config_exits_2(tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_verify_failure_exit_code(two_disks, tmp_path):
+def test_verify_failure_exit_code(two_disks, tmp_path, monkeypatch):
+    # a false claim: its gap exceeds its tolerance
+    false_claim = CheckReport(claim="csikos", lhs=1.0, rhs=0.0, gap=1.0, tolerance=1e-9,
+                              passed=False)
+    monkeypatch.setattr(kpv.cli, "verify_csikos", lambda config: [false_claim])
     out = tmp_path / "rep.json"
-    code = main(["verify", "csikos", "--config", two_disks,
-                 "--tol", "1e-30", "--out", str(out)])
+    code = main(["verify", "csikos", "--config", two_disks, "--out", str(out)])
     assert code == EXIT_VERIFY_FAILED
     report = json.loads(out.read_text())
     assert report["results"]["all_pass"] is False

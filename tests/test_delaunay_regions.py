@@ -1,12 +1,11 @@
 """BallSystem against Voronoi regions cut out by all N-1 bisectors.
 
-For full-rank sites BallSystem reads every region's faces off the Delaunay
-(nearest) or furthest-site Delaunay (farthest) triangulation and shares one
-profile per simplex; otherwise it cuts each region out by its Delaunay
-neighbours' bisectors.  The reference here cuts each region out by all N-1
-bisectors with nearest_voronoi / farthest_voronoi and finds its facets with
-face_data inside volume_profile, one site at a time; the two must give the
-same volumes, boundaries and Laurent coefficients.
+BallSystem reads every region's faces off the Delaunay (nearest) or
+furthest-site Delaunay (farthest) triangulation of the sites in their own
+flat and shares one profile per simplex.  The reference here cuts each region
+out by all N-1 bisectors with nearest_voronoi / farthest_voronoi and finds
+its facets with face_data inside volume_profile, one site at a time; the two
+must give the same volumes, boundaries and Laurent coefficients.
 """
 
 import itertools
@@ -19,11 +18,9 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from kpv import ball_volumes, polyhedra, truncated_volume
-from kpv.ball_volumes import (BallSystem, delaunay_neighbours, farthest_voronoi,
-                              nearest_voronoi)
+from kpv.ball_volumes import BallSystem, farthest_voronoi, nearest_voronoi
 from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError
-from kpv.polyhedra import face_data
 from kpv.truncated_volume import unit_ball_volume, volume_profile
 
 from conftest import random_config, random_orthogonal
@@ -93,8 +90,9 @@ def test_pruned_system_matches_all_bisectors(dim, n_pts, seed):
     assert_same_system(p)
 
 
-def test_many_site_build_solves_few_margin_problems(monkeypatch):
-    """2-d N=60 to 0.15 diam: no max-margin solve (8117 with all bisectors)."""
+@pytest.fixture
+def max_margin_solves(monkeypatch):
+    """Calls of the max-margin solve, under both names it is held by."""
     solve = polyhedra._solve_max_margin
     calls = []
 
@@ -103,9 +101,22 @@ def test_many_site_build_solves_few_margin_problems(monkeypatch):
         return solve(*args, **kwargs)
     monkeypatch.setattr(polyhedra, "_solve_max_margin", counted)
     monkeypatch.setattr(truncated_volume, "_solve_max_margin", counted)
+    return calls
+
+
+def test_many_site_build_solves_few_margin_problems(max_margin_solves):
+    """2-d N=60 to 0.15 diam: no max-margin solve (8117 with all bisectors)."""
     p = random_config(np.random.default_rng(3), 2, 60)
     BallSystem(p, 0.15 * p.diameter)
-    assert len(calls) == 0
+    assert len(max_margin_solves) == 0
+
+
+def test_lifted_build_solves_no_margin_problems(max_margin_solves, lattice_builds):
+    """2-d N=20 in E^4 to 3 diam: both families on the lattice, no max-margin solve."""
+    p = PointConfiguration.from_points(np.random.default_rng(0).uniform(-1, 1, (20, 2)))
+    BallSystem(embed(p, 4), 3.0 * p.diameter)
+    assert lattice_builds["families"] == ["nearest", "farthest"]
+    assert len(max_margin_solves) == 0
 
 
 @pytest.fixture
@@ -164,34 +175,22 @@ def test_face_error_names_family_and_simplex(monkeypatch):
         BallSystem(p, np.inf)
 
 
-@pytest.mark.parametrize("dim, n_pts", [(2, 24), (3, 10)])
-def test_pruned_regions_keep_every_facet(dim, n_pts, rng):
-    """Each region's genuine facets are the same hyperplanes either way."""
-    p = random_config(rng, dim, n_pts)
-    for builder, kind in ((nearest_voronoi, "nearest"), (farthest_voronoi, "farthest")):
-        for i, nb in enumerate(delaunay_neighbours(p, kind == "farthest")):
-            full = builder(p, i).region
-            if nb is None:
-                assert full.feasibility_margin() <= 1e-9 * p.diameter
-                continue
-            pruned = ball_volumes._voronoi(p, kind, i, nb).region
-
-            def facets(P):
-                return sorted((tuple(np.round(P.halfspaces[f.face_index].normal, 12)),
-                               round(P.halfspaces[f.face_index].offset, 12))
-                              for f in face_data(P, p.points[i]))
-            assert facets(pruned) == facets(full)
-
-
 def test_farthest_neighbours_skip_interior_and_hull_edge_sites():
-    # site 2 is on the bottom hull edge, site 5 inside the hull
+    # site 2 is on the bottom hull edge, site 5 inside the hull: neither is
+    # in a furthest-site simplex
     p = PointConfiguration.from_points(
         [[0, 0], [2, 0], [1, 0], [2, 1], [0, 1], [0.7, 0.4]])
-    far = delaunay_neighbours(p, furthest=True)
+    system = BallSystem(p, np.inf)
+    far = system.farthest_profiles
     assert far[2] is None and far[5] is None
     assert all(far[i] is not None for i in (0, 1, 3, 4))
-    near = delaunay_neighbours(p)
-    assert all(nb is not None and i not in nb for i, nb in enumerate(near))
+    assert all(prof is not None for prof in system.nearest_profiles)
+
+
+def lifted(dim, n_pts):
+    """Random sites as verify lift embeds them in E^(n+2)."""
+    p = random_config(np.random.default_rng([dim, n_pts]), dim, n_pts)
+    return embed(p, dim + 2).points.tolist()
 
 
 @pytest.mark.parametrize("points", [
@@ -201,33 +200,33 @@ def test_farthest_neighbours_skip_interior_and_hull_edge_sites():
     [[0, 0], [1, 0], [0.3, 0.8]],
     [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]],
+    lifted(2, 3), lifted(2, 6), lifted(2, 12), lifted(3, 5),
 ], ids=["collinear-2d", "coplanar-3d", "pair-2d", "triangle-2d", "triangle-3d",
-        "tetrahedron-3d"])
-def test_fallback_inputs_match_all_bisectors(points):
+        "tetrahedron-3d", "lifted-2d-N3", "lifted-2d-N6", "lifted-2d-N12", "lifted-3d-N5"])
+def test_fallback_inputs_match_all_bisectors(points, lattice_builds):
+    # sites in a lower flat are triangulated in it, and their regions are
+    # prisms over the flat's regions; k + 1 sites spanning a k-flat are
+    # their own simplex
     p = PointConfiguration.from_points(points)
-    lists = delaunay_neighbours(p) + delaunay_neighbours(p, furthest=True)
-    if len(points) <= p.dimension + 1:
-        # too few sites for one of the triangulations: every other site is used
-        assert any(nb is not None and len(nb) == p.n_points - 1 for nb in lists)
     assert_same_system(p)
     assert_same_system(p, r_max=0.7 * p.diameter)
+    assert lattice_builds["families"] == ["nearest", "farthest"] * 2
 
 
 @pytest.mark.parametrize("points", [[[0.0]], [[0.0], [1.0]], [[0.0], [2.5], [1.0], [-0.4]]],
                          ids=["one-site", "pair", "four-sites"])
-def test_one_dimensional_inputs_match_all_bisectors(points):
+def test_one_dimensional_inputs_match_all_bisectors(points, lattice_builds):
     p = PointConfiguration.from_points(points)
-    for furthest in (False, True):
-        assert [nb.tolist() for nb in delaunay_neighbours(p, furthest)] == \
-               [[j for j in range(p.n_points) if j != i] for i in range(p.n_points)]
     if p.n_points == 1:
         # one unit interval: union and intersection of length 2r
         system = BallSystem(p, 10.0)
         assert system.union_volume(1.5) == pytest.approx(3.0, rel=REL)
         assert system.intersection_volume(1.5) == pytest.approx(3.0, rel=REL)
+        assert lattice_builds["families"] == ["nearest", "farthest"]
         return
     assert_same_system(p)
     assert_same_system(p, r_max=0.7 * p.diameter)
+    assert lattice_builds["families"] == ["nearest", "farthest"] * 2
 
 
 @pytest.mark.parametrize("points, families, faces", [
@@ -252,17 +251,14 @@ def test_degenerate_inputs_match_all_bisectors(points, families, faces, lattice_
     assert_same_system(p, r_max=0.7 * p.diameter)
 
 
-def test_large_offset_matches_all_bisectors():
+def test_large_offset_matches_all_bisectors(lattice_builds):
     # sites a few units apart, 1e6 away from the origin (the far box of the
     # max-margin solve then cancels in its roundoff test)
     base = np.array([[0.0, 0.0], [10.0, 1.0], [4.0, 9.0], [-6.0, 7.0], [-8.0, -3.0],
                      [1.0, -9.0], [9.0, -7.0], [2.0, 3.0], [-3.0, -1.0]])
     offset = PointConfiguration.from_points(base + 1e6)
-    assert [None if nb is None else nb.tolist()
-            for nb in delaunay_neighbours(offset, furthest=True)] == \
-           [None if nb is None else nb.tolist()
-            for nb in delaunay_neighbours(PointConfiguration.from_points(base), True)]
     pruned = assert_same_system(offset, r_max=3.0 * offset.diameter)
+    assert lattice_builds["families"] == ["nearest", "farthest"]
     unshifted = BallSystem(PointConfiguration.from_points(base), 3.0 * offset.diameter)
     radii = np.linspace(0.1, 2.9, 8) * offset.diameter
     # coordinates of 1e6 leave about 1e-10 of relative precision in the sites
@@ -294,15 +290,16 @@ def test_jittered_lattice_matches_the_lattice(sites, moved, j):
 
 
 def test_ambiguous_facet_error_names_region():
-    # the same quadrilateral in a plane of E^3: its regions are prisms, cut
-    # out by bisectors and passed through facet extraction
-    pts = embed(PointConfiguration.from_points(
-        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-9, 1.0]]), 3)
+    # the unit cube with corner (1, 1, 1) moved by 1e-9: the nearest
+    # triangulation has sliver tetrahedra, so that family is cut out by
+    # bisectors and passed through facet extraction
+    pts = CUBE.copy()
+    pts[7] += 1e-9
     with pytest.raises(GeometryError) as err:
-        BallSystem(pts, np.inf)
+        BallSystem(PointConfiguration.from_points(pts), np.inf)
     msg = str(err.value)
     assert msg.startswith("facet dimension numerically ambiguous")
-    assert msg.endswith("(nearest region of site 1)")
+    assert msg.endswith("(nearest region of site 3)")
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +341,48 @@ def test_volumes_invariant_under_rigid_motion_and_relabelling_2d(data):
 @given(moved_configuration(3))
 def test_volumes_invariant_under_rigid_motion_and_relabelling_3d(data):
     _invariance(data, 3)
+
+
+# ---------------------------------------------------------------------------
+# flat input: isometric placement and scaling
+# ---------------------------------------------------------------------------
+
+@st.composite
+def planar_lattice(draw):
+    """Distinct planar lattice sites (possibly collinear) and a seed."""
+    n_pts = draw(st.integers(min_value=2, max_value=7))
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=n_pts, max_size=n_pts, unique=True))
+    return np.array(cells, dtype=float), draw(st.integers(0, 2**32 - 1))
+
+
+def _flat_volumes(p, radii):
+    system = BallSystem(p, radii[-1])
+    return np.concatenate([system.union_volume(radii), system.intersection_volume(radii)])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(planar_lattice(), st.sampled_from([3, 4]))
+def test_planar_sets_placed_by_an_isometry_match_their_embedding(data, dim):
+    pts, seed = data
+    rng = np.random.default_rng(seed)
+    flat = embed(PointConfiguration.from_points(pts), dim)
+    placed = PointConfiguration.from_points(
+        flat.points @ random_orthogonal(rng, dim).T + rng.uniform(-5.0, 5.0, dim))
+    radii = np.linspace(0.05, 1.45, 9) * flat.diameter
+    want = _flat_volumes(flat, radii)
+    got = _flat_volumes(placed, radii)
+    ball = unit_ball_volume(dim) * radii[-1] ** dim
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * ball)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(planar_lattice(), st.sampled_from([3, 4]), st.sampled_from([1e-3, 1e3]))
+def test_flat_volumes_scale_as_the_dimension(data, dim, lam):
+    # V(lam P, lam r) = lam^n V(P, r)
+    p = embed(PointConfiguration.from_points(data[0]), dim)
+    radii = np.linspace(0.05, 1.45, 9) * p.diameter
+    want = lam ** dim * _flat_volumes(p, radii)
+    got = _flat_volumes(PointConfiguration.from_points(lam * p.points), lam * radii)
+    ball = unit_ball_volume(dim) * (lam * radii[-1]) ** dim
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * ball)

@@ -103,8 +103,7 @@ def test_edge_curvatures_degenerate_hull():
 
 
 def test_edge_sum_cube_vs_quadrature():
-    c = calibrate(3, 3)
-    es = mean_width_edge_sum_3d(unit_cube(), c)
+    es = mean_width_edge_sum_3d(unit_cube())
     q = mean_width_quadrature(unit_cube(), 200_000, seed=5)
     assert abs(es.value - q.value) <= 3.0 * math.hypot(es.stderr, q.stderr)
     # closed form: M_3[unit cube] = 3 pi with this normalization
@@ -112,9 +111,8 @@ def test_edge_sum_cube_vs_quadrature():
 
 
 def test_edge_sum_tetrahedron_symmetry():
-    c = calibrate(3, 3)
-    res = mean_width_edge_sum_3d(unit_tetrahedron(), c)
-    assert res.value == pytest.approx(c.value * 6.0 * TET_BETA, rel=1e-12)
+    res = mean_width_edge_sum_3d(unit_tetrahedron())
+    assert res.value == pytest.approx(calibrate(3, 3).value * 6.0 * TET_BETA, rel=1e-12)
 
 
 def test_edge_sum_scales_linearly():
@@ -159,9 +157,8 @@ def test_isometry_invariance(rng):
     a = mean_width_quadrature(cfg, 100_000, seed=2)
     b = mean_width_quadrature(moved, 100_000, seed=3)
     assert abs(a.value - b.value) <= 3.0 * math.hypot(a.stderr, b.stderr)
-    c = calibrate(3, 3)
-    ea = mean_width_edge_sum_3d(cfg, c)
-    eb = mean_width_edge_sum_3d(moved, c)
+    ea = mean_width_edge_sum_3d(cfg)
+    eb = mean_width_edge_sum_3d(moved)
     assert ea.value == pytest.approx(eb.value, rel=1e-9)
 
 
