@@ -4,12 +4,11 @@ Union and intersection volumes of N equal balls grow like delta_n r^n with a
 second coefficient equal to +/- the mean width of the hull of the centers.
 This module verifies those asymptotic identities against the mean-width
 module, using the exact Laurent coefficients that every ball system built to
-infinity carries, checks the union/intersection cancellation of the second
-coefficients, checks the dimension-lifting derivative identity against the
-same configuration embedded two dimensions up, and locates the radius
-threshold beyond which all four large-radius rearrangement inequalities hold
-for an expansion pair.  One least-squares fit on a large-radius window
-remains, for the `kpv asymptotics` command, as an independent estimate.
+infinity carries (`kpv asymptotics` reports them to any order), checks the
+union/intersection cancellation of the second coefficients, checks the
+dimension-lifting derivative identity against the same configuration
+embedded two dimensions up, and locates the radius threshold beyond which
+all four large-radius rearrangement inequalities hold for an expansion pair.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ from .errors import GeometryError, InputError, NumericalError
 from .meanwidth import (calibrate, mean_width_edge_sum_3d, mean_width_exact_2d,
                         mean_width_quadrature)
 from .truncated_volume import RadiusGrid, fit_radial_powers, unit_ball_volume
-
-DEFAULT_WINDOW_FACTOR = 10.0
-DEFAULT_WINDOW_SPAN = 100.0
-
 
 @dataclass(frozen=True)
 class LaurentFit:
@@ -100,6 +95,9 @@ class ThresholdResult:
 # Laurent fitting
 # ---------------------------------------------------------------------------
 
+# Not called here: the exact coefficients come from BallSystem.  The tests use
+# this fit as an independent oracle, and bench/tracer.py rebinds it (and
+# truncated_volume.fit_radial_powers), so both stay importable from src.
 def laurent_fit(evaluate, n: int, terms: int, window: RadiusGrid) -> LaurentFit:
     """Least squares of V(r) against sum a_j r^j, j = n .. n-terms+1.
 
@@ -120,22 +118,6 @@ def laurent_fit(evaluate, n: int, terms: int, window: RadiusGrid) -> LaurentFit:
 
 def _config_scale(p: PointConfiguration) -> float:
     return max(p.diameter, 1e-2)
-
-
-def system_and_window(p: PointConfiguration, window: RadiusGrid | None):
-    """The ball system and its Laurent fit window.
-
-    An explicit window bounds the build.  Otherwise the system is built once
-    for every radius and the window [R, 100 R] is taken from its
-    breakpoints, with R = 10 * max(last breakpoint, configuration scale).
-    """
-    if window is not None:
-        system = BallSystem(p, r_max=window.r_max * (1 + 1e-6))
-        return system, window
-    system = BallSystem(p, r_max=np.inf)
-    bp_max = float(system.breakpoints[-1]) if system.breakpoints.size else 0.0
-    R = DEFAULT_WINDOW_FACTOR * max(bp_max, _config_scale(p))
-    return system, RadiusGrid(r_min=R, r_max=DEFAULT_WINDOW_SPAN * R)
 
 
 def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,

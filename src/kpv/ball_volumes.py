@@ -319,11 +319,11 @@ class BallSystem:
     region profiles are built once up to r_max (np.inf covers every radius),
     and union_volume, intersection_volume, union_boundary and
     intersection_boundary sum them at a radius or a whole array of radii in
-    one pass, so radius scans (threshold searches, Laurent windows) stay
+    one pass, so radius scans (threshold searches, dense scans) stay
     cheap.  The sites of a Delaunay simplex share its face's profile (see
     the module docstring).  Sums reduce in ascending site order.  Built with
-    r_max = np.inf, the system also carries the exact leading Laurent
-    coefficients of both volume functions.
+    r_max = np.inf, the system also carries the exact Laurent coefficients
+    of both volume functions.
     """
 
     def __init__(self, p: PointConfiguration, r_max: float):
@@ -375,20 +375,24 @@ class BallSystem:
                 total = total + (prof.derivative(arr) if derivative else prof.value(arr))
         return float(total) if total.ndim == 0 else total
 
-    def laurent_coefficients(self, which: str) -> tuple[float, float]:
-        """Exact (a_n, a_{n-1}) of the union or intersection volume at infinity.
+    def laurent_coefficients(self, which: str, terms: int = 2) -> tuple[float, ...]:
+        """Exact (a_n, a_(n-1), ...) of the union or intersection volume at infinity.
 
-        They are the sums of the per-site W(0) and W'(0).  W(0) exists only
-        when the system was built with r_max = np.inf (InputError otherwise).
+        The first terms coefficients, 1 <= terms <= n + 1: the sums of the
+        per-site taylor(terms - 1) in ascending site order.  They need a
+        system built with r_max = np.inf (InputError otherwise).
         """
         if which not in ("union", "intersection"):
             raise InputError(f"which must be 'union' or 'intersection', got {which!r}")
-        profiles = [prof for prof in (self.nearest_profiles if which == "union"
-                                      else self.farthest_profiles) if prof is not None]
-        if any(prof.w_at_zero is None for prof in profiles):
-            raise InputError("the leading coefficient needs a system built with r_max=np.inf")
-        return (sum(prof.w_at_zero for prof in profiles),
-                sum(prof.w_prime_at_zero for prof in profiles))
+        if not 1 <= terms <= self.dimension + 1:
+            raise InputError(f"terms must be in 1..{self.dimension + 1} (powers r^n .. r^0), "
+                             f"got {terms}")
+        if not math.isinf(self.r_max):
+            raise InputError("Laurent coefficients need a system built with r_max=np.inf")
+        profiles = self.nearest_profiles if which == "union" else self.farthest_profiles
+        total = sum((prof.taylor(terms - 1) for prof in profiles if prof is not None),
+                    np.zeros(terms))
+        return tuple(float(c) for c in total)
 
     def union_volume(self, r):
         """Union volume at a radius (float) or an array of radii (array)."""

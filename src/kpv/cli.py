@@ -31,8 +31,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .asymptotics import (RadiusGrid, kp_threshold, laurent_fit,
-                          reference_mean_width, system_and_window,
+from .asymptotics import (RadiusGrid, kp_threshold, reference_mean_width,
                           verify_capoyleas_pach, verify_csikos,
                           verify_lift_identity, verify_ww_proposition)
 from .ball_volumes import BallSystem, mc_ball_volume
@@ -235,14 +234,23 @@ def _load_configs(spec: ExperimentSpec, expected: int) -> list[PointConfiguratio
     return [load_configuration(path) for path in spec.inputs]
 
 
+def _checked_radii(values) -> list[float]:
+    """values as a list of floats, each finite and positive (InputError otherwise)."""
+    radii = [float(v) for v in np.atleast_1d(values)]
+    bad = [v for v in radii if not (math.isfinite(v) and v > 0.0)]
+    if bad:
+        raise InputError(f"radius must be finite and positive, got {bad[0]!r}")
+    return radii
+
+
 def _radii(params: _Parameters, default_scale: float) -> list[float]:
     r = params.get("r")
     if r is not None:
-        return [float(v) for v in np.atleast_1d(r)]
+        return _checked_radii(r)
     r_grid = params.get("r_grid")
     if r_grid is not None:
         lo, hi, count = r_grid
-        return [float(v) for v in np.geomspace(lo, hi, int(count))]
+        return RadiusGrid(lo, hi, int(count)).radii().tolist()
     return [default_scale]
 
 
@@ -267,22 +275,18 @@ def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
         value, err, used, nodes_used = reference_mean_width(config, nodes=nodes, seed=seed)
         if used != "quadrature":       # an exact path: no node was used
             del params.read["nodes"], params.read["seed"]
-        res = {"value": value, "stderr": err, "method": used, "nodes_used": nodes_used}
-    elif method == "exact2d":
-        r = mean_width_exact_2d(config)
-        res = {"value": r.value, "stderr": r.stderr, "method": r.method,
-               "nodes_used": r.nodes_used}
-    elif method == "quadrature":
-        r = mean_width_quadrature(config, nodes=nodes, seed=seed)
-        res = {"value": r.value, "stderr": r.stderr, "method": r.method,
-               "nodes_used": r.nodes_used}
-    elif method in ("edge_sum", "edge_sum_3d"):
-        r = mean_width_edge_sum_3d(config)
-        res = {"value": r.value, "stderr": r.stderr, "method": r.method,
-               "nodes_used": r.nodes_used}
     else:
-        raise InputError(f"unknown mean-width method {method!r}")
-    return res, EXIT_OK
+        if method == "exact2d":
+            r = mean_width_exact_2d(config)
+        elif method == "quadrature":
+            r = mean_width_quadrature(config, nodes=nodes, seed=seed)
+        elif method in ("edge_sum", "edge_sum_3d"):
+            r = mean_width_edge_sum_3d(config)
+        else:
+            raise InputError(f"unknown mean-width method {method!r}")
+        value, err, used, nodes_used = r.value, r.stderr, r.method, r.nodes_used
+    return {"value": value, "stderr": err, "method": used,
+            "nodes_used": nodes_used}, EXIT_OK
 
 
 def _cmd_volume(spec: ExperimentSpec, params: _Parameters):
@@ -325,19 +329,11 @@ def _cmd_asymptotics(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
     n = config.dimension
     terms = int(params.get("terms", min(4, n + 1)))
-    window = params.get("window")
-    if window is not None:
-        lo, hi, count = window
-        window = RadiusGrid(r_min=lo, r_max=hi, count=int(count))
-    system, window = system_and_window(config, window)
-    res = {"window": [window.r_min, window.r_max, window.count], "terms": terms}
-    for name, fn in (("union", system.union_volume),
-                     ("intersection", system.intersection_volume)):
-        fit = laurent_fit(fn, n, terms, window)
-        res[name] = {"powers": list(fit.powers),
-                     "coefficients": fit.coefficients.tolist(),
-                     "residual_norm": fit.residual_norm,
-                     "condition_estimate": fit.condition_estimate}
+    system = BallSystem(config, r_max=np.inf)
+    res = {"terms": terms}
+    for which in ("union", "intersection"):
+        res[which] = {"powers": list(range(n, n - terms, -1)),
+                      "coefficients": list(system.laurent_coefficients(which, terms))}
     return res, EXIT_OK
 
 
@@ -353,7 +349,8 @@ def _cmd_verify(spec: ExperimentSpec, params: _Parameters):
         reports.append(verify_ww_proposition(config))
     if claim in ("lift", "all"):
         scale = max(1.0, config.diameter)
-        radii = params.get("r") or [2.0 * scale, 5.0 * scale]
+        r = params.get("r")
+        radii = _checked_radii(r) if r else [2.0 * scale, 5.0 * scale]
         reports.extend(verify_lift_identity(config, radii))
     if not reports:
         raise InputError(f"unknown claim {claim!r}")
@@ -453,8 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--magnitude", type=float, default=None)
     parser.add_argument("--terms", type=int, default=None)
-    parser.add_argument("--window", type=_parse_grid, default=None,
-                        metavar="MIN:MAX:COUNT")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -468,7 +463,7 @@ def spec_from_argv(argv) -> ExperimentSpec:
         "claim": args.claim, "r": args.r, "r_grid": args.r_grid,
         "method": args.method, "samples": args.samples, "nodes": args.nodes,
         "seed": args.seed, "magnitude": args.magnitude, "terms": args.terms,
-        "window": args.window, "tol": args.tol,
+        "tol": args.tol,
     }
     return ExperimentSpec(command=args.command, inputs=list(args.config),
                           parameters=parameters, output=args.out, fmt=args.fmt)

@@ -31,11 +31,10 @@ overlap lengths in dimension one.  Evaluating a profile at any number of radii
 is one searchsorted plus one Clenshaw pass; dV/dr is read off the ODE
 right-hand side.
 
-The first two Taylor coefficients of W (the leading Laurent coefficients of V
-at infinity) are exact by-products of the build: W(0) = omega * delta_n - I(inf)
-is the constant of the last tail piece, and W'(0) = sum_i eps_i h_i W_i(0) is
-the limit of W'(s) = S(1/s) s^(n-1) at s = 0, read off the face profiles,
-which always reach infinity.
+The Taylor coefficients of W(s) = s^n V(1/s) at s = 0, the Laurent
+coefficients of V at infinity, are exact by-products of the build: W(0) =
+omega * delta_n - I(inf) is the constant of the last tail piece, and the ODE
+gives every later one from the face profiles' own (RadialVolumeProfile.taylor).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from numpy.polynomial import chebyshev
 # Not called here: bench/tracer.py rebinds this module attribute to count
 # integrator calls, so it stays importable from this module.
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.special import gammaln
+from scipy.special import binom, gammaln
 
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet, _solve_max_margin, face_data
@@ -178,9 +177,9 @@ class RadialVolumeProfile:
 
     Built by volume_profile.  value and derivative evaluate V and dV/dr on
     [0, r_max] (r_max may be infinite), at one radius or a whole array of
-    radii in one pass.  w_at_zero / w_prime_at_zero hold the first two Taylor
-    coefficients of W(s) = s^n V(1/s) at s = 0, set exactly at construction;
-    w_at_zero stays None when the quadrature stops short of infinity.
+    radii in one pass.  w_at_zero = W(0), W(s) = s^n V(1/s), is set exactly
+    at construction; it stays None when the quadrature stops short of
+    infinity.  taylor gives the later coefficients of W.
     """
 
     def __init__(self, dimension, breakpoints, omega,
@@ -197,28 +196,46 @@ class RadialVolumeProfile:
         self.r_max = float(r_max)
         self.reach = float(reach)           # distance from the base point to P
         self.w_at_zero: float | None = None
-        self.w_prime_at_zero: float | None = None
         if self.interval is not None:
             a, b, t = self.interval
-            span = b - a
-            if math.isinf(span):
-                if math.isinf(a) and math.isinf(b):
-                    self.w_at_zero, self.w_prime_at_zero = 2.0, 0.0
-                else:
-                    self.w_at_zero = 1.0
-                    self.w_prime_at_zero = (t - a) if math.isinf(b) else (b - t)
+            # W(s) = s V(1/s) is span s, 1 + (t - a) s or 1 + (b - t) s on a
+            # half-line, and 2 on the whole line
+            if math.isinf(a) and math.isinf(b):
+                self._line = (2.0, 0.0)
+            elif math.isinf(a) or math.isinf(b):
+                self._line = (1.0, (t - a) if math.isinf(b) else (b - t))
             else:
-                self.w_at_zero, self.w_prime_at_zero = 0.0, span
-            return
-        # W'(s) = S(1/s) s^(n-1) tends to sum_i eps_i h_i W_i(0) as s -> 0
-        self.w_prime_at_zero = float(sum(eps * h * sub.w_at_zero
-                                         for h, eps, sub in self.faces))
-        if not self.faces:
+                self._line = (0.0, b - a)
+            self.w_at_zero = self._line[0]
+        elif not self.faces:
             # pure cone: V = omega * delta * r^n for every radius
             self.w_at_zero = self.cone_coef
         elif self.pieces is not None and self.pieces.tail[-1]:
             # I(inf) is the constant of the tail piece that reaches 1/t = 0
             self.w_at_zero = self.cone_coef - float(self.pieces.offset[-1])
+
+    def taylor(self, order: int) -> np.ndarray:
+        """Taylor coefficients w_0 .. w_order of W(s) = s^n V(1/s) at s = 0.
+
+        w_k is the coefficient a_(n-k) of r^(n-k) in V at infinity.  w_0 is
+        w_at_zero (NaN when the profile stops short of infinity).  The ODE
+        W'(s) = sum_i eps_i h_i (1 - h_i^2 s^2)^((n-1)/2) W_i(s / sqrt(1 - h_i^2 s^2))
+        gives w_(k+1) from the face profiles' coefficients up to order k:
+
+            (k+1) w_(k+1) = sum_i eps_i h_i sum_m w_(i,k-2m) binom((n-1-k+2m)/2, m) (-h_i^2)^m
+        """
+        w = np.zeros(order + 1)
+        if self.interval is not None:
+            w[:2] = self._line[:order + 1]
+            return w
+        w[0] = np.nan if self.w_at_zero is None else self.w_at_zero
+        n = self.dimension
+        faces = [(h, eps, sub.taylor(order - 1)) for h, eps, sub in self.faces] if order else []
+        for k in range(order):
+            w[k + 1] = sum(eps * h * sum(wi[k - 2 * m] * binom((n - 1 - k + 2 * m) / 2, m)
+                                         * (-h * h) ** m for m in range(k // 2 + 1))
+                           for h, eps, wi in faces) / (k + 1)
+        return w
 
     # -- evaluation ---------------------------------------------------------
 
@@ -509,12 +526,12 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
 
 
 # ---------------------------------------------------------------------------
-# Laurent coefficients of the profile at infinity
+# radius grids
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RadiusGrid:
-    """Geometric radius grid, for Laurent fit windows and threshold scans."""
+    """Geometric radius grid, for threshold scans and `--r-grid` radius scans."""
 
     r_min: float
     r_max: float
@@ -526,6 +543,8 @@ class RadiusGrid:
         return np.geomspace(self.r_min, self.r_max, self.count)
 
 
+# Not called here (see asymptotics.laurent_fit): bench/tracer.py rebinds this
+# module attribute, so it stays importable from this module.
 def fit_radial_powers(evaluate, n: int, terms: int, window: RadiusGrid,
                       cond_bound: float = 1e8):
     """Least squares of V(r) against a_n r^n + ... + a_{n-terms+1} r^{n-terms+1}.
@@ -576,8 +595,7 @@ def check_ww_lemma(halfspaces, p0) -> float:
                             "(normals linearly dependent)")
     P = PolyhedralSet(dimension=n, halfspaces=hs)
     Pbar = PolyhedralSet(dimension=n, halfspaces=tuple(h.flipped() for h in hs))
-    return abs(sum(volume_profile(S, p0, np.inf).w_prime_at_zero
-                   for S in (P, Pbar)))
+    return abs(sum(volume_profile(S, p0, np.inf).taylor(1)[1] for S in (P, Pbar)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kpv.asymptotics import (kp_threshold, laurent_fit, mean_width_difference,
-                             system_and_window, verify_lift_identity)
+                             verify_lift_identity)
 from kpv.ball_volumes import BallSystem, _distance_hits, mc_ball_volume
 from kpv.configurations import (PointConfiguration, are_congruent, embed,
                                 random_expansion)
@@ -50,7 +50,9 @@ def planar_fit_suite():
     records = []
     for name, cfg in configs:
         # window [10R, 1000R], R = max(last breakpoint, diameter, 1e-2)
-        system, window = system_and_window(cfg, None)
+        system = BallSystem(cfg, r_max=np.inf)
+        R = max(float(system.breakpoints[-1]), cfg.diameter, 1e-2)
+        window = RadiusGrid(10.0 * R, 1000.0 * R)
         fit_u = laurent_fit(system.union_volume, 2, 3, window)
         fit_i = laurent_fit(system.intersection_volume, 2, 3, window)
         m = mean_width_exact_2d(cfg).value

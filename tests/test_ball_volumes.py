@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from kpv.ball_volumes import (BallSystem, farthest_voronoi, mc_ball_volume,
                               nearest_voronoi)
-from kpv.configurations import PointConfiguration
+from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError, InputError
 from kpv.meanwidth import edge_functional_3d, mean_width_exact_2d
 from kpv.polyhedra import contains
@@ -259,6 +260,82 @@ def test_laurent_leading_coefficient_needs_tail():
         system.laurent_coefficients("union")
     with pytest.raises(InputError):
         BallSystem(TWO, r_max=np.inf).laurent_coefficients("both")
+
+
+def _hexagon():
+    angles = np.linspace(0.0, 2.0 * math.pi, 7)[:-1] + 0.3
+    return np.column_stack((np.cos(angles), 0.7 * np.sin(angles)))
+
+
+_STEINER_CASES = {
+    **{f"2d-N{N}": (np.random.default_rng([31, N]).uniform(-1, 1, (N, 2)), 2)
+       for N in (3, 6, 12)},
+    **{f"3d-N{N}": (np.random.default_rng([31, N]).uniform(-1, 1, (N, 3)), 3)
+       for N in (4, 7, 12)},
+    "square": (np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float), 2),
+    "cube": (np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],
+                      dtype=float), 3),
+    "flat-triangle": (np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1e-3]]), 2),
+    "3d-N5-far": (np.array([[-0.48, -0.4, 0.63], [-0.82, 0.2, 0.46], [-0.62, -0.89, -0.45],
+                            [0.31, 0.12, -0.7], [-0.13, 0.34, -0.15]]), 3),
+    "hexagon-in-E3": (_hexagon(), 3),
+    "hexagon-in-E4": (_hexagon(), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEINER_CASES))
+def test_third_coefficient_is_the_steiner_term(name):
+    # a_(n-2) = kappa_(n-2) V_2(conv X) for the union and the intersection:
+    # the hull area in 2-d, the hull surface area in 3-d (kappa_1 V_2), and
+    # kappa_(n-2) times the area of a planar hull placed in E^n
+    points, n = _STEINER_CASES[name]
+    hull = ConvexHull(points)
+    if points.shape[1] == n == 3:
+        steiner = hull.area
+    else:
+        steiner = unit_ball_volume(n - 2) * hull.volume
+    cfg = PointConfiguration.from_points(points)
+    system = BallSystem(cfg if points.shape[1] == n else embed(cfg, n), r_max=np.inf)
+    for which in ("union", "intersection"):
+        coeffs = system.laurent_coefficients(which, 3)
+        assert abs(coeffs[2] - steiner) <= 1e-10 * steiner, which
+
+
+@pytest.mark.parametrize("dim, n_pts", [(2, 3), (2, 6), (3, 4)])
+def test_full_series_leaves_the_next_order(dim, n_pts):
+    # with all n + 1 coefficients subtracted, V(r) - sum a_(n-k) r^(n-k) is
+    # O(1/r): r times it barely moves between 10 R and 30 R, R the last breakpoint
+    cfg = random_config(np.random.default_rng([32, dim, n_pts]), dim, n_pts)
+    system = BallSystem(cfg, r_max=np.inf)
+    r = 10.0 * float(system.breakpoints[-1]) * np.array([1.0, 3.0])
+    for which, volume in (("union", system.union_volume),
+                          ("intersection", system.intersection_volume)):
+        coeffs = system.laurent_coefficients(which, dim + 1)
+        series = sum(c * r ** (dim - k) for k, c in enumerate(coeffs))
+        rest = r * (volume(r) - series)
+        assert abs(rest[1] - rest[0]) < 0.01 * abs(rest[0]), which
+
+
+@pytest.mark.parametrize("dim, n_pts", [(2, 3), (2, 7), (3, 4), (3, 7)])
+def test_intersection_series_is_the_union_series_at_minus_s(dim, n_pts):
+    # W_intersection(s) = W_union(-s): a_(n-k) agrees for even k and flips
+    # sign for odd k (k = 1 is the Csikos cancellation)
+    system = BallSystem(random_config(np.random.default_rng([33, dim, n_pts]), dim, n_pts),
+                        r_max=np.inf)
+    union = np.array(system.laurent_coefficients("union", dim + 1))
+    inter = np.array(system.laurent_coefficients("intersection", dim + 1))
+    signs = (-1.0) ** np.arange(dim + 1)
+    assert inter == pytest.approx(signs * union, rel=1e-12, abs=1e-12 * union[0])
+
+
+def test_laurent_coefficients_terms_range():
+    system = BallSystem(TWO, r_max=np.inf)
+    assert len(system.laurent_coefficients("union", 1)) == 1
+    assert system.laurent_coefficients("union", 3) == pytest.approx([math.pi, 2.0, 0.0],
+                                                                    abs=1e-12)
+    for terms in (0, 4):
+        with pytest.raises(InputError):
+            system.laurent_coefficients("union", terms)
 
 
 @pytest.mark.parametrize("dim, n_pts", [(2, 12), (3, 8)])

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import kpv.cli
-from kpv.asymptotics import CheckReport
+from kpv.asymptotics import CheckReport, laurent_fit
 from kpv.ball_volumes import BallSystem, mc_ball_volume
 from kpv.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED,
                      ExperimentSpec, main, run)
 from kpv.configurations import (PointConfiguration, is_expansion, load_configuration,
                                 save_configuration)
+from kpv.truncated_volume import RadiusGrid
 
 from conftest import two_disk_union
 
@@ -173,14 +175,19 @@ def test_meanwidth_auto_reports_the_nodes_the_quadrature_used(tmp_path):
 
 
 def test_asymptotics_command(two_disks, tmp_path):
+    # two unit-distance disks: V_union = pi r^2 + 2 r - 1/(12 r) + ..., and
+    # the intersection has the opposite odd terms
     out = tmp_path / "a.json"
-    code = main(["asymptotics", "--config", two_disks,
-                 "--window", "10:1000:24", "--out", str(out)])
+    code = main(["asymptotics", "--config", two_disks, "--terms", "3", "--out", str(out)])
     assert code == EXIT_OK
-    res = json.loads(out.read_text())["results"]
-    assert res["union"]["coefficients"][0] == pytest.approx(math.pi, rel=1e-3)
-    assert res["union"]["coefficients"][1] == pytest.approx(2.0, rel=0.02)
-    assert res["intersection"]["coefficients"][1] == pytest.approx(-2.0, rel=0.02)
+    report = json.loads(out.read_text())
+    assert report["parameters"] == {"inputs": [two_disks], "terms": 3}
+    res = report["results"]
+    assert set(res) == {"terms", "union", "intersection"}
+    for which, sign in (("union", 1.0), ("intersection", -1.0)):
+        assert res[which]["powers"] == [2, 1, 0]
+        assert res[which]["coefficients"] == pytest.approx([math.pi, sign * 2.0, 0.0],
+                                                           rel=1e-3, abs=1e-12)
 
 
 def test_run_with_spec_object(two_disks):
@@ -271,13 +278,21 @@ def test_monte_carlo_volume_samples_each_radius_once(two_disks, tmp_path):
             assert row[f"{which}_stderr"] == pytest.approx(se, rel=1e-11)
 
 
-def test_asymptotics_default_window_from_breakpoints(two_disks, tmp_path):
+def test_asymptotics_default_terms_reach_the_hull_area(tmp_path):
+    # the default series of a planar set runs to r^0, whose coefficient is the
+    # hull area for the union and the intersection alike
+    pts = np.random.default_rng(1).uniform(-1, 1, (3, 2))
+    path = tmp_path / "tri.json"
+    save_configuration(PointConfiguration.from_points(pts), path)
     out = tmp_path / "a.json"
-    assert main(["asymptotics", "--config", two_disks, "--out", str(out)]) == EXIT_OK
+    assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == EXIT_OK
     res = json.loads(out.read_text())["results"]
-    # last breakpoint 0.5 < scale 1: window [10, 1000]
-    assert res["window"] == [10.0, 1000.0, 32]
-    assert res["union"]["coefficients"][1] == pytest.approx(2.0, rel=0.02)
+    assert res["terms"] == 3
+    area = ConvexHull(pts).volume
+    for which in ("union", "intersection"):
+        assert res[which]["powers"] == [2, 1, 0]
+        assert res[which]["coefficients"][2] == 0.386891017887
+        assert res[which]["coefficients"][2] == pytest.approx(area, rel=1e-11)
 
 
 @pytest.mark.parametrize("points", [
@@ -286,7 +301,11 @@ def test_asymptotics_default_window_from_breakpoints(two_disks, tmp_path):
      [-0.13, 0.34, -0.15]],
 ], ids=["flat-triangle", "3d-N5"])
 def test_asymptotics_far_breakpoints_well_conditioned(points, tmp_path):
-    """Last breakpoints far out (about 500 and 15): the fit is scale-free."""
+    """Last breakpoints far out (about 500 and 15): the series is scale-free.
+
+    An independent least-squares fit of V(r)/r^n on [10 R, 1000 R], R the
+    last breakpoint, agrees with the reported a_n and a_(n-1).
+    """
     cfg = PointConfiguration.from_points(points)
     path = tmp_path / "c.json"
     save_configuration(cfg, path)
@@ -294,6 +313,28 @@ def test_asymptotics_far_breakpoints_well_conditioned(points, tmp_path):
     assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == EXIT_OK
     res = json.loads(out.read_text())["results"]
     system = BallSystem(cfg, r_max=np.inf)
-    for which in ("union", "intersection"):
-        exact = system.laurent_coefficients(which)
-        assert res[which]["coefficients"][:2] == pytest.approx(exact, rel=0.01)
+    R = float(system.breakpoints[-1])
+    window = RadiusGrid(10.0 * R, 1000.0 * R)
+    for which, volume in (("union", system.union_volume),
+                          ("intersection", system.intersection_volume)):
+        fit = laurent_fit(volume, cfg.dimension, 3, window)
+        assert res[which]["coefficients"][:2] == pytest.approx(
+            fit.coefficients[:2].tolist(), rel=0.01)
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--r-grid", "1:2:0"],
+    ["volume", "--r-grid", "0:2:3"],
+    ["volume", "--r-grid", "2:1:3"],
+    ["volume", "--method", "monte_carlo", "--r", "-1"],
+    ["volume", "--r", "-1"],
+    ["volume", "--r", "1.0", "--r", "inf"],
+    ["boundary", "--r", "-1"],
+    ["verify", "lift", "--r", "-2"],
+], ids=["grid-count-0", "grid-from-0", "grid-descending", "mc-negative", "negative",
+        "infinite", "boundary-negative", "lift-negative"])
+def test_bad_radii_are_input_errors(argv, two_disks, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main(argv + ["--config", two_disks, "--out", str(out)]) == EXIT_INPUT
+    assert "radi" in capsys.readouterr().err
+    assert not out.exists()

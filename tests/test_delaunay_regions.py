@@ -57,8 +57,7 @@ class AllBisectorReference:
 
     def laurent_coefficients(self, which):
         profiles = self.nearest if which == "union" else self.farthest
-        return (sum(prof.w_at_zero for prof in profiles),
-                sum(prof.w_prime_at_zero for prof in profiles))
+        return tuple(sum(prof.taylor(1) for prof in profiles))
 
 
 def system_values(system, radii):

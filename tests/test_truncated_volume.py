@@ -38,9 +38,9 @@ def test_interval_bounded():
     prof = volume_profile(P, np.array([0.5]), 10.0)
     assert prof.value(0.25) == pytest.approx(0.5)
     assert prof.value(5.0) == pytest.approx(2.0)
-    # W coefficients exact: V -> constant 2, so W(0)=0, W'(0)=2
+    # W coefficients exact: V -> constant 2, so W(s) = 2 s
     assert prof.w_at_zero == pytest.approx(0.0)
-    assert prof.w_prime_at_zero == pytest.approx(2.0)
+    assert prof.taylor(3).tolist() == [0.0, 2.0, 0.0, 0.0]
 
 
 def test_untruncated_ball_exact():
@@ -50,7 +50,7 @@ def test_untruncated_ball_exact():
     for r in (0.5, 2.0, 4.9):
         assert prof.value(r) == pytest.approx(delta * r ** 3, rel=1e-14)
     assert prof.w_at_zero == pytest.approx(delta)
-    assert prof.w_prime_at_zero == 0.0
+    assert prof.taylor(3).tolist() == [prof.w_at_zero, 0.0, 0.0, 0.0]
     assert prof.breakpoints.size == 0
 
 
@@ -73,28 +73,29 @@ def test_halfplane_derivative_matches_finite_difference():
 
 
 def test_w_coefficients_halfplane():
-    # V(r) = (pi/2) r^2 + 2 r - 1/(3r) + O(r^-3): W(0) = pi/2, W'(0) = 2
+    # V(r) = (pi/2) r^2 + 2 r - 1/(3r) + O(r^-3): W(s) = pi/2 + 2 s - s^3/3 + ...
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
     prof = volume_profile(P, np.zeros(2), np.inf)
-    w1 = prof.w_prime_at_zero
     assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert w1 == pytest.approx(2.0, abs=1e-12)
+    assert prof.taylor(3)[1:] == pytest.approx([2.0, 0.0, -1.0 / 3.0], abs=1e-15)
 
 
 def test_w_coefficients_complement_halfplane():
     P = PolyhedralSet(2, (halfplane(-1, 0, -1),))
     prof = volume_profile(P, np.zeros(2), np.inf)
-    w1 = prof.w_prime_at_zero
     assert prof.w_at_zero == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert w1 == pytest.approx(-2.0, abs=1e-12)
+    assert prof.taylor(3)[1:] == pytest.approx([-2.0, 0.0, 1.0 / 3.0], abs=1e-15)
 
 
 def test_w_prime_needs_long_profile():
     # W'(0) comes from the face profiles, which reach infinity, so a profile
-    # stopped at r_max = 5 has it exactly
+    # stopped at r_max = 1.5, short of its tail piece from 2, has it exactly;
+    # W(0) needs that tail
     P = PolyhedralSet(2, (halfplane(1, 0, 1),))
-    prof = volume_profile(P, np.zeros(2), 5.0)
-    assert prof.w_prime_at_zero == pytest.approx(2.0, abs=1e-12)
+    prof = volume_profile(P, np.zeros(2), 1.5)
+    w = prof.taylor(1)
+    assert math.isnan(w[0])
+    assert w[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cone_profile_quadrant():
@@ -103,7 +104,7 @@ def test_cone_profile_quadrant():
     prof = volume_profile(P, np.zeros(2), 8.0)
     assert prof.omega == pytest.approx(0.25, abs=1e-12)
     assert prof.value(2.0) == pytest.approx(math.pi, rel=1e-12)
-    assert prof.w_prime_at_zero == 0.0
+    assert prof.taylor(1)[1] == 0.0
 
 
 def test_zero_profile_for_degenerate_slab():
@@ -312,4 +313,4 @@ def test_w_prime_homogeneity_halfplane():
     for lam in (1.0, 3.0):
         P = PolyhedralSet(2, (halfplane(1, 0, lam),))
         prof = volume_profile(P, np.zeros(2), 1100.0 * lam)
-        assert prof.w_prime_at_zero == pytest.approx(2.0 * lam, rel=1e-3)
+        assert prof.taylor(1)[1] == pytest.approx(2.0 * lam, rel=1e-3)
