@@ -13,9 +13,9 @@ from .configurations import (DistanceMatrix, PointConfiguration, are_congruent,
                              load_configuration, random_expansion,
                              save_configuration)
 from .polyhedra import (FaceData, Halfspace, PolyhedralSet, complement_set,
-                        contains, convex_hull_2d, face_data, support_value)
-from .meanwidth import (CalibrationConstant, EdgeCurvatureData, MeanWidthResult,
-                        calibrate, edge_curvatures_3d, mean_width_edge_sum_3d,
+                        contains, face_data, support_value)
+from .meanwidth import (CalibrationConstant, MeanWidthResult, calibrate,
+                        mean_width_edge_sum_3d, mean_width_exact,
                         mean_width_exact_2d, mean_width_quadrature)
 from .truncated_volume import (RadialVolumeProfile, RadiusGrid, check_ww_lemma,
                                mc_truncated_volume, unit_ball_volume, volume_profile)
@@ -33,9 +33,9 @@ __all__ = [
     "are_congruent", "embed", "random_expansion", "load_configuration",
     "save_configuration",
     "Halfspace", "PolyhedralSet", "FaceData", "contains", "complement_set",
-    "face_data", "support_value", "convex_hull_2d",
-    "MeanWidthResult", "EdgeCurvatureData", "CalibrationConstant",
-    "mean_width_quadrature", "mean_width_exact_2d", "edge_curvatures_3d",
+    "face_data", "support_value",
+    "MeanWidthResult", "CalibrationConstant",
+    "mean_width_exact", "mean_width_quadrature", "mean_width_exact_2d",
     "mean_width_edge_sum_3d", "calibrate",
     "RadialVolumeProfile", "RadiusGrid", "unit_ball_volume", "volume_profile",
     "check_ww_lemma", "mc_truncated_volume",

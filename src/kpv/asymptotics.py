@@ -22,7 +22,7 @@ from .ball_volumes import BallSystem
 from .configurations import (PointConfiguration, are_congruent, embed,
                              is_expansion)
 from .errors import GeometryError, InputError, NumericalError
-from .meanwidth import (calibrate, mean_width_edge_sum_3d, mean_width_exact_2d,
+from .meanwidth import (MeanWidthResult, _flat_coordinates, mean_width_exact,
                         mean_width_quadrature)
 from .truncated_volume import RadiusGrid, fit_radial_powers, unit_ball_volume
 
@@ -121,42 +121,25 @@ def _config_scale(p: PointConfiguration) -> float:
 
 
 def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
-                         seed: int = 433494437) -> tuple[float, float, str, int]:
-    """Best available mean width with an error bound: (value, err, method, nodes_used).
+                         seed: int = 433494437) -> MeanWidthResult:
+    """Best available mean width with its error bound.
 
-    Exact in the plane; edge sums for full-dimensional 3-d hulls; planar
-    3-d configurations are rotated into their spanning plane and lifted with
-    the exact constant c_{2,3}; quadrature elsewhere.  nodes_used is the
-    number of sphere directions the quadrature took (0 on the exact paths).
+    Exact for hulls of rank <= 3 in any dimension; sphere quadrature with
+    nodes and seed above, where nodes_used is the number of directions taken.
     """
-    n = p.dimension
-    if n == 2:
-        res = mean_width_exact_2d(p)
-        return res.value, 1e-12 * (1.0 + res.value), res.method, 0
-    if n == 3:
-        centered = p.points - np.mean(p.points, axis=0)
-        # full_matrices: vt has three rows even for one or two points
-        _, svals, vt = np.linalg.svd(centered)
-        rank = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
-        if rank == 3:
-            res = mean_width_edge_sum_3d(p)
-            return res.value, res.stderr, res.method, 0
-        # flat configuration (a point has width 0): measure in its own plane,
-        # lift by c_{2,3}
-        planar = PointConfiguration(2, centered @ vt[:2].T)
-        perim = mean_width_exact_2d(planar).value
-        return calibrate(2, 3).value * perim, 1e-12 * (1 + perim), "exact2d+lift", 0
-    res = mean_width_quadrature(p, nodes=nodes, seed=seed)
-    return res.value, res.stderr, res.method, res.nodes_used
+    if _flat_coordinates(p).shape[1] <= 3:
+        return mean_width_exact(p)
+    return mean_width_quadrature(p, nodes=nodes, seed=seed)
 
 
 def mean_width_difference(p: PointConfiguration, q: PointConfiguration,
                           nodes: int = 200_000, seed: int = 433494437
                           ) -> tuple[float, float]:
     """M(q) - M(p) with an error bound: the sum of both sides' bounds."""
-    vp, ep, _, _ = reference_mean_width(p, nodes=nodes, seed=seed)
-    vq, eq, _, _ = reference_mean_width(q, nodes=nodes, seed=seed)
-    return vq - vp, ep + eq + 1e-12 * (abs(vp) + abs(vq) + 1.0)
+    mp = reference_mean_width(p, nodes=nodes, seed=seed)
+    mq = reference_mean_width(q, nodes=nodes, seed=seed)
+    return mq.value - mp.value, mp.stderr + mq.stderr + 1e-12 * (
+        abs(mp.value) + abs(mq.value) + 1.0)
 
 
 def _verifier_tolerance(m_value: float, m_err: float, n: int) -> float:
@@ -166,38 +149,35 @@ def _verifier_tolerance(m_value: float, m_err: float, n: int) -> float:
 
 def verify_capoyleas_pach(p: PointConfiguration) -> CheckReport:
     """Union volume second coefficient against the hull mean width."""
-    n = p.dimension
-    if n not in (2, 3):
-        raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
     system = BallSystem(p, r_max=np.inf)
     lead, a = system.laurent_coefficients("union")
-    m, m_err, method, _ = reference_mean_width(p)
-    tol = _verifier_tolerance(m, m_err, n)
+    ref = reference_mean_width(p)
+    m = ref.value
+    tol = _verifier_tolerance(m, ref.stderr, p.dimension)
     gap = abs(a - m)
     return CheckReport(
         claim="union second coefficient equals hull mean width",
         lhs=a, rhs=m, gap=gap, tolerance=tol, passed=gap <= tol,
-        extras={"leading_coefficient": lead, "mean_width_method": method})
+        extras={"leading_coefficient": lead, "mean_width_method": ref.method})
 
 
 def verify_csikos(p: PointConfiguration) -> list[CheckReport]:
     """Intersection second coefficient is -M, and the pair sum cancels it."""
     n = p.dimension
-    if n not in (2, 3):
-        raise InputError("verification needs n in {2, 3} for an exact mean-width reference")
     system = BallSystem(p, r_max=np.inf)
     lead_i, ai = system.laurent_coefficients("intersection")
     lead_u, au = system.laurent_coefficients("union")
     sn, sn1 = lead_u + lead_i, au + ai
-    m, m_err, method, _ = reference_mean_width(p)
-    tol = _verifier_tolerance(m, m_err, n)
+    ref = reference_mean_width(p)
+    m = ref.value
+    tol = _verifier_tolerance(m, ref.stderr, n)
     delta = unit_ball_volume(n)
     reports = [
         CheckReport(
             claim="intersection second coefficient equals minus the mean width",
             lhs=ai, rhs=-m, gap=abs(ai + m), tolerance=tol,
             passed=abs(ai + m) <= tol,
-            extras={"mean_width_method": method}),
+            extras={"mean_width_method": ref.method}),
         CheckReport(
             claim="union+intersection leading coefficient equals 2 delta_n",
             lhs=sn, rhs=2.0 * delta, gap=abs(sn - 2.0 * delta),

@@ -3,9 +3,10 @@
 Ingests JSON configuration files, dispatches the computational modules, and
 emits reproducible JSON or CSV reports.  Every report embeds the parameters
 its command read, defaults resolved, and the tool version so any run can be
-replayed; outputs are written atomically (temp file + rename) and floats are
-rounded to 12 significant digits in both formats, so a JSON and a CSV report
-of the same run carry identical values.
+replayed; outputs are written atomically (temp file + rename) and each float
+is written as the same text in both formats, its 12-digit rounding (see
+``_float_text``), so a JSON and a CSV report of the same run carry identical
+values.
 
 JSON reports are written in one pass by ``_encode``: keys sorted, 2-space
 indent, each float as the repr of its 12-digit rounding, non-finite floats as
@@ -71,23 +72,6 @@ class _Parameters:
             value = default
         self.read[key] = value
         return value
-
-
-def _round12(obj):
-    """Copy of a report with floats rounded to 12 significant digits (CSV path)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
 
 
 def _float_text(x: float) -> str:
@@ -190,14 +174,21 @@ def _encode(obj, indent: str) -> str:
 
 
 def _flatten(prefix: str, obj, rows: list):
+    """(key, CSV text) rows of obj's leaves; floats take the JSON text."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, rows)
+    elif isinstance(obj, str):
+        rows.append((prefix, json.dumps(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        rows.append((prefix, _float_text(float(obj))))
     else:
-        rows.append((prefix, obj))
+        rows.append((prefix, str(obj)))
 
 
 def _write_report(report: dict, path: str | None, fmt: str):
@@ -205,12 +196,8 @@ def _write_report(report: dict, path: str | None, fmt: str):
         text = _encode(report, "") + "\n"
     else:
         rows: list = []
-        _flatten("", _round12(report), rows)
-        lines = ["key,value"]
-        for key, val in rows:
-            sval = json.dumps(val) if isinstance(val, str) else str(val)
-            lines.append(f"{key},{sval}")
-        text = "\n".join(lines) + "\n"
+        _flatten("", report, rows)
+        text = "\n".join(["key,value"] + [f"{key},{val}" for key, val in rows]) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -272,21 +259,19 @@ def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
     if method in ("auto", "quadrature"):
         nodes, seed = int(params.get("nodes", 100_000)), int(params.get("seed", 0))
     if method == "auto":
-        value, err, used, nodes_used = reference_mean_width(config, nodes=nodes, seed=seed)
-        if used != "quadrature":       # an exact path: no node was used
+        r = reference_mean_width(config, nodes=nodes, seed=seed)
+        if r.method != "quadrature":       # the exact path: no node was used
             del params.read["nodes"], params.read["seed"]
+    elif method == "exact2d":
+        r = mean_width_exact_2d(config)
+    elif method == "quadrature":
+        r = mean_width_quadrature(config, nodes=nodes, seed=seed)
+    elif method in ("edge_sum", "edge_sum_3d"):
+        r = mean_width_edge_sum_3d(config)
     else:
-        if method == "exact2d":
-            r = mean_width_exact_2d(config)
-        elif method == "quadrature":
-            r = mean_width_quadrature(config, nodes=nodes, seed=seed)
-        elif method in ("edge_sum", "edge_sum_3d"):
-            r = mean_width_edge_sum_3d(config)
-        else:
-            raise InputError(f"unknown mean-width method {method!r}")
-        value, err, used, nodes_used = r.value, r.stderr, r.method, r.nodes_used
-    return {"value": value, "stderr": err, "method": used,
-            "nodes_used": nodes_used}, EXIT_OK
+        raise InputError(f"unknown mean-width method {method!r}")
+    return {"value": r.value, "stderr": r.stderr, "method": r.method,
+            "nodes_used": r.nodes_used}, EXIT_OK
 
 
 def _cmd_volume(spec: ExperimentSpec, params: _Parameters):

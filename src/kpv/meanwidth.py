@@ -2,13 +2,13 @@
 
 The functional computed here is the raw integral of the support function
 over the unit sphere with Lebesgue surface measure (total mass n * delta_n),
-so in the plane it equals the hull perimeter.  Three routes are provided:
-sphere quadrature (deterministic trapezoid in the plane, antithetic Monte
-Carlo in higher dimensions), the exact planar perimeter, and the 3-d edge
-functional sum(beta_ij * d_ij) scaled by a dimensional constant.  The
-constants are closed forms by Kubota's formula, int_{S^(n-1)} h_K =
-kappa_(n-1) V_1(K) (Schneider, Convex Bodies): V_1 is half the perimeter of a
-planar body and sum(beta_ij * d_ij) / (2 pi) for a 3-polytope.
+so in the plane it equals the hull perimeter.  Two routes are provided.  The
+exact one is Kubota's formula, int_{S^(n-1)} h_K = kappa_(n-1) V_1(K)
+(Schneider, Convex Bodies, section 4.2), with V_1 taken in the flat the
+points span: half the perimeter of a polygon, sum(beta_e * |e|) / (2 pi)
+over the edges of a 3-polytope.  It covers hulls of rank <= 3 in any
+dimension.  Sphere quadrature (a deterministic trapezoid in the plane,
+antithetic Monte Carlo in higher dimensions) covers every rank.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
 
 from .configurations import PointConfiguration
 from .errors import GeometryError, InputError
-from .polyhedra import convex_hull_2d
 from .truncated_volume import unit_ball_volume
 
 _STDERR_FLOOR = 1e-15
@@ -33,34 +31,9 @@ class MeanWidthResult:
     """Mean-width value with its method tag and error estimate."""
 
     value: float
-    method: str                 # quadrature | exact2d | edge_sum_3d
+    method: str                 # exact | quadrature
     stderr: float
     nodes_used: int
-
-
-@dataclass(frozen=True)
-class EdgeCurvatureData:
-    """Hull edge with its length and exterior (dihedral complement) angle."""
-
-    edge: tuple[int, int]
-    length: float
-    exterior_angle: float
-
-
-@dataclass(frozen=True)
-class CalibrationConstant:
-    """Multiplier turning a lower-dimensional reference functional into M_n.
-
-    For n0 = 2 the reference functional is the planar hull perimeter and the
-    constant is kappa_(n-1) / 2; for n0 = 3 it is the edge sum
-    sum(beta_ij * d_ij) and the constant is kappa_(n-1) / (2 pi).  Both are
-    exact.  Same-dimension constants where the reference functional is M_n
-    itself are exactly 1.
-    """
-
-    n0: int
-    n: int
-    value: float
 
 
 def _support_values(pts: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -116,94 +89,89 @@ def mean_width_quadrature(points: PointConfiguration, nodes: int,
                            nodes_used=2 * pairs)
 
 
+def _flat_coordinates(points: PointConfiguration) -> np.ndarray:
+    """The centred points in an orthonormal frame of the k-flat they span (N x k).
+
+    k counts the singular values of the centred points above
+    1e-9 * max(1, largest), so a set within that of a k-flat is taken as flat.
+    """
+    centered = points.points - np.mean(points.points, axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    k = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
+    return centered @ vt[:k].T
+
+
+def _intrinsic_volume_1(x: np.ndarray) -> float:
+    """V_1 of the hull of x, full-dimensional in its k <= 3 coordinates."""
+    k = x.shape[1]
+    if k == 0:
+        return 0.0
+    if k == 1:
+        return float(np.ptp(x[:, 0]))
+    hull = ConvexHull(x)
+    if k == 2:
+        return 0.5 * float(hull.area)        # qhull's planar "area" is the perimeter
+    # sum of |e| * beta_e / (2 pi) over the edges of the triangulated boundary,
+    # beta_e the angle between the unit normals u, v of the two triangles at e.
+    # beta_e = 2 atan2(|u - v|, |u + v|) is exact to rounding at every angle:
+    # an edge inside a flat face gets beta ~ 1e-16, so coplanar triangles need
+    # no merging
+    s, j = np.nonzero(hull.neighbors > np.arange(len(hull.simplices))[:, None])
+    u = hull.equations[s, :3]
+    v = hull.equations[hull.neighbors[s, j], :3]
+    a = x[hull.simplices[s, (j + 1) % 3]]
+    b = x[hull.simplices[s, (j + 2) % 3]]
+    w = np.linalg.norm(np.stack([u - v, u + v, a - b]), axis=2)
+    return float(np.arctan2(w[0], w[1]) @ w[2]) / math.pi
+
+
+def mean_width_exact(points: PointConfiguration) -> MeanWidthResult:
+    """Exact mean width of a hull of rank k <= 3, in any dimension n.
+
+    Kubota's formula gives M_n = kappa_(n-1) V_1(K), and V_1 is that of K in
+    its own k-flat: 0 for a point, the length of a segment, half the
+    perimeter of a polygon and sum |e| beta_e / (2 pi) over the edges of a
+    polytope.  Raises GeometryError for k >= 4 (use mean_width_quadrature).
+    """
+    x = _flat_coordinates(points)
+    if x.shape[1] > 3:
+        raise GeometryError(f"the hull spans a {x.shape[1]}-flat; exact mean "
+                            "widths need rank <= 3, use mean_width_quadrature")
+    value = unit_ball_volume(points.dimension - 1) * _intrinsic_volume_1(x)
+    return MeanWidthResult(value=value, method="exact",
+                           stderr=_STDERR_FLOOR * (1 + value), nodes_used=0)
+
+
 def mean_width_exact_2d(points: PointConfiguration) -> MeanWidthResult:
     """Exact planar mean width: the hull perimeter (a segment counts twice)."""
     if points.dimension != 2:
         raise InputError("mean_width_exact_2d requires a 2-dimensional configuration")
-    hull = convex_hull_2d(points)
-    m = hull.shape[0]
-    if m == 1:
-        value = 0.0
-    elif m == 2:
-        value = 2.0 * float(np.linalg.norm(hull[1] - hull[0]))
-    else:
-        value = float(np.sum(np.linalg.norm(np.roll(hull, -1, axis=0) - hull, axis=1)))
-    return MeanWidthResult(value=value, method="exact2d", stderr=0.0, nodes_used=0)
-
-
-def edge_curvatures_3d(points: PointConfiguration) -> list[EdgeCurvatureData]:
-    """Edges of a full-dimensional 3-d hull with lengths and exterior angles.
-
-    Coplanar facets are merged (1e-8 angular tolerance) so triangulation
-    edges inside a flat face are not reported.  The exterior angle of an edge
-    is the angle between the outward normals of its two incident facets.
-    """
-    if points.dimension != 3:
-        raise InputError("edge_curvatures_3d requires a 3-dimensional configuration")
-    pts = points.points
-    degenerate_msg = ("hull is not full-dimensional; use mean_width_exact_2d in "
-                      "the spanning plane or mean_width_quadrature")
-    if points.n_points < 4:
-        raise GeometryError(degenerate_msg)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise GeometryError(degenerate_msg) from exc
-    diam = float(np.max(np.ptp(pts, axis=0)))
-    if hull.volume <= 1e-10 * max(diam, 1e-30) ** 3:
-        raise GeometryError(degenerate_msg)
-
-    normals = hull.equations[:, :3]
-    nf = len(hull.simplices)
-    parent = list(range(nf))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in range(nf):
-        for t in hull.neighbors[s]:
-            if t > s and np.linalg.norm(normals[s] - normals[t]) <= 1e-8:
-                ra, rb = find(s), find(int(t))
-                if ra != rb:
-                    parent[rb] = ra
-
-    edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for s in range(nf):
-        for k, t in enumerate(hull.neighbors[s]):
-            t = int(t)
-            if t < s:
-                continue
-            gs, gt = find(s), find(t)
-            if gs == gt:
-                continue
-            verts = [int(v) for j, v in enumerate(hull.simplices[s]) if j != k]
-            key = (min(verts), max(verts))
-            edges.setdefault(key, (gs, gt))
-
-    out = []
-    for (i, j), (gs, gt) in sorted(edges.items()):
-        c = float(np.clip(np.dot(normals[gs], normals[gt]), -1.0, 1.0))
-        beta = math.acos(c)
-        out.append(EdgeCurvatureData(edge=(i, j),
-                                     length=float(np.linalg.norm(pts[i] - pts[j])),
-                                     exterior_angle=beta))
-    return out
-
-
-def edge_functional_3d(points: PointConfiguration) -> float:
-    """sum(beta_ij * d_ij) over the hull edges."""
-    return sum(e.exterior_angle * e.length for e in edge_curvatures_3d(points))
+    return mean_width_exact(points)
 
 
 def mean_width_edge_sum_3d(points: PointConfiguration) -> MeanWidthResult:
-    """Mean width from the edge functional: c * sum(beta * d), c = calibrate(3, 3)."""
-    c = calibrate(3, 3)
-    s = edge_functional_3d(points)
-    return MeanWidthResult(value=c.value * s, method="edge_sum_3d",
-                           stderr=_STDERR_FLOOR * (1 + c.value * s), nodes_used=0)
+    """Exact 3-d mean width: half the edge sum sum(beta * d) of the hull."""
+    if points.dimension != 3:
+        raise InputError("mean_width_edge_sum_3d requires a 3-dimensional configuration")
+    return mean_width_exact(points)
+
+
+# Not called here: bench/run.py's setup calls calibrate and bench/tracer.py
+# rebinds it, so it and its result type stay importable from src.
+@dataclass(frozen=True)
+class CalibrationConstant:
+    """Multiplier turning a lower-dimensional reference functional into M_n.
+
+    For n0 = 2 the reference functional is the planar hull perimeter and the
+    constant is kappa_(n-1) / 2; for n0 = 3 it is the edge sum
+    sum(beta_ij * d_ij) and the constant is kappa_(n-1) / (2 pi).  Both are
+    exact.  Same-dimension constants where the reference functional is M_n
+    itself are exactly 1.
+    """
+
+    n0: int
+    n: int
+    value: float
 
 
 def calibrate(n0: int, n: int) -> CalibrationConstant:

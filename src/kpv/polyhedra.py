@@ -349,46 +349,6 @@ def support_value(points: PointConfiguration, u) -> float:
     return float(np.max(points.points @ u))
 
 
-def convex_hull_2d(points: PointConfiguration) -> np.ndarray:
-    """Counterclockwise extreme points of a planar configuration.
-
-    Collinear interior points are excluded; degenerate hulls (segment, single
-    point) come back with two or one rows.
-    """
-    if points.dimension != 2:
-        raise InputError("convex_hull_2d requires a 2-dimensional configuration")
-    pts = np.unique(points.points, axis=0)
-    if pts.shape[0] == 1:
-        return pts.copy()
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    span = float(np.max(np.ptp(pts, axis=0)))
-    eps = 1e-12 * max(1.0, span) ** 2
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if cross <= eps:     # non-left turn: drop collinear/interior
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 0:           # all points coincide after dedup
-        return pts[:1].copy()
-    if hull.shape[0] > 2 or pts.shape[0] == 2:
-        return hull
-    # every point collinear: return the two extreme endpoints
-    return np.array([lower[0], lower[-1]])
-
-
 def load_polyhedral_set(path) -> PolyhedralSet:
     import json
     try:

@@ -153,9 +153,6 @@ class _ChebyshevPieces:
         self.t_lo = np.where(tail, 1.0 / hi, base + lo * lo)
         self.base, self.lo, self.hi, self.tail = base, lo, hi, tail
 
-    def __len__(self) -> int:
-        return self.t_lo.size
-
     def integral(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """I at radii r, and its error estimate."""
         k = np.searchsorted(self.t_lo, r, side="right") - 1

@@ -37,6 +37,14 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def placed(rng: np.random.Generator, pts, n: int) -> PointConfiguration:
+    """pts (N x k) placed in E^n, n >= k, by a random isometry."""
+    pts = np.asarray(pts, dtype=float)
+    padded = np.hstack([pts, np.zeros((len(pts), n - pts.shape[1]))])
+    return PointConfiguration.from_points(
+        padded @ random_orthogonal(rng, n).T + rng.uniform(-2, 2, n))
+
+
 def random_config(rng: np.random.Generator, dim: int, n_pts: int,
                   span: float = 1.0) -> PointConfiguration:
     return PointConfiguration.from_points(rng.uniform(-span, span, size=(n_pts, dim)))

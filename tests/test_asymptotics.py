@@ -14,7 +14,7 @@ from kpv.errors import GeometryError, InputError
 from kpv.meanwidth import mean_width_exact_2d
 from kpv.truncated_volume import RadiusGrid, unit_ball_volume
 
-from conftest import random_config
+from conftest import placed, random_config
 
 SEGMENT = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0]])
 SQUARE = PointConfiguration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -49,18 +49,18 @@ def test_laurent_fit_window_validation():
 def test_reference_mean_width_planar_in_3d():
     flat = PointConfiguration.from_points(
         [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    value, err, method, _ = reference_mean_width(flat)
-    # perimeter 4 lifted by c_{2,3} ~ pi/2
-    assert value == pytest.approx(4.0 * math.pi / 2.0, rel=5e-3)
-    assert method == "exact2d+lift"
+    ref = reference_mean_width(flat)
+    # V_1 = half the perimeter 4, times kappa_2 = pi
+    assert ref.value == pytest.approx(4.0 * math.pi / 2.0, rel=1e-12)
+    assert ref.method == "exact"
 
 
 def test_reference_mean_width_of_lower_rank_sets_in_3d():
     # a point has mean width 0; a segment of length L has pi L (2L times c_{2,3})
-    value, err, _, _ = reference_mean_width(PointConfiguration.from_points([[0.3, -1.0, 2.0]]))
-    assert value == 0.0 and err > 0.0
+    ref = reference_mean_width(PointConfiguration.from_points([[0.3, -1.0, 2.0]]))
+    assert ref.value == 0.0 and ref.stderr > 0.0
     seg = PointConfiguration.from_points([[0.3, -1.0, 2.0], [1.3, -1.0, 2.0]])
-    assert reference_mean_width(seg)[0] == pytest.approx(math.pi, rel=1e-12)
+    assert reference_mean_width(seg).value == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_verify_capoyleas_pach_segment_and_square():
@@ -85,6 +85,37 @@ def test_verify_capoyleas_pach_far_breakpoints():
         assert rep.gap <= 1e-10 * rep.rhs
         assert rep.extras["leading_coefficient"] == pytest.approx(
             unit_ball_volume(cfg.dimension), rel=1e-12)
+
+
+def _higher_dimensional_cases():
+    rng = np.random.default_rng(20241019)
+    triangle = [[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]
+    spatial = rng.uniform(-1, 1, (5, 3))
+    cases = [pytest.param(PointConfiguration.from_points([[0.0], [1.0], [0.25]]), id="1d")]
+    for n in (4, 5):
+        cases += [pytest.param(placed(rng, triangle, n), id=f"triangle-E{n}"),
+                  pytest.param(placed(rng, spatial, n), id=f"3d-N5-E{n}")]
+    return cases
+
+
+@pytest.mark.parametrize("cfg", _higher_dimensional_cases())
+def test_verifiers_in_any_dimension_on_exact_references(cfg):
+    # a hull of rank <= 3 has an exact mean width wherever it is placed
+    union = verify_capoyleas_pach(cfg)
+    reports = [union] + verify_csikos(cfg)
+    assert all(r.passed for r in reports)
+    m = union.rhs
+    assert union.extras["mean_width_method"] == "exact"
+    assert union.gap <= 1e-10 * m
+    assert reports[1].gap <= 1e-10 * m and reports[3].gap <= 1e-10 * m
+
+
+def test_verifiers_in_4d_against_quadrature():
+    cfg = random_config(np.random.default_rng(20241020), 4, 6)
+    union = verify_capoyleas_pach(cfg)
+    reports = [union] + verify_csikos(cfg)
+    assert all(r.passed for r in reports)
+    assert union.extras["mean_width_method"] == "quadrature"
 
 
 def test_verify_capoyleas_pach_single_point():

@@ -8,7 +8,7 @@ from kpv.ball_volumes import (BallSystem, farthest_voronoi, mc_ball_volume,
                               nearest_voronoi)
 from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError, InputError
-from kpv.meanwidth import edge_functional_3d, mean_width_exact_2d
+from kpv.meanwidth import mean_width_edge_sum_3d, mean_width_exact_2d
 from kpv.polyhedra import contains
 from kpv.truncated_volume import unit_ball_volume
 
@@ -247,7 +247,7 @@ def test_laurent_coefficients_spatial_edge_sum(rng):
     for _ in range(4):
         cfg = random_config(rng, 3, int(rng.integers(4, 7)))
         system = BallSystem(cfg, r_max=np.inf)
-        m = 0.5 * edge_functional_3d(cfg)
+        m = mean_width_edge_sum_3d(cfg).value
         assert system.laurent_coefficients("union")[1] == pytest.approx(m, abs=1e-10 * m)
         assert system.laurent_coefficients("intersection")[1] == pytest.approx(
             -m, abs=1e-10 * m)

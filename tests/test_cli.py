@@ -121,6 +121,43 @@ def test_csv_and_json_contain_identical_values(two_disks, tmp_path):
     assert float(rows["results.value"]) == value_json == 2.0
 
 
+def test_csv_and_json_reports_carry_the_same_float_text(two_disks, tmp_path):
+    # radii from 1e-5 (volumes in exponent form, intersections exactly 0 below
+    # the onset at 0.5) to 1e7 (volumes past 1e12, also in exponent form)
+    jpath, cpath = tmp_path / "v.json", tmp_path / "v.csv"
+    for path, fmt in ((jpath, "json"), (cpath, "csv")):
+        assert main(["volume", "--config", two_disks, "--r-grid", "1e-5:1e7:40",
+                     "--out", str(path), "--format", fmt]) == EXIT_OK
+
+    class FloatText:
+        """A float of the JSON report as its text, which CSV rows take as str()."""
+
+        def __init__(self, text):
+            self.text = text
+
+        def __str__(self):
+            return self.text
+
+    want: list = []
+    kpv.cli._flatten("", json.loads(jpath.read_text(), parse_float=FloatText,
+                                    parse_constant=FloatText), want)
+    lines = cpath.read_text().splitlines()
+    assert lines[0] == "key,value"
+    got = [tuple(line.split(",", 1)) for line in lines[1:]]
+    assert len(got) == len(want) and dict(got) == dict(want)
+    floats = [val for key, val in want if key.startswith("results.volumes")]
+    assert "0.0" in floats and any("e" in val for val in floats)
+
+
+def test_csv_writes_non_finite_floats_and_numpy_values_as_json_does(tmp_path):
+    path = tmp_path / "r.csv"
+    kpv.cli._write_report({"a": math.nan, "b": (np.float64(math.inf), -math.inf),
+                           "c": np.array(0.5), "d": np.array([[np.float32(0.1)]])},
+                          str(path), "csv")
+    assert path.read_text() == ("key,value\na,NaN\nb[0],Infinity\nb[1],-Infinity\n"
+                                "c,0.5\nd[0][0],0.10000000149\n")
+
+
 def test_threshold_command(two_disks, tmp_path):
     qpath = tmp_path / "expanded.json"
     qpath.write_text(json.dumps(
@@ -134,6 +171,10 @@ def test_threshold_command(two_disks, tmp_path):
     assert rep["results"]["strictness_margin"] > 0
 
 
+# a full-dimensional simplex in E^4: np.eye(4) alone spans only a 3-flat
+SIMPLEX_4D = np.vstack([np.zeros(4), np.eye(4)])
+
+
 def test_meanwidth_quadrature_command(two_disks, tmp_path):
     out = tmp_path / "q.json"
     code = main(["meanwidth", "--config", two_disks, "--method", "quadrature",
@@ -145,13 +186,18 @@ def test_meanwidth_quadrature_command(two_disks, tmp_path):
 
 def test_meanwidth_auto_reports_nodes_only_when_quadrature_ran(two_disks, tmp_path):
     exact, quad = tmp_path / "e.json", tmp_path / "q.json"
-    assert main(["meanwidth", "--config", two_disks, "--out", str(exact)]) == EXIT_OK
-    rep = json.loads(exact.read_text())
-    assert rep["results"]["method"] == "exact2d"
-    assert rep["results"]["nodes_used"] == 0
-    assert "nodes" not in rep["parameters"] and "seed" not in rep["parameters"]
+    # a triangle placed in E^4 spans a plane: its mean width is exact too
+    planar = tmp_path / "planar4.json"
+    save_configuration(PointConfiguration.from_points(
+        [[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 0.5, 2.0], [0.0, 0.0, 1.0, 2.0]]), planar)
+    for config in (two_disks, str(planar)):
+        assert main(["meanwidth", "--config", config, "--out", str(exact)]) == EXIT_OK
+        rep = json.loads(exact.read_text())
+        assert rep["results"]["method"] == "exact"
+        assert rep["results"]["nodes_used"] == 0
+        assert "nodes" not in rep["parameters"] and "seed" not in rep["parameters"]
     simplex = tmp_path / "simplex4.json"
-    save_configuration(PointConfiguration.from_points(np.eye(4)), simplex)
+    save_configuration(PointConfiguration.from_points(SIMPLEX_4D), simplex)
     assert main(["meanwidth", "--config", str(simplex), "--nodes", "2048",
                  "--out", str(quad)]) == EXIT_OK
     rep = json.loads(quad.read_text())
@@ -163,7 +209,7 @@ def test_meanwidth_auto_reports_nodes_only_when_quadrature_ran(two_disks, tmp_pa
 def test_meanwidth_auto_reports_the_nodes_the_quadrature_used(tmp_path):
     # the antithetic quadrature rounds an odd node count up to whole pairs
     simplex = tmp_path / "simplex4.json"
-    save_configuration(PointConfiguration.from_points(np.eye(4)), simplex)
+    save_configuration(PointConfiguration.from_points(SIMPLEX_4D), simplex)
     reports = {}
     for method in ("auto", "quadrature"):
         out = tmp_path / f"{method}.json"

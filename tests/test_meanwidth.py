@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpv.configurations import PointConfiguration, embed, random_expansion
 from kpv.errors import GeometryError, InputError
-from kpv.meanwidth import (calibrate, edge_curvatures_3d, edge_functional_3d,
-                           mean_width_edge_sum_3d, mean_width_exact_2d,
-                           mean_width_quadrature)
+from kpv.meanwidth import (calibrate, mean_width_edge_sum_3d, mean_width_exact,
+                           mean_width_exact_2d, mean_width_quadrature)
 from kpv.truncated_volume import unit_ball_volume
 
-from conftest import random_config, random_orthogonal
+from conftest import placed, random_config, random_orthogonal
 
 TET_BETA = math.pi - math.acos(1.0 / 3.0)        # regular tetrahedron, edge 1
 
@@ -59,7 +60,7 @@ def test_exact2d_square_perimeter():
     cfg = PointConfiguration.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])
     res = mean_width_exact_2d(cfg)
     assert res.value == pytest.approx(4.0, abs=1e-12)
-    assert res.stderr == 0.0 and res.method == "exact2d"
+    assert res.stderr <= 1e-14 and res.method == "exact"
 
 
 def test_exact2d_segment_counts_twice():
@@ -72,34 +73,73 @@ def test_exact2d_point():
     assert mean_width_exact_2d(cfg).value == 0.0
 
 
-def test_edge_curvatures_tetrahedron():
-    ecs = edge_curvatures_3d(unit_tetrahedron())
-    assert len(ecs) == 6
-    for e in ecs:
-        assert e.exterior_angle == pytest.approx(TET_BETA, abs=1e-9)
-        assert e.length == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("pts, want", [
+    ([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], 4.0),     # interior point
+    ([[1, 1], [0, 0], [0, 1], [1, 0]], 4.0),                 # any vertex order
+    ([[0, 0], [1, 1], [2, 2]], 4.0 * math.sqrt(2.0)),        # collinear: segment
+    ([[0, 0], [0, 0], [3, 0], [1.5, 0]], 6.0),               # repeated, collinear
+    ([[0.5, 0.5]] * 3, 0.0),                                 # one point thrice
+], ids=["interior", "unordered", "collinear", "repeated", "coincident"])
+def test_exact_planar_hulls(pts, want):
+    assert mean_width_exact(PointConfiguration.from_points(pts)).value == pytest.approx(
+        want, rel=1e-12, abs=1e-15)
 
 
-def test_edge_curvatures_cube():
-    ecs = edge_curvatures_3d(unit_cube())
-    assert len(ecs) == 12
-    for e in ecs:
-        assert e.exterior_angle == pytest.approx(math.pi / 2.0, abs=1e-9)
-        assert 0.0 < e.exterior_angle < math.pi
+def test_exact_invariant_under_permutation(rng):
+    pts = rng.uniform(-1, 1, size=(12, 2))
+    base = mean_width_exact(PointConfiguration.from_points(pts)).value
+    other = mean_width_exact(PointConfiguration.from_points(pts[rng.permutation(12)])).value
+    assert other == pytest.approx(base, rel=1e-14)
 
 
-def test_edge_curvatures_merges_coplanar_facets():
-    # cube with an extra point on a face: face triangulations must merge
-    pts = np.vstack([unit_cube().points, [[0.5, 0.5, 1.0]]])
-    ecs = edge_curvatures_3d(PointConfiguration.from_points(pts))
-    assert len(ecs) == 12
+def test_exact_polytopes_in_closed_form():
+    # Kubota with kappa_2 = pi: M_3 = sum(beta * d) / 2
+    tet = mean_width_exact(unit_tetrahedron())
+    assert tet.value == pytest.approx(6.0 * TET_BETA * math.pi / (2.0 * math.pi), rel=1e-12)
+    assert tet.method == "exact" and tet.nodes_used == 0
+    assert mean_width_exact(unit_cube()).value == pytest.approx(3.0 * math.pi, rel=1e-12)
+    # a point on a face splits it into coplanar triangles, whose edges add nothing
+    face_point = np.vstack([unit_cube().points, [[0.5, 0.5, 1.0]]])
+    assert mean_width_exact(PointConfiguration.from_points(face_point)).value == (
+        pytest.approx(3.0 * math.pi, rel=1e-12))
 
 
-def test_edge_curvatures_degenerate_hull():
-    flat = PointConfiguration.from_points(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+def test_exact_flat_and_collinear_sets_in_3d():
+    # unit square: V_1 = 2, M_3 = pi * 2; segment of length 2: V_1 = 2, M_3 = 2 pi
+    square = PointConfiguration.from_points([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    assert mean_width_exact(square).value == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert mean_width_edge_sum_3d(square).value == pytest.approx(2.0 * math.pi, rel=1e-12)
+    seg = PointConfiguration.from_points([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    assert mean_width_exact(seg).value == pytest.approx(2.0 * math.sqrt(3.0) * math.pi,
+                                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 4), (2, 5), (3, 5)])
+def test_exact_matches_quadrature_in_higher_dimensions(k, n):
+    rng = np.random.default_rng([17, k, n])
+    cfg = placed(rng, rng.uniform(-1, 1, (7, k)), n)
+    exact = mean_width_exact(cfg)
+    quad = mean_width_quadrature(cfg, 200_000, seed=k * 10 + n)
+    assert abs(exact.value - quad.value) <= 3.0 * quad.stderr
+
+
+def test_exact_refuses_rank_four():
     with pytest.raises(GeometryError):
-        edge_curvatures_3d(flat)
+        mean_width_exact(PointConfiguration.from_points(np.vstack([np.zeros(4), np.eye(4)])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), extra=st.integers(0, 3), n_pts=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_depends_only_on_the_flat(k, extra, n_pts, seed):
+    # Kubota: M_n / kappa_(n-1) = V_1 is the same in every dimension
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n_pts, k))
+    n = k + extra
+    own = mean_width_exact(PointConfiguration.from_points(pts)).value
+    moved = mean_width_exact(placed(rng, pts, n)).value
+    want = unit_ball_volume(n - 1) / unit_ball_volume(k - 1) * own
+    assert moved == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_edge_sum_cube_vs_quadrature():
@@ -107,7 +147,7 @@ def test_edge_sum_cube_vs_quadrature():
     q = mean_width_quadrature(unit_cube(), 200_000, seed=5)
     assert abs(es.value - q.value) <= 3.0 * math.hypot(es.stderr, q.stderr)
     # closed form: M_3[unit cube] = 3 pi with this normalization
-    assert es.value == pytest.approx(3.0 * math.pi, rel=2e-3)
+    assert es.value == pytest.approx(3.0 * math.pi, rel=1e-12)
 
 
 def test_edge_sum_tetrahedron_symmetry():
@@ -118,8 +158,8 @@ def test_edge_sum_tetrahedron_symmetry():
 def test_edge_sum_scales_linearly():
     lam = 2.5
     scaled = PointConfiguration.from_points(lam * unit_tetrahedron().points)
-    assert edge_functional_3d(scaled) == pytest.approx(
-        lam * edge_functional_3d(unit_tetrahedron()), rel=1e-9)
+    assert mean_width_edge_sum_3d(scaled).value == pytest.approx(
+        lam * mean_width_edge_sum_3d(unit_tetrahedron()).value, rel=1e-9)
 
 
 def test_calibrate_identities_and_oracles():

@@ -6,7 +6,7 @@ import pytest
 from kpv.configurations import PointConfiguration
 from kpv.errors import GeometryError, InputError
 from kpv.polyhedra import (Halfspace, PolyhedralSet, complement_set, contains,
-                           convex_hull_2d, face_data, support_value)
+                           face_data, support_value)
 
 from conftest import random_config
 
@@ -185,41 +185,6 @@ def test_support_value_rejects_non_unit():
     cfg = PointConfiguration.from_points([[0.0, 0.0]])
     with pytest.raises(InputError):
         support_value(cfg, np.array([1.0, 1.0]))
-
-
-def test_hull_drops_interior_point():
-    cfg = PointConfiguration.from_points(
-        [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
-    hull = convex_hull_2d(cfg)
-    assert hull.shape == (4, 2)
-
-
-def test_hull_collinear_degenerates_to_segment():
-    cfg = PointConfiguration.from_points([[0, 0], [1, 1], [2, 2]])
-    hull = convex_hull_2d(cfg)
-    assert hull.shape == (2, 2)
-    assert {tuple(v) for v in hull.tolist()} == {(0.0, 0.0), (2.0, 2.0)}
-
-
-def test_hull_square_ccw():
-    cfg = PointConfiguration.from_points([[1, 1], [0, 0], [0, 1], [1, 0]])
-    hull = convex_hull_2d(cfg)
-    assert hull.shape == (4, 2)
-    area2 = 0.0
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        area2 += a[0] * b[1] - a[1] * b[0]
-    assert area2 == pytest.approx(2.0)       # positive orientation, area 1
-
-
-def test_hull_invariant_under_permutation(rng):
-    pts = rng.uniform(-1, 1, size=(12, 2))
-    base = convex_hull_2d(PointConfiguration.from_points(pts))
-    perm = rng.permutation(12)
-    other = convex_hull_2d(PointConfiguration.from_points(pts[perm]))
-    assert base.shape == other.shape
-    # same cyclic sequence: rotate to align first vertex
-    k = int(np.argmin(np.sum(np.abs(other - base[0]), axis=1)))
-    assert np.allclose(np.roll(other, -k, axis=0), base)
 
 
 def test_polyhedral_set_json_round_trip():
