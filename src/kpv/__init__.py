@@ -12,18 +12,15 @@ from .configurations import (DistanceMatrix, PointConfiguration, are_congruent,
                              distance_matrix, embed, is_expansion,
                              load_configuration, random_expansion,
                              save_configuration)
-from .polyhedra import (FaceData, Halfspace, PolyhedralSet, complement_set,
-                        contains, face_data, support_value)
-from .meanwidth import (CalibrationConstant, MeanWidthResult, calibrate,
-                        mean_width_edge_sum_3d, mean_width_exact,
-                        mean_width_exact_2d, mean_width_quadrature)
+from .polyhedra import FaceData, Halfspace, PolyhedralSet, contains, face_data
+from .meanwidth import (MeanWidthResult, calibrate, mean_width_edge_sum_3d,
+                        mean_width_exact, mean_width_exact_2d,
+                        mean_width_quadrature, reference_mean_width)
 from .truncated_volume import (RadialVolumeProfile, RadiusGrid, check_ww_lemma,
                                mc_truncated_volume, unit_ball_volume, volume_profile)
-from .ball_volumes import (BallSystem, VoronoiRegion, farthest_voronoi,
-                           mc_ball_volume, nearest_voronoi)
+from .ball_volumes import BallSystem, farthest_voronoi, mc_ball_volume, nearest_voronoi
 from .asymptotics import (CheckReport, LaurentFit, ThresholdResult,
                           kp_threshold, laurent_fit, mean_width_difference,
-                          reference_mean_width,
                           verify_capoyleas_pach, verify_csikos,
                           verify_lift_identity, verify_ww_proposition)
 
@@ -32,17 +29,15 @@ __all__ = [
     "PointConfiguration", "DistanceMatrix", "distance_matrix", "is_expansion",
     "are_congruent", "embed", "random_expansion", "load_configuration",
     "save_configuration",
-    "Halfspace", "PolyhedralSet", "FaceData", "contains", "complement_set",
-    "face_data", "support_value",
-    "MeanWidthResult", "CalibrationConstant",
-    "mean_width_exact", "mean_width_quadrature", "mean_width_exact_2d",
-    "mean_width_edge_sum_3d", "calibrate",
+    "Halfspace", "PolyhedralSet", "FaceData", "contains", "face_data",
+    "MeanWidthResult", "mean_width_exact", "mean_width_quadrature",
+    "mean_width_exact_2d", "mean_width_edge_sum_3d", "calibrate",
+    "reference_mean_width",
     "RadialVolumeProfile", "RadiusGrid", "unit_ball_volume", "volume_profile",
     "check_ww_lemma", "mc_truncated_volume",
-    "VoronoiRegion", "BallSystem", "nearest_voronoi", "farthest_voronoi",
-    "mc_ball_volume",
+    "BallSystem", "nearest_voronoi", "farthest_voronoi", "mc_ball_volume",
     "LaurentFit", "CheckReport", "ThresholdResult", "laurent_fit",
-    "mean_width_difference", "reference_mean_width",
+    "mean_width_difference",
     "verify_capoyleas_pach", "verify_csikos",
     "verify_ww_proposition", "verify_lift_identity", "kp_threshold",
 ]

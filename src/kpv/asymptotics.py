@@ -22,8 +22,7 @@ from .ball_volumes import BallSystem
 from .configurations import (PointConfiguration, are_congruent, embed,
                              is_expansion)
 from .errors import GeometryError, InputError, NumericalError
-from .meanwidth import (MeanWidthResult, _flat_coordinates, mean_width_exact,
-                        mean_width_quadrature)
+from .meanwidth import reference_mean_width
 from .truncated_volume import RadiusGrid, fit_radial_powers, unit_ball_volume
 
 @dataclass(frozen=True)
@@ -74,7 +73,9 @@ class ThresholdResult:
     margins holds the four normalized gaps (union volume, intersection
     volume, union boundary, intersection boundary) at every checked radius;
     negative entries mark radii where an inequality fails, which is expected
-    at small radii (boundary inequalities genuinely can fail there).
+    at small radii (boundary inequalities genuinely can fail there).  r0
+    needs all four to hold from it on; all_hold covers only the two volume
+    inequalities (margins[:, :2]), over the whole grid.
     """
 
     r0: float
@@ -120,24 +121,11 @@ def _config_scale(p: PointConfiguration) -> float:
     return max(p.diameter, 1e-2)
 
 
-def reference_mean_width(p: PointConfiguration, nodes: int = 200_000,
-                         seed: int = 433494437) -> MeanWidthResult:
-    """Best available mean width with its error bound.
-
-    Exact for hulls of rank <= 3 in any dimension; sphere quadrature with
-    nodes and seed above, where nodes_used is the number of directions taken.
-    """
-    if _flat_coordinates(p).shape[1] <= 3:
-        return mean_width_exact(p)
-    return mean_width_quadrature(p, nodes=nodes, seed=seed)
-
-
-def mean_width_difference(p: PointConfiguration, q: PointConfiguration,
-                          nodes: int = 200_000, seed: int = 433494437
+def mean_width_difference(p: PointConfiguration, q: PointConfiguration
                           ) -> tuple[float, float]:
     """M(q) - M(p) with an error bound: the sum of both sides' bounds."""
-    mp = reference_mean_width(p, nodes=nodes, seed=seed)
-    mq = reference_mean_width(q, nodes=nodes, seed=seed)
+    mp = reference_mean_width(p)
+    mq = reference_mean_width(q)
     return mq.value - mp.value, mp.stderr + mq.stderr + 1e-12 * (
         abs(mp.value) + abs(mq.value) + 1.0)
 

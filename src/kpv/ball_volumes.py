@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -44,21 +43,6 @@ DISTINCT_SITE_TOL = 1e-9
 # boundary measures are read only at radii at least BREAKPOINT_TOL * max(1, r)
 # away from every profile breakpoint
 BREAKPOINT_TOL = 1e-9
-
-
-@dataclass(eq=False)
-class VoronoiRegion:
-    """A nearest- or farthest-point Voronoi region of one site."""
-
-    kind: str                   # "nearest" | "farthest"
-    site_index: int
-    region: PolyhedralSet
-
-    def is_empty(self, tol: float | None = None) -> bool:
-        """Farthest regions of non-extreme sites are empty; nearest never are."""
-        if self.kind == "nearest":
-            return False
-        return not self.region.is_feasible(tol)
 
 
 def _check_distinct(p: PointConfiguration):
@@ -84,29 +68,30 @@ def _affine_rank(centred: np.ndarray) -> tuple[int, np.ndarray]:
     return int(np.sum(svals > 1e-12 * svals[0])), vt
 
 
-def _voronoi(p: PointConfiguration, kind: str, i: int) -> VoronoiRegion:
+def _voronoi(p: PointConfiguration, kind: str, i: int) -> PolyhedralSet:
     """Region of site i cut out by the bisectors with every other site."""
     pts = p.points
     hs = tuple(_bisector(pts[i], pts[j]) for j in range(p.n_points) if j != i)
     if kind == "farthest":
         hs = tuple(h.flipped() for h in hs)
-    return VoronoiRegion(kind=kind, site_index=i, region=PolyhedralSet(p.dimension, hs))
+    return PolyhedralSet(p.dimension, hs)
 
 
-def _checked_voronoi(p: PointConfiguration, kind: str, i: int) -> VoronoiRegion:
+def _checked_voronoi(p: PointConfiguration, kind: str, i: int) -> PolyhedralSet:
     _check_distinct(p)
     if not 0 <= i < p.n_points:
         raise InputError(f"site index {i} out of range")
     return _voronoi(p, kind, i)
 
 
-def nearest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
+def nearest_voronoi(p: PointConfiguration, i: int) -> PolyhedralSet:
     """Nearest-point region of site i: all bisector halfspaces toward i."""
     return _checked_voronoi(p, "nearest", i)
 
 
-def farthest_voronoi(p: PointConfiguration, i: int) -> VoronoiRegion:
-    """Farthest-point region of site i (may be empty for interior sites)."""
+def farthest_voronoi(p: PointConfiguration, i: int) -> PolyhedralSet:
+    """Farthest-point region of site i (empty, with a negative feasibility
+    margin, for a site that is not a vertex of the hull)."""
     return _checked_voronoi(p, "farthest", i)
 
 
@@ -342,7 +327,7 @@ class BallSystem:
         def build(kind: str, i: int) -> RadialVolumeProfile | None:
             # lower-dimensional farthest regions contribute 0; nearest regions
             # always contain their site with positive margin
-            region = _voronoi(centred, kind, i).region
+            region = _voronoi(centred, kind, i)
             if kind == "farthest" and region.feasibility_margin() <= 1e-9 * scale:
                 return None
             try:

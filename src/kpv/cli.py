@@ -32,14 +32,15 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .asymptotics import (RadiusGrid, kp_threshold, reference_mean_width,
-                          verify_capoyleas_pach, verify_csikos,
-                          verify_lift_identity, verify_ww_proposition)
+from .asymptotics import (RadiusGrid, kp_threshold, verify_capoyleas_pach,
+                          verify_csikos, verify_lift_identity,
+                          verify_ww_proposition)
 from .ball_volumes import BallSystem, mc_ball_volume
 from .configurations import (PointConfiguration, load_configuration,
                              random_expansion, save_configuration)
 from .errors import GeometryError, InputError, KpvError, NumericalError
-from .meanwidth import mean_width_edge_sum_3d, mean_width_exact_2d, mean_width_quadrature
+from .meanwidth import (QUADRATURE_NODES, QUADRATURE_SEED, mean_width_quadrature,
+                        reference_mean_width)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -230,15 +231,30 @@ def _checked_radii(values) -> list[float]:
     return radii
 
 
+def _radius_grid(params: _Parameters) -> RadiusGrid | None:
+    """The --r-grid MIN:MAX:COUNT as a RadiusGrid, None when none was given."""
+    r_grid = params.get("r_grid")
+    if r_grid is None:
+        return None
+    lo, hi, count = r_grid
+    return RadiusGrid(lo, hi, int(count))
+
+
 def _radii(params: _Parameters, default_scale: float) -> list[float]:
     r = params.get("r")
     if r is not None:
         return _checked_radii(r)
-    r_grid = params.get("r_grid")
-    if r_grid is not None:
-        lo, hi, count = r_grid
-        return RadiusGrid(lo, hi, int(count)).radii().tolist()
+    grid = _radius_grid(params)
+    if grid is not None:
+        return grid.radii().tolist()
     return [default_scale]
+
+
+def _seed(params: _Parameters, default: int) -> int:
+    seed = int(params.get("seed", default))
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -256,20 +272,16 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
     method = params.get("method", "auto")
-    if method in ("auto", "quadrature"):
-        nodes, seed = int(params.get("nodes", 100_000)), int(params.get("seed", 0))
+    if method not in ("auto", "quadrature"):
+        raise InputError(f"unknown mean-width method {method!r}")
+    nodes = int(params.get("nodes", QUADRATURE_NODES))
+    seed = _seed(params, QUADRATURE_SEED)
     if method == "auto":
         r = reference_mean_width(config, nodes=nodes, seed=seed)
         if r.method != "quadrature":       # the exact path: no node was used
             del params.read["nodes"], params.read["seed"]
-    elif method == "exact2d":
-        r = mean_width_exact_2d(config)
-    elif method == "quadrature":
-        r = mean_width_quadrature(config, nodes=nodes, seed=seed)
-    elif method in ("edge_sum", "edge_sum_3d"):
-        r = mean_width_edge_sum_3d(config)
     else:
-        raise InputError(f"unknown mean-width method {method!r}")
+        r = mean_width_quadrature(config, nodes=nodes, seed=seed)
     return {"value": r.value, "stderr": r.stderr, "method": r.method,
             "nodes_used": r.nodes_used}, EXIT_OK
 
@@ -287,7 +299,7 @@ def _cmd_volume(spec: ExperimentSpec, params: _Parameters):
                           for r, u, i in zip(radii, union, inter)]
     elif method == "monte_carlo":
         samples = int(params.get("samples", 1_000_000))
-        seed = int(params.get("seed", 0))
+        seed = _seed(params, 0)
         for k, r in enumerate(radii):
             both = mc_ball_volume(config, r, "both", samples, seed + k)
             (u, su), (i, si) = both["union"], both["intersection"]
@@ -339,36 +351,22 @@ def _cmd_verify(spec: ExperimentSpec, params: _Parameters):
         reports.extend(verify_lift_identity(config, radii))
     if not reports:
         raise InputError(f"unknown claim {claim!r}")
-    tol_override = params.get("tol")
-    records = []
-    all_pass = True
-    for rep in reports:
-        rec = rep.to_dict()
-        if tol_override is not None:
-            rec["tolerance"] = float(tol_override)
-            rec["pass"] = rec["gap"] <= float(tol_override)
-        records.append(rec)
-        all_pass &= bool(rec["pass"])
-    return {"checks": records, "all_pass": all_pass}, (
+    all_pass = all(rep.passed for rep in reports)
+    return {"checks": [rep.to_dict() for rep in reports], "all_pass": all_pass}, (
         EXIT_OK if all_pass else EXIT_VERIFY_FAILED)
 
 
 def _cmd_threshold(spec: ExperimentSpec, params: _Parameters):
     p, q = _load_configs(spec, 2)
     diam = max(p.diameter, q.diameter, 1e-2)
-    r_grid = params.get("r_grid")
-    if r_grid is not None:
-        lo, hi, count = r_grid
-        grid = RadiusGrid(lo, hi, int(count))
-    else:
-        grid = RadiusGrid(diam, 1000.0 * diam, 24)
+    grid = _radius_grid(params) or RadiusGrid(diam, 1000.0 * diam, 24)
     result = kp_threshold(p, q, grid)
     return result.to_dict(), EXIT_OK
 
 
 def _cmd_generate(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
-    seed = int(params.get("seed", 0))
+    seed = _seed(params, 0)
     magnitude = float(params.get("magnitude", 0.1))
     out = spec.output
     if out is None:
@@ -435,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--magnitude", type=float, default=None)
     parser.add_argument("--terms", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         default="json")
@@ -448,7 +445,6 @@ def spec_from_argv(argv) -> ExperimentSpec:
         "claim": args.claim, "r": args.r, "r_grid": args.r_grid,
         "method": args.method, "samples": args.samples, "nodes": args.nodes,
         "seed": args.seed, "magnitude": args.magnitude, "terms": args.terms,
-        "tol": args.tol,
     }
     return ExperimentSpec(command=args.command, inputs=list(args.config),
                           parameters=parameters, output=args.out, fmt=args.fmt)

@@ -9,6 +9,7 @@ configurations are congruent when their (indexed) distance matrices agree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from .errors import GeometryError, InputError
 
 # Absolute tolerance for distance comparisons on unit-scale configurations.
 DEFAULT_TOL = 1e-9
+# random_expansion's budget: noise draws, and relaxation sweeps per draw
+MAX_ATTEMPTS = 25
+MAX_SWEEPS = 500
 
 
 def _as_point_array(points, dimension: int | None = None) -> np.ndarray:
@@ -169,28 +173,28 @@ def embed(config: PointConfiguration, target_dim: int) -> PointConfiguration:
     return PointConfiguration(dimension=target_dim, points=padded, label=config.label)
 
 
-def random_expansion(p: PointConfiguration, seed: int, magnitude: float,
-                     max_attempts: int = 25, max_sweeps: int = 500) -> PointConfiguration:
+def random_expansion(p: PointConfiguration, seed: int, magnitude: float) -> PointConfiguration:
     """Generate a random expansion of p in the same dimension.
 
     The points are perturbed by Gaussian noise of the given magnitude and
     then relaxed: every pair that got closer than its original distance is
     pushed apart along its connecting line until a full sweep finds no
     violation.  Deterministic for a fixed seed.  Raises GeometryError when no
-    expansion is found within the attempt budget (retry with another seed).
+    expansion is found in MAX_ATTEMPTS draws of MAX_SWEEPS sweeps each
+    (retry with another seed).
     """
-    if magnitude < 0:
-        raise InputError("magnitude must be non-negative")
+    if not 0 <= magnitude < math.inf:
+        raise InputError(f"magnitude must be finite and non-negative, got {magnitude!r}")
     if magnitude == 0:
         return PointConfiguration(p.dimension, p.points, label=p.label)
     rng = np.random.default_rng(seed)
     targets = distance_matrix(p).entries
     n, dim = p.n_points, p.dimension
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         q = p.points + magnitude * rng.standard_normal((n, dim))
         ok = n == 1
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             violated = False
             for i, j in pairs:
                 d = float(np.linalg.norm(q[i] - q[j]))

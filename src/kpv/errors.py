@@ -16,6 +16,5 @@ class GeometryError(KpvError):
 
 class NumericalError(KpvError):
     """A numerical procedure failed its accuracy or conditioning target
-    (quadrature that does not converge, ill-conditioned power fit, a profile
-    failing its invariant checks, inequalities still failing at the top of a
-    threshold grid)."""
+    (quadrature that does not converge, ill-conditioned power fit,
+    inequalities still failing at the top of a threshold grid)."""

@@ -8,7 +8,8 @@ exact one is Kubota's formula, int_{S^(n-1)} h_K = kappa_(n-1) V_1(K)
 points span: half the perimeter of a polygon, sum(beta_e * |e|) / (2 pi)
 over the edges of a 3-polytope.  It covers hulls of rank <= 3 in any
 dimension.  Sphere quadrature (a deterministic trapezoid in the plane,
-antithetic Monte Carlo in higher dimensions) covers every rank.
+antithetic Monte Carlo in higher dimensions) covers every rank;
+reference_mean_width takes the exact route wherever it applies.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .errors import GeometryError, InputError
 from .truncated_volume import unit_ball_volume
 
 _STDERR_FLOOR = 1e-15
+# the sphere quadrature's directions and seed when a hull of rank >= 4 needs it
+QUADRATURE_NODES = 200_000
+QUADRATURE_SEED = 433494437
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,20 @@ def mean_width_exact(points: PointConfiguration) -> MeanWidthResult:
                            stderr=_STDERR_FLOOR * (1 + value), nodes_used=0)
 
 
+def reference_mean_width(p: PointConfiguration, nodes: int = QUADRATURE_NODES,
+                         seed: int = QUADRATURE_SEED) -> MeanWidthResult:
+    """Best available mean width with its error bound.
+
+    Exact for hulls of rank <= 3 in any dimension; sphere quadrature with
+    nodes and seed above, where nodes_used is the number of directions taken.
+    """
+    if _flat_coordinates(p).shape[1] <= 3:
+        return mean_width_exact(p)
+    return mean_width_quadrature(p, nodes=nodes, seed=seed)
+
+
+# Not called here (nor mean_width_edge_sum_3d): reference_mean_width goes
+# through mean_width_exact, and bench/tracer.py rebinds both names.
 def mean_width_exact_2d(points: PointConfiguration) -> MeanWidthResult:
     """Exact planar mean width: the hull perimeter (a segment counts twice)."""
     if points.dimension != 2:
@@ -157,37 +175,20 @@ def mean_width_edge_sum_3d(points: PointConfiguration) -> MeanWidthResult:
 
 
 # Not called here: bench/run.py's setup calls calibrate and bench/tracer.py
-# rebinds it, so it and its result type stay importable from src.
-@dataclass(frozen=True)
-class CalibrationConstant:
-    """Multiplier turning a lower-dimensional reference functional into M_n.
-
-    For n0 = 2 the reference functional is the planar hull perimeter and the
-    constant is kappa_(n-1) / 2; for n0 = 3 it is the edge sum
-    sum(beta_ij * d_ij) and the constant is kappa_(n-1) / (2 pi).  Both are
-    exact.  Same-dimension constants where the reference functional is M_n
-    itself are exactly 1.
-    """
-
-    n0: int
-    n: int
-    value: float
-
-
-def calibrate(n0: int, n: int) -> CalibrationConstant:
+# rebinds it, so it stays importable from src.
+def calibrate(n0: int, n: int) -> float:
     """The dimensional constant of the n0-dimensional reference formula.
 
-    Supported: 2 <= n0 <= n <= 4.  (2, n) lifts a planar perimeter into E^n
-    and is kappa_(n-1) / 2; (3, n) scales the 3-d edge sum and is
-    kappa_(n-1) / (2 pi).  (2, 2) and (4, 4), where the reference functional
-    is M_n itself, are 1.
+    The multiplier turning a lower-dimensional reference functional into M_n,
+    exact for 2 <= n0 <= n <= 4.  (2, n) lifts a planar perimeter into E^n
+    and is kappa_(n-1) / 2; (3, n) scales the 3-d edge sum
+    sum(beta_ij * d_ij) and is kappa_(n-1) / (2 pi).  (2, 2) and (4, 4),
+    where the reference functional is M_n itself, are 1.
     """
     if not (2 <= n0 <= n <= 4):
         raise InputError(f"unsupported calibration pair (n0={n0}, n={n})")
     if n0 == n and n0 in (2, 4):
-        value = 1.0
-    elif n0 == 2:
-        value = unit_ball_volume(n - 1) / 2.0
-    else:   # n0 == 3, n in (3, 4)
-        value = unit_ball_volume(n - 1) / (2.0 * math.pi)
-    return CalibrationConstant(n0=n0, n=n, value=value)
+        return 1.0
+    if n0 == 2:
+        return unit_ball_volume(n - 1) / 2.0
+    return unit_ball_volume(n - 1) / (2.0 * math.pi)     # n0 == 3, n in (3, 4)

@@ -1,4 +1,4 @@
-"""Halfspaces, polyhedral sets, their facets, and small convex-geometry helpers.
+"""Halfspaces, polyhedral sets, membership and facet extraction.
 
 A polyhedral set is an intersection of finitely many closed halfspaces (an
 empty list means all of E^n).  Facet extraction reports, for a base point,
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configurations import PointConfiguration
 from .errors import GeometryError, InputError
 
 # Chord tolerance for deciding that two unit normals describe the same
@@ -62,9 +61,6 @@ class Halfspace:
     def slack(self, x: np.ndarray) -> float:
         """offset - <x, normal>; non-negative inside the halfspace."""
         return self.offset - float(np.dot(np.asarray(x, dtype=float), self.normal))
-
-    def to_dict(self) -> dict:
-        return {"normal": self.normal.tolist(), "offset": self.offset}
 
 
 @dataclass(eq=False)
@@ -116,35 +112,6 @@ class PolyhedralSet:
             A, b = self.constraint_arrays()
             self._margin_cache = _max_margin_two_phase(A, b, self.scale())
         return self._margin_cache
-
-    def is_feasible(self, tol: float | None = None) -> bool:
-        if not self.halfspaces:
-            return True
-        t = self.feasibility_margin()
-        return t >= -(tol if tol is not None else 1e-9 * self.scale())
-
-    def to_dict(self) -> dict:
-        return {"dimension": self.dimension,
-                "halfspaces": [h.to_dict() for h in self.halfspaces]}
-
-    @classmethod
-    def from_dict(cls, d: dict, check_feasible: bool = True) -> "PolyhedralSet":
-        try:
-            dim = d["dimension"]
-            raw = d["halfspaces"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"polyhedral-set record missing field: {exc}") from exc
-        hs = []
-        for item in raw:
-            try:
-                hs.append(Halfspace(np.asarray(item["normal"], dtype=float),
-                                    float(item["offset"])))
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"bad halfspace record {item!r}: {exc}") from exc
-        P = cls(dimension=dim, halfspaces=tuple(hs))
-        if check_feasible and not P.is_feasible():
-            raise GeometryError("polyhedral set is empty (infeasible halfspace system)")
-        return P
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +193,7 @@ def _max_margin_two_phase(A: np.ndarray, b: np.ndarray, scale: float) -> float:
 # operations
 # ---------------------------------------------------------------------------
 
+# Not called here: the tests use it as the membership oracle for Voronoi regions.
 def contains(P: PolyhedralSet, x) -> bool:
     """Membership test with a small absolute slack."""
     x = np.asarray(x, dtype=float)
@@ -235,16 +203,6 @@ def contains(P: PolyhedralSet, x) -> bool:
     if A.shape[0] == 0:
         return True
     return bool(np.all(A @ x <= b + CONTAINS_SLACK * max(1.0, P.scale())))
-
-
-def complement_set(P: PolyhedralSet) -> PolyhedralSet:
-    """Intersection of the complementary halfspaces, entrywise flipped."""
-    flipped = tuple(h.flipped() for h in P.halfspaces)
-    Q = PolyhedralSet(dimension=P.dimension, halfspaces=flipped)
-    if flipped and not Q.is_feasible():
-        raise GeometryError(
-            "complement is empty: flipped halfspaces have no common point")
-    return Q
 
 
 def hyperplane_basis(normal: np.ndarray) -> np.ndarray:
@@ -337,23 +295,3 @@ def face_data(P: PolyhedralSet, p0) -> list[FaceData]:
             foot=foot,
             induced_face=induced))
     return faces
-
-
-def support_value(points: PointConfiguration, u) -> float:
-    """Support function of the convex hull of the points in direction u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (points.dimension,):
-        raise InputError(f"direction shape {u.shape} does not match E^{points.dimension}")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise InputError("direction must be a unit vector")
-    return float(np.max(points.points @ u))
-
-
-def load_polyhedral_set(path) -> PolyhedralSet:
-    import json
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read polyhedral set from {path}: {exc}") from exc
-    return PolyhedralSet.from_dict(data)

@@ -535,8 +535,8 @@ class RadiusGrid:
     count: int = 32
 
     def radii(self) -> np.ndarray:
-        if not (0 < self.r_min < self.r_max) or self.count < 2:
-            raise InputError("radius grid needs 0 < r_min < r_max and count >= 2")
+        if not (0 < self.r_min < self.r_max < math.inf) or self.count < 2:
+            raise InputError("radius grid needs finite 0 < r_min < r_max and count >= 2")
         return np.geomspace(self.r_min, self.r_max, self.count)
 
 

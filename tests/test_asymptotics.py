@@ -5,13 +5,12 @@ import pytest
 
 from kpv.asymptotics import (ThresholdResult, kp_threshold,
                              laurent_fit, mean_width_difference,
-                             reference_mean_width,
                              verify_capoyleas_pach, verify_csikos,
                              verify_lift_identity, verify_ww_proposition)
 from kpv.ball_volumes import BallSystem
 from kpv.configurations import PointConfiguration, random_expansion
 from kpv.errors import GeometryError, InputError
-from kpv.meanwidth import mean_width_exact_2d
+from kpv.meanwidth import mean_width_exact_2d, reference_mean_width
 from kpv.truncated_volume import RadiusGrid, unit_ball_volume
 
 from conftest import placed, random_config

@@ -19,33 +19,32 @@ TWO = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0]])
 
 def test_nearest_voronoi_two_points():
     region = nearest_voronoi(TWO, 0)
-    assert region.kind == "nearest" and region.site_index == 0
-    (h,) = region.region.halfspaces
+    (h,) = region.halfspaces
     assert np.allclose(h.normal, [1.0, 0.0])
     assert h.offset == pytest.approx(0.5)
-    assert not region.is_empty()
+    assert region.feasibility_margin() > 0
 
 
 def test_nearest_voronoi_single_site_is_whole_space():
     one = PointConfiguration.from_points([[2.0, 3.0]])
     region = nearest_voronoi(one, 0)
-    assert region.region.n_halfspaces == 0
+    assert region.n_halfspaces == 0
 
 
 def test_nearest_voronoi_equilateral():
     tri = PointConfiguration.from_points(
         [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     region = nearest_voronoi(tri, 0)
-    assert region.region.n_halfspaces == 2
+    assert region.n_halfspaces == 2
     center = np.array([0.5, math.sqrt(3.0) / 6.0])   # circumcenter
-    assert contains(region.region, center)
-    assert contains(region.region, tri.points[0])
-    assert not contains(region.region, tri.points[1])
+    assert contains(region, center)
+    assert contains(region, tri.points[0])
+    assert not contains(region, tri.points[1])
 
 
 def test_farthest_voronoi_two_points_is_complement():
     region = farthest_voronoi(TWO, 0)
-    (h,) = region.region.halfspaces
+    (h,) = region.halfspaces
     assert np.allclose(h.normal, [-1.0, 0.0])
     assert h.offset == pytest.approx(-0.5)
 
@@ -53,8 +52,8 @@ def test_farthest_voronoi_two_points_is_complement():
 def test_farthest_voronoi_interior_site_empty():
     five = PointConfiguration.from_points(
         [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
-    assert farthest_voronoi(five, 4).is_empty()
-    assert not farthest_voronoi(five, 0).is_empty()
+    assert farthest_voronoi(five, 4).feasibility_margin() < 0
+    assert farthest_voronoi(five, 0).feasibility_margin() > 0
 
 
 def test_duplicate_sites_rejected():

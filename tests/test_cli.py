@@ -111,10 +111,8 @@ def test_generate_deterministic(two_disks, tmp_path):
 
 def test_csv_and_json_contain_identical_values(two_disks, tmp_path):
     jpath, cpath = tmp_path / "m.json", tmp_path / "m.csv"
-    main(["meanwidth", "--config", two_disks, "--method", "exact2d",
-          "--out", str(jpath)])
-    main(["meanwidth", "--config", two_disks, "--method", "exact2d",
-          "--out", str(cpath), "--format", "csv"])
+    main(["meanwidth", "--config", two_disks, "--out", str(jpath)])
+    main(["meanwidth", "--config", two_disks, "--out", str(cpath), "--format", "csv"])
     value_json = json.loads(jpath.read_text())["results"]["value"]
     rows = dict(line.split(",", 1) for line in
                 cpath.read_text().strip().splitlines()[1:])
@@ -203,7 +201,8 @@ def test_meanwidth_auto_reports_nodes_only_when_quadrature_ran(two_disks, tmp_pa
     rep = json.loads(quad.read_text())
     assert rep["results"]["method"] == "quadrature"
     assert rep["results"]["nodes_used"] == 2048
-    assert rep["parameters"]["nodes"] == 2048 and rep["parameters"]["seed"] == 0
+    # the seed the verifiers' quadrature reference uses
+    assert rep["parameters"]["nodes"] == 2048 and rep["parameters"]["seed"] == 433494437
 
 
 def test_meanwidth_auto_reports_the_nodes_the_quadrature_used(tmp_path):
@@ -238,7 +237,7 @@ def test_asymptotics_command(two_disks, tmp_path):
 
 def test_run_with_spec_object(two_disks):
     spec = ExperimentSpec(command="meanwidth", inputs=[two_disks],
-                          parameters={"method": "exact2d"})
+                          parameters={"method": "auto"})
     assert run(spec) == EXIT_OK
 
 
@@ -377,10 +376,39 @@ def test_asymptotics_far_breakpoints_well_conditioned(points, tmp_path):
     ["volume", "--r", "1.0", "--r", "inf"],
     ["boundary", "--r", "-1"],
     ["verify", "lift", "--r", "-2"],
+    ["volume", "--r-grid=1:inf:4"],
+    ["volume", "--r-grid=1:nan:4"],
+    ["threshold", "--r-grid=1:inf:4"],
 ], ids=["grid-count-0", "grid-from-0", "grid-descending", "mc-negative", "negative",
-        "infinite", "boundary-negative", "lift-negative"])
+        "infinite", "boundary-negative", "lift-negative", "grid-infinite", "grid-nan",
+        "threshold-grid-infinite"])
 def test_bad_radii_are_input_errors(argv, two_disks, tmp_path, capsys):
     out = tmp_path / "never.json"
-    assert main(argv + ["--config", two_disks, "--out", str(out)]) == EXIT_INPUT
+    configs = ["--config", two_disks] * (2 if argv[0] == "threshold" else 1)
+    assert main(argv + configs + ["--out", str(out)]) == EXIT_INPUT
     assert "radi" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--method", "monte_carlo", "--r", "1.0", "--samples", "100"],
+    ["generate"],
+    ["meanwidth", "--method", "quadrature", "--nodes", "64"],
+], ids=["volume", "generate", "meanwidth"])
+def test_negative_seed_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "tet.json"
+    save_configuration(PointConfiguration.from_points(np.vstack([np.zeros(3), np.eye(3)])),
+                       path)
+    out = tmp_path / "never"
+    assert main(argv + ["--seed", "-1", "--config", str(path), "--out", str(out)]) == EXIT_INPUT
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("never*"))
+
+
+@pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
+def test_non_finite_magnitude_is_an_input_error(magnitude, two_disks, tmp_path, capsys):
+    out = tmp_path / "pair"
+    assert main(["generate", "--config", two_disks, f"--magnitude={magnitude}",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "magnitude must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("pair*"))

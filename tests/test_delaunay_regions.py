@@ -39,11 +39,11 @@ class AllBisectorReference:
     def __init__(self, p, r_max):
         centred = PointConfiguration(p.dimension, p.points - p.points.mean(axis=0))
         scale = max(1.0, p.diameter)
-        self.nearest = [volume_profile(nearest_voronoi(centred, i).region, centred.points[i],
+        self.nearest = [volume_profile(nearest_voronoi(centred, i), centred.points[i],
                                        r_max) for i in range(p.n_points)]
         self.farthest = []
         for i in range(p.n_points):
-            region = farthest_voronoi(centred, i).region
+            region = farthest_voronoi(centred, i)
             if region.feasibility_margin() > 1e-9 * scale:
                 self.farthest.append(volume_profile(region, centred.points[i], r_max))
         bps = [b for prof in self.nearest + self.farthest for b in prof.breakpoints]

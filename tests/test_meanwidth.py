@@ -152,7 +152,7 @@ def test_edge_sum_cube_vs_quadrature():
 
 def test_edge_sum_tetrahedron_symmetry():
     res = mean_width_edge_sum_3d(unit_tetrahedron())
-    assert res.value == pytest.approx(calibrate(3, 3).value * 6.0 * TET_BETA, rel=1e-12)
+    assert res.value == pytest.approx(calibrate(3, 3) * 6.0 * TET_BETA, rel=1e-12)
 
 
 def test_edge_sum_scales_linearly():
@@ -163,24 +163,24 @@ def test_edge_sum_scales_linearly():
 
 
 def test_calibrate_identities_and_oracles():
-    assert calibrate(2, 2).value == 1.0
-    assert calibrate(4, 4).value == 1.0
+    assert calibrate(2, 2) == 1.0
+    assert calibrate(4, 4) == 1.0
     c23 = calibrate(2, 3)
-    assert c23.value == pytest.approx(math.pi / 2.0, rel=5e-3)
+    assert c23 == pytest.approx(math.pi / 2.0, rel=5e-3)
     c24 = calibrate(2, 4)
-    assert c24.value == pytest.approx(2.0 * math.pi / 3.0, rel=5e-3)
+    assert c24 == pytest.approx(2.0 * math.pi / 3.0, rel=5e-3)
     # cube residual against the closed form 3 pi at the calibration node count
     c33 = calibrate(3, 3)
-    assert c33.value * 6.0 * math.pi == pytest.approx(3.0 * math.pi, rel=1e-3)
+    assert c33 * 6.0 * math.pi == pytest.approx(3.0 * math.pi, rel=1e-3)
 
 
 def test_calibrate_closed_forms():
     # Kubota: int_{S^(n-1)} h_K = kappa_(n-1) V_1(K)
     for n in (3, 4):
         kappa = unit_ball_volume(n - 1)
-        assert calibrate(2, n).value == kappa / 2.0
-        assert calibrate(3, n).value == kappa / (2.0 * math.pi)
-    assert calibrate(3, 3).value == pytest.approx(0.5, abs=1e-15)
+        assert calibrate(2, n) == kappa / 2.0
+        assert calibrate(3, n) == kappa / (2.0 * math.pi)
+    assert calibrate(3, 3) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_calibrate_rejects_unsupported():

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from kpv.asymptotics import reference_mean_width, verify_lift_identity
+from kpv.asymptotics import verify_lift_identity
 from kpv.ball_volumes import BallSystem
 from kpv.configurations import PointConfiguration, embed
 from kpv.errors import GeometryError
+from kpv.meanwidth import reference_mean_width
 from kpv.polyhedra import Halfspace, PolyhedralSet
 from kpv import truncated_volume
 from kpv.truncated_volume import mc_truncated_volume, unit_ball_volume, volume_profile

@@ -156,7 +156,7 @@ def two_disks(tmp_path):
     ["verify", "all", "--samples", "20000", "--seed", "3"],
     ["threshold", "--r-grid", "1.0:300.0:8"],
     ["asymptotics"],
-    ["meanwidth", "--method", "exact2d"],
+    ["meanwidth", "--method", "auto"],
     ["meanwidth", "--method", "quadrature", "--nodes", "512"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_command_reports_match_oracle(argv, two_disks, tmp_path, monkeypatch):
