@@ -14,12 +14,13 @@ sites are their own simplex, and sites on a line pair up in order along
 it): the face dual to a simplex sigma has its base point at sigma's
 circumcentre and its facets dual to the simplices one site larger, so each
 face profile is built once per simplex and shared by its sites, with no
-facet extraction.  The geometry stays in the sites' own coordinates; only
-the triangulation sees coordinates in the flat.  A family qhull cannot
-triangulate, that has a site qhull sets aside as coplanar, or that has an
-ill-conditioned circumcentre (MAX_CIRCUMCENTRE_COND) falls back to cutting
-each region out by all the bisectors and finding its facets with
-polyhedra.face_data.
+facet extraction.  qhull splits each cell of cospherical sites into
+simplices, flat ones among them; the cell is replaced by its pulling
+triangulation, so every simplex has a circumcentre and the faces inside a
+cell have zero extent.  The geometry stays in the sites' own coordinates;
+only the triangulation sees coordinates in the flat.  Every family of every
+input is built this way and checked by two exact identities (BallSystem);
+nearest_voronoi and farthest_voronoi cut a region out by all the bisectors.
 
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
@@ -31,13 +32,13 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .configurations import PointConfiguration, distance_matrix
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet
-from .truncated_volume import (RadialVolumeProfile, _interval_profile, _profile_from_faces,
-                               _solid_angle_fraction, unit_ball_volume, volume_profile)
+from .truncated_volume import (_EPS, _interval_profile, _profile_from_faces,
+                               _solid_angle_fraction, unit_ball_volume)
 
 DISTINCT_SITE_TOL = 1e-9
 # boundary measures are read only at radii at least BREAKPOINT_TOL * max(1, r)
@@ -70,71 +71,99 @@ def _affine_rank(centred: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _voronoi(p: PointConfiguration, kind: str, i: int) -> PolyhedralSet:
     """Region of site i cut out by the bisectors with every other site."""
-    pts = p.points
-    hs = tuple(_bisector(pts[i], pts[j]) for j in range(p.n_points) if j != i)
+    _check_distinct(p)
+    if not 0 <= i < p.n_points:
+        raise InputError(f"site index {i} out of range")
+    hs = tuple(_bisector(p.points[i], p.points[j]) for j in range(p.n_points) if j != i)
     if kind == "farthest":
         hs = tuple(h.flipped() for h in hs)
     return PolyhedralSet(p.dimension, hs)
 
 
-def _checked_voronoi(p: PointConfiguration, kind: str, i: int) -> PolyhedralSet:
-    _check_distinct(p)
-    if not 0 <= i < p.n_points:
-        raise InputError(f"site index {i} out of range")
-    return _voronoi(p, kind, i)
-
-
 def nearest_voronoi(p: PointConfiguration, i: int) -> PolyhedralSet:
     """Nearest-point region of site i: all bisector halfspaces toward i."""
-    return _checked_voronoi(p, "nearest", i)
+    return _voronoi(p, "nearest", i)
 
 
 def farthest_voronoi(p: PointConfiguration, i: int) -> PolyhedralSet:
-    """Farthest-point region of site i (empty, with a negative feasibility
-    margin, for a site that is not a vertex of the hull)."""
-    return _checked_voronoi(p, "farthest", i)
+    """Farthest-point region of site i: empty (negative margin) unless i is a hull vertex."""
+    return _voronoi(p, "farthest", i)
 
 
 # ---------------------------------------------------------------------------
 # the face lattice of a triangulation in the sites' flat
 # ---------------------------------------------------------------------------
 
-# A family whose circumcentre solves are worse conditioned than this is built
-# from bisectors instead: a centre's error grows as the condition number times
-# the rounding of the sites.
-MAX_CIRCUMCENTRE_COND = 1e8
+def _cells(tri, sites: np.ndarray, kind: str):
+    """The simplices that are cells on their own, and the sorted sites of every other cell.
+
+    qhull (option Qt) splits a non-simplicial facet into simplices, flat ones
+    included, that keep its hyperplane; a site it sets aside (option Qc) raises.
+    """
+    if tri.coplanar.size:
+        raise NumericalError(f"qhull drops site {sites[tri.coplanar[0, 0]]} ({kind} family)")
+    _, label, counts = np.unique(tri.equations, axis=0, return_inverse=True, return_counts=True)
+    label = label.ravel()
+    return (tri.simplices[counts[label] == 1],
+            [np.unique(tri.simplices[label == c]) for c in np.flatnonzero(counts > 1)])
 
 
-def _triangulation(centred: np.ndarray, rank: int, basis: np.ndarray,
-                   furthest: bool) -> np.ndarray | None:
+def _pulling(coords: np.ndarray, cell: np.ndarray, dim: int, kind: str) -> np.ndarray:
+    """Pulling triangulation of the dim-polytope whose vertices are coords[cell].
+
+    The lowest site of the sorted cell is coned over the triangulated facets
+    that miss it, so cells that share a face triangulate it alike.
+    """
+    if cell.size == dim + 1:
+        return cell[None, :]
+    pts = coords[cell] - coords[cell].mean(axis=0)
+    try:
+        hull = ConvexHull(pts @ _affine_rank(pts)[1][:dim].T, qhull_options="Qc")
+    except QhullError as exc:
+        raise NumericalError(f"qhull cannot triangulate a cell ({kind} family)") from exc
+    alone, merged = _cells(hull, cell, kind)
+    tris = np.concatenate([_pulling(coords, cell[np.sort(f)], dim - 1, kind)
+                           for f in [*alone, *merged] if 0 not in f])
+    return np.column_stack((np.full(len(tris), cell[0]), tris))
+
+
+def _triangulation(centred: np.ndarray, rank: int, basis: np.ndarray, kind: str) -> np.ndarray:
     """Simplices of the (furthest-site) Delaunay triangulation of the sites in their flat.
 
     The sites span a flat of dimension rank along the first rank rows of
     basis.  rank + 1 sites are their own simplex; sites on a line pair up
     with their neighbours in order along it (the furthest-site triangulation
     is the outermost pair); otherwise qhull triangulates their coordinates
-    in the flat.  None when qhull fails or sets a site aside as coplanar.
+    in the flat, with each cell of cospherical sites pulled (_pulling), and
+    cospherical sites it cannot triangulate furthest-site are one cell.
     """
     n_pts, n = centred.shape
+    furthest = kind == "farthest"
     if n_pts == rank + 1:
         return np.arange(n_pts)[None, :]
     if rank == 1:
         order = np.argsort(centred @ basis[0])
         return order[None, [0, -1]] if furthest else np.column_stack((order[:-1], order[1:]))
+    coords = centred if rank == n else centred @ basis[:rank].T
     try:
-        tri = Delaunay(centred if rank == n else centred @ basis[:rank].T,
-                       furthest_site=furthest)
-    except QhullError:
-        return None
-    return None if tri.coplanar.size else tri.simplices
+        tri = Delaunay(coords, furthest_site=furthest)
+    except QhullError as exc:
+        # the least-squares sphere |x - c|^2 = R^2, linear in c and R^2 - |c|^2
+        lifted, sq = np.column_stack((2.0 * coords, np.ones(n_pts))), np.sum(coords**2, axis=1)
+        fit = lifted @ np.linalg.lstsq(lifted, sq, rcond=None)[0]
+        if not furthest or np.max(np.abs(fit - sq)) > 1e-12 * np.max(sq):
+            raise NumericalError(f"qhull cannot triangulate the sites ({kind} family)") from exc
+        return _pulling(coords, np.arange(n_pts), rank, kind)
+    alone, merged = _cells(tri, np.arange(n_pts), kind)
+    return np.concatenate([alone] + [_pulling(coords, cell, rank, kind) for cell in merged])
 
 
-def _circumcentres(points: np.ndarray, groups: np.ndarray):
+def _circumcentres(points: np.ndarray, groups: np.ndarray, kind: str):
     """Circumcentres of simplices (rows of site indices) and their orthogonal flats.
 
     Returns (centres, normals): normals[k] is an orthonormal basis (rows) of
     the directions orthogonal to simplex k, along which its Voronoi face
-    extends.  None when a solve is singular or ill-conditioned.
+    extends.  Raises NumericalError, naming the family, when a solve is singular.
     """
     verts = points[groups]
     if groups.shape[1] == 1:
@@ -142,8 +171,8 @@ def _circumcentres(points: np.ndarray, groups: np.ndarray):
                                             (groups.shape[0],) + (points.shape[1],) * 2)
     edges = verts[:, 1:] - verts[:, :1]
     u, svals, vt = np.linalg.svd(edges)
-    if not np.all(svals[:, -1] * MAX_CIRCUMCENTRE_COND > svals[:, 0]):
-        return None
+    if not np.all(svals[:, -1] > _EPS * svals[:, 0]):
+        raise NumericalError(f"singular circumcentre solve ({kind} family)")
     m = edges.shape[1]
     if m == 1:
         # the midpoint, free of the solve's rounding
@@ -154,7 +183,7 @@ def _circumcentres(points: np.ndarray, groups: np.ndarray):
 
 
 def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
-                      r_max: float, scale: float) -> list | None:
+                      r_max: float, scale: float) -> list:
     """Per-site region profiles of one family, read off its triangulation.
 
     The sites span a k-flat of E^n and the simplices (k + 1 sites each)
@@ -167,8 +196,7 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
     other face are the faces F_tau of the simplices tau = sigma + {j} in the
     triangulation, at distance |c_tau - c_sigma|, with the sign of
     |c_sigma - p_j| - R_sigma (reversed for farthest regions).  Faces of zero
-    extent (sites on a common sphere) are dropped.  Returns None when a
-    circumcentre solve is ill-conditioned.
+    extent (sites on a common sphere) are dropped.
     """
     lattice = _Lattice(points, simplices, kind == "nearest", scale)
     n = points.shape[1]
@@ -178,9 +206,7 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
         for m in range(1, k + 1):
             for sigma in itertools.combinations(simplex, m):
                 by_size[m].setdefault(sigma, []).append(t)
-    solved = _circumcentres(points, np.array(lattice.full))
-    if solved is None:
-        return None
+    solved = _circumcentres(points, np.array(lattice.full), kind)
     lattice.vertices = solved[0]
     # the n - k directions off the sites' flat, along which every face extends
     lattice.off_flat = scale * solved[1][0]
@@ -190,10 +216,7 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
         lattice.profile[tuple(simplex)] = flat
     for m in range(k, 0, -1):
         faces = list(by_size[m])
-        solved = _circumcentres(points, np.array(faces))
-        if solved is None:
-            return None
-        for sigma, c, normal in zip(faces, *solved):
+        for sigma, c, normal in zip(faces, *_circumcentres(points, np.array(faces), kind)):
             lattice.centre[sigma] = c
             star = by_size[m][sigma]
             if m == k and len(star) == 1:
@@ -259,7 +282,8 @@ class _Lattice:
         d = normal.shape[0]
         # F_sigma is the hull of its vertices plus the cone of its rays, times
         # the directions off the flat: it has zero extent unless their
-        # differences span its d directions
+        # differences span its d directions.  Rays count down to 1e-14 of angle:
+        # a thin wedge has its apex ~1 / angle out and an O(1) share of a_(n-1)
         spans = [self.vertices[star[1:]] - self.vertices[star[0]], self.off_flat]
         cofaces = {}                # tau -> the site k of tau = sigma + {k}
         for t in star:
@@ -269,7 +293,7 @@ class _Lattice:
                 cofaces[tuple(sorted(sigma + (k,)))] = k
                 ridge = tuple(v for v in self.full[t] if v != k)
                 if ridge in self.rays:
-                    spans.append(self.scale * self.rays[ridge][None, :])
+                    spans.append(100.0 * self.scale * self.rays[ridge][None, :])
         spans = np.concatenate(spans)
         if spans.shape[0] < d or np.linalg.svd(spans, compute_uv=False)[d - 1] <= self.tol:
             return None
@@ -279,8 +303,8 @@ class _Lattice:
         dist = np.linalg.norm(self.points[sites] - c, axis=1)
         inside = dist >= np.linalg.norm(self.points[sigma[0]] - c)
         eps = np.where(inside == self.nearest, 1, -1)
-        # slack tolerance of the base point, as for bisector-built sets
-        on = h <= 1e-9 * self.scale
+        # the distance below which _profile_from_faces drops a facet
+        on = h <= self.tol
         facets = [(float(hk), int(ek), self.profile[tau])
                   for tau, hk, ek in zip(cofaces, h, eps) if self.profile[tau] is not None]
         violated = bool(np.any(~on & (eps < 0)))
@@ -318,38 +342,28 @@ class BallSystem:
         self.dimension = p.dimension
         self.delta = unit_ball_volume(p.dimension)
         scale = max(1.0, p.diameter)
-        # volumes are translation-invariant; regions about the centroid keep
-        # the facet tolerances, which scale with the halfspace offsets, relative
-        # to the configuration's extent rather than to its distance from 0
-        centred = PointConfiguration(p.dimension, p.points - p.points.mean(axis=0))
-        rank, basis = _affine_rank(centred.points)
-
-        def build(kind: str, i: int) -> RadialVolumeProfile | None:
-            # lower-dimensional farthest regions contribute 0; nearest regions
-            # always contain their site with positive margin
-            region = _voronoi(centred, kind, i)
-            if kind == "farthest" and region.feasibility_margin() <= 1e-9 * scale:
-                return None
-            try:
-                return volume_profile(region, centred.points[i], self.r_max)
-            except (GeometryError, NumericalError) as exc:
-                raise type(exc)(f"{exc} ({kind} region of site {i})") from exc
-
-        def family(kind: str) -> list:
-            simplices = _triangulation(centred.points, rank, basis, kind == "farthest")
-            if simplices is not None:
-                profiles = _lattice_profiles(centred.points, simplices, kind,
-                                             self.r_max, scale)
-                if profiles is not None:
-                    return profiles
-            return [build(kind, i) for i in range(p.n_points)]
-
-        self.nearest_profiles = family("nearest")
-        self.farthest_profiles = family("farthest")
-        profiles = self.nearest_profiles + self.farthest_profiles
-
-        bps = [bp for prof in profiles if prof is not None for bp in prof.breakpoints]
+        # volumes are translation-invariant; circumcentres about the centroid keep
+        # their rounding relative to the configuration's extent, not its offset
+        centred = p.points - p.points.mean(axis=0)
+        rank, basis = _affine_rank(centred)
+        self.nearest_profiles, self.farthest_profiles = (
+            _lattice_profiles(centred, _triangulation(centred, rank, basis, kind), kind,
+                              self.r_max, scale) for kind in ("nearest", "farthest"))
+        bps = [bp for prof in self.nearest_profiles + self.farthest_profiles
+               if prof is not None for bp in prof.breakpoints]
         self.breakpoints = np.unique(np.asarray(bps)) if bps else np.zeros(0)
+        # the union's a_(n-1) is minus the intersection's, and to infinity both a_n
+        # are delta_n: slivers of nearly cospherical sites, whose circumcentres keep
+        # eps / jitter of their digits, break these identities by far more than 1e-6
+        union, inter = (sum(prof.taylor(1)[1] for prof in profiles if prof is not None)
+                        for profiles in (self.nearest_profiles, self.farthest_profiles))
+        if not abs(union + inter) <= 1e-6 * max(abs(union), abs(inter)):
+            raise NumericalError(f"a_(n-1) of the union ({union:.12g}) and of the "
+                                 f"intersection ({inter:.12g}) do not cancel")
+        for which, kind in (("union", "nearest"), ("intersection", "farthest")):
+            lead = self.laurent_coefficients(which)[0] if math.isinf(self.r_max) else self.delta
+            if not abs(lead - self.delta) <= 1e-6 * self.delta:
+                raise NumericalError(f"a_n = {lead:.12g}, not delta_n ({kind} family)")
 
     def _sum(self, profiles, r, derivative: bool = False):
         """Sum of per-site values (or derivatives) at a radius or an array of radii."""

@@ -275,13 +275,16 @@ def _cmd_meanwidth(spec: ExperimentSpec, params: _Parameters):
     if method not in ("auto", "quadrature"):
         raise InputError(f"unknown mean-width method {method!r}")
     nodes = int(params.get("nodes", QUADRATURE_NODES))
+    if nodes < 1:
+        raise InputError(f"nodes must be >= 1, got {nodes}")
     seed = _seed(params, QUADRATURE_SEED)
-    if method == "auto":
-        r = reference_mean_width(config, nodes=nodes, seed=seed)
-        if r.method != "quadrature":       # the exact path: no node was used
-            del params.read["nodes"], params.read["seed"]
-    else:
-        r = mean_width_quadrature(config, nodes=nodes, seed=seed)
+    rule = reference_mean_width if method == "auto" else mean_width_quadrature
+    r = rule(config, nodes=nodes, seed=seed)
+    # report only the parameters the rule that ran has read
+    if r.method != "quadrature":
+        del params.read["nodes"]
+    if not r.seeded:
+        del params.read["seed"]
     return {"value": r.value, "stderr": r.stderr, "method": r.method,
             "nodes_used": r.nodes_used}, EXIT_OK
 

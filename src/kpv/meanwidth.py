@@ -38,6 +38,7 @@ class MeanWidthResult:
     method: str                 # exact | quadrature
     stderr: float
     nodes_used: int
+    seeded: bool = False        # whether the value depends on the seed
 
 
 def _support_values(pts: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def mean_width_quadrature(points: PointConfiguration, nodes: int,
         stderr = abs(value)
     return MeanWidthResult(value=value, method="quadrature",
                            stderr=max(stderr, _STDERR_FLOOR * (1 + abs(value))),
-                           nodes_used=2 * pairs)
+                           nodes_used=2 * pairs, seeded=True)
 
 
 def _flat_coordinates(points: PointConfiguration) -> np.ndarray:

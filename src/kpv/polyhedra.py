@@ -11,12 +11,12 @@ problem solved by exhaustive vertex enumeration, which is exact at desk scale
 (dimension <= 4, a dozen constraints) and avoids a general LP dependency.
 Its cost grows combinatorially with the number of halfspaces.  BallSystem
 reads the faces of its regions off the sites' Delaunay triangulation and
-does not come here; only its fallback (see ball_volumes) passes Voronoi
-regions cut out by all the bisectors to facet extraction.
+does not come here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -134,6 +134,12 @@ class FaceData:
 # max-margin solver (exhaustive vertex enumeration, desk scale)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n), one per row, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(n), k)))
+
+
 def _solve_max_margin(A: np.ndarray, b: np.ndarray,
                       box: float) -> tuple[float, np.ndarray | None]:
     """Maximize t subject to A y + t <= b, |y_i| <= box, t <= box.
@@ -158,8 +164,7 @@ def _solve_max_margin(A: np.ndarray, b: np.ndarray,
     rows[-1, d] = 1.0
     rhs[-1] = box
 
-    nrows = rows.shape[0]
-    combos = np.array(list(itertools.combinations(range(nrows), d + 1)))
+    combos = _subsets(rows.shape[0], d + 1)
     mats = rows[combos]                      # (K, d+1, d+1)
     vecs = rhs[combos]                       # (K, d+1)
     dets = np.abs(np.linalg.det(mats))
@@ -225,17 +230,15 @@ def hyperplane_basis(normal: np.ndarray) -> np.ndarray:
 
 def _deduplicate(P: PolyhedralSet) -> list[tuple[int, Halfspace]]:
     """Keep one representative per normal direction (tightest offset wins)."""
+    normals = np.array([h.normal for h in P.halfspaces]).reshape(-1, P.dimension)
+    close = np.linalg.norm(normals[:, None] - normals[None], axis=2) <= HYPERPLANE_ANGLE_TOL
     kept: list[tuple[int, Halfspace]] = []
     for idx, h in enumerate(P.halfspaces):
-        merged = False
-        for pos, (kidx, kh) in enumerate(kept):
-            if np.linalg.norm(h.normal - kh.normal) <= HYPERPLANE_ANGLE_TOL:
-                if h.offset < kh.offset:
-                    kept[pos] = (idx, h)
-                merged = True
-                break
-        if not merged:
+        pos = next((pos for pos, (kidx, _) in enumerate(kept) if close[idx, kidx]), None)
+        if pos is None:
             kept.append((idx, h))
+        elif h.offset < kept[pos][1].offset:
+            kept[pos] = (idx, h)
     return kept
 
 
@@ -255,29 +258,21 @@ def face_data(P: PolyhedralSet, p0) -> list[FaceData]:
     unique = _deduplicate(P)
     scale = max(P.scale(), 1.0 + float(np.linalg.norm(p0)))
     faces: list[FaceData] = []
-    for idx, h in unique:
-        others = [kh for kidx, kh in unique if kidx != idx]
+    normals = np.array([h.normal for _, h in unique])
+    offsets = np.array([h.offset for _, h in unique])
+    for k, (idx, h) in enumerate(unique):
+        others = np.arange(len(unique)) != k
         basis = hyperplane_basis(h.normal)
         sigma = h.slack(p0)
         foot = p0 + sigma * h.normal
-        rows, offs = [], []
-        empty_on_plane = False
-        for oth in others:
-            a = basis.T @ oth.normal
-            beta = oth.offset - float(np.dot(foot, oth.normal))
-            na = float(np.linalg.norm(a))
-            if na <= 1e-12:
-                # constraint hyperplane parallel to this one
-                if beta < -1e-12 * scale:
-                    empty_on_plane = True
-                    break
-                continue
-            rows.append(a / na)
-            offs.append(beta / na)
-        if empty_on_plane:
+        a = normals[others] @ basis
+        beta = offsets[others] - normals[others] @ foot
+        na = np.linalg.norm(a, axis=1)
+        # constraint hyperplanes parallel to this one
+        parallel = na <= 1e-12
+        if np.any(parallel & (beta < -1e-12 * scale)):
             continue
-        A = np.array(rows) if rows else np.zeros((0, P.dimension - 1))
-        bvec = np.array(offs) if offs else np.zeros(0)
+        A, bvec = a[~parallel] / na[~parallel, None], beta[~parallel] / na[~parallel]
         t = _max_margin_two_phase(A, bvec, scale)
         if t <= 1e-12 * scale:
             continue

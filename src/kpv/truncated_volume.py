@@ -16,8 +16,9 @@ below the first positive face distance, so there V is the exact cone volume
 omega * delta_n * r^n.  Beyond it the integral is built piecewise from
 already-built lower-dimensional profiles:
 
-- between two breakpoints b_k < b_{k+1} (the face distances and their
-  recursively propagated images) the substitution t = b_k + u^2 makes the
+- between two knots b_k < b_{k+1} (the face distances and their
+  recursively propagated images, with knots added so that consecutive ones
+  are at most a factor 2 apart) the substitution t = b_k + u^2 makes the
   (t - b_k)^(1/2) and (t - b_k)^(3/2) onsets of new face terms smooth, and
   the integrand 2u S(t) t^(-n-1) is interpolated at Chebyshev points in u
   and integrated as a Chebyshev series;
@@ -47,7 +48,7 @@ from numpy.polynomial import chebyshev
 # Not called here: bench/tracer.py rebinds this module attribute to count
 # integrator calls, so it stays importable from this module.
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.special import binom, gammaln
+from scipy.special import gammaln
 
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet, _solve_max_margin, face_data
@@ -66,6 +67,7 @@ _CHEB_NODES = np.cos(_CHEB_THETA)
 _CHEB_COEFFS = (2.0 / _CHEB_POINTS) * np.cos(
     np.outer(np.arange(_CHEB_POINTS), _CHEB_THETA))
 _CHEB_COEFFS[0] *= 0.5
+_CHEB_INTEGRAL = chebyshev.chebint(np.eye(_CHEB_POINTS), lbnd=-1, axis=1)  # 0 at -1
 # a piece halved this often is accepted as it stands (its width is ~1e-15 of
 # its segment, so its error cannot matter)
 _MAX_HALVINGS = 50
@@ -75,6 +77,11 @@ _MAX_PENDING = 4096
 # toward its left end, 2^-8 of its width first: V ~ (r - reach)^p there, and a
 # uniform error across a wide first piece would swamp V just past the onset.
 _ONSET_GRADING = 8
+
+
+def _binom(a: float, m: int) -> float:
+    """The generalised binomial coefficient: the product of (a - j) / (j + 1), j < m."""
+    return math.prod((a - j) / (j + 1) for j in range(m))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -142,7 +149,7 @@ class _ChebyshevPieces:
         coeffs, err = coeffs[order], err[order]
         half = 0.5 * (hi - lo)
         # antiderivative from the low end of each piece's variable
-        anti = chebyshev.chebint(coeffs, lbnd=-1, axis=1) * half[:, None]
+        anti = (coeffs @ _CHEB_INTEGRAL) * half[:, None]
         total = anti.sum(axis=1)                 # the integral over the piece
         start = np.concatenate(([0.0], np.cumsum(total)[:-1]))
         # on tail pieces v = 1/t runs backwards: I = I(t_lo) + total - A(v)
@@ -229,7 +236,7 @@ class RadialVolumeProfile:
         n = self.dimension
         faces = [(h, eps, sub.taylor(order - 1)) for h, eps, sub in self.faces] if order else []
         for k in range(order):
-            w[k + 1] = sum(eps * h * sum(wi[k - 2 * m] * binom((n - 1 - k + 2 * m) / 2, m)
+            w[k + 1] = sum(eps * h * sum(wi[k - 2 * m] * _binom((n - 1 - k + 2 * m) / 2, m)
                                          * (-h * h) ** m for m in range(k // 2 + 1))
                            for h, eps, wi in faces) / (k + 1)
         return w
@@ -476,7 +483,12 @@ def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
     if h0 < r_max:
         tail_from = 2.0 * merged[-1]
         end = min(r_max, tail_from)
-        knots = [h0] + [b for b in merged if h0 < b < end] + [end]
+        knots = np.array([h0] + [b for b in merged if h0 < b < end] + [end])
+        # knots at most a factor 2 apart: a piece spanning many scales could pass
+        # on the face noise at its far end with its near end unresolved
+        for k in np.flatnonzero(knots[1:] > 2.0 * knots[:-1])[::-1]:
+            m = math.ceil(math.log2(knots[k + 1] / knots[k]))
+            knots = np.insert(knots, k + 1, np.geomspace(knots[k], knots[k + 1], m + 1)[1:-1])
         # the segment on which V rises from zero, if the base point is outside P
         onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
                     len(knots) - 2)

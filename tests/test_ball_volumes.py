@@ -337,6 +337,17 @@ def test_laurent_coefficients_terms_range():
             system.laurent_coefficients("union", terms)
 
 
+def test_two_disk_series_past_order_n_sums_to_the_union():
+    # the binomials of the face recursion take negative integer upper
+    # arguments past order n + 1, where scipy.special.binom gave NaN
+    system = BallSystem(TWO, r_max=np.inf)
+    w = sum(prof.taylor(12) for prof in system.nearest_profiles)
+    assert np.all(np.isfinite(w))
+    r = 10.0
+    series = sum(c * r ** (2 - k) for k, c in enumerate(w))
+    assert series == pytest.approx(two_disk_union(1.0, r), rel=1e-12)
+
+
 @pytest.mark.parametrize("dim, n_pts", [(2, 12), (3, 8)])
 def test_sites_far_from_origin_match_unshifted(dim, n_pts):
     # facet tolerances scale with the halfspace offsets: these sites shifted

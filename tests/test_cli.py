@@ -205,6 +205,26 @@ def test_meanwidth_auto_reports_nodes_only_when_quadrature_ran(two_disks, tmp_pa
     assert rep["parameters"]["nodes"] == 2048 and rep["parameters"]["seed"] == 433494437
 
 
+def test_meanwidth_rejects_a_bad_node_count_on_every_route(two_disks, tmp_path):
+    # the two-site set takes the exact route, which uses no node
+    simplex = tmp_path / "simplex4.json"
+    save_configuration(PointConfiguration.from_points(SIMPLEX_4D), simplex)
+    for config in (two_disks, str(simplex)):
+        for method in ("auto", "quadrature"):
+            out = tmp_path / "m.json"
+            assert main(["meanwidth", "--config", config, "--method", method,
+                         "--nodes", "-3", "--out", str(out)]) == EXIT_INPUT
+            assert not out.exists()
+
+
+def test_planar_meanwidth_quadrature_reads_no_seed(two_disks, tmp_path):
+    out = tmp_path / "q.json"
+    assert main(["meanwidth", "--config", two_disks, "--method", "quadrature",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["parameters"] == {
+        "inputs": [two_disks], "method": "quadrature", "nodes": 200_000}
+
+
 def test_meanwidth_auto_reports_the_nodes_the_quadrature_used(tmp_path):
     # the antithetic quadrature rounds an odd node count up to whole pairs
     simplex = tmp_path / "simplex4.json"
@@ -248,15 +268,21 @@ def test_unknown_command_rejected():
 
 def test_report_replayable_from_embedded_parameters(two_disks, tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    main(["meanwidth", "--config", two_disks, "--method", "quadrature",
-          "--out", str(out1)])
-    rep = json.loads(out1.read_text())
-    params = rep["parameters"]
-    # defaults are resolved into the report, so the replay is explicit
-    main(["meanwidth", "--config", params["inputs"][0],
-          "--method", params["method"], "--nodes", str(params["nodes"]),
-          "--seed", str(params["seed"]), "--out", str(out2)])
-    assert json.loads(out2.read_text())["results"] == rep["results"]
+    # the planar rule reads no seed; the 4-d one samples with it
+    simplex = tmp_path / "simplex4.json"
+    save_configuration(PointConfiguration.from_points(SIMPLEX_4D), simplex)
+    for config in (two_disks, str(simplex)):
+        main(["meanwidth", "--config", config, "--method", "quadrature", "--nodes", "4096",
+              "--out", str(out1)])
+        rep = json.loads(out1.read_text())
+        params = rep["parameters"]
+        # defaults are resolved into the report, so the replay is explicit
+        argv = ["meanwidth", "--config", params["inputs"][0], "--out", str(out2)]
+        for key, value in params.items():
+            if key != "inputs":
+                argv += [f"--{key}", str(value)]
+        main(argv)
+        assert json.loads(out2.read_text())["results"] == rep["results"]
 
 
 def test_verify_lift_command_writes_report(two_disks, tmp_path):

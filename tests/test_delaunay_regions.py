@@ -2,10 +2,11 @@
 
 BallSystem reads every region's faces off the Delaunay (nearest) or
 furthest-site Delaunay (farthest) triangulation of the sites in their own
-flat and shares one profile per simplex.  The reference here cuts each region
-out by all N-1 bisectors with nearest_voronoi / farthest_voronoi and finds
-its facets with face_data inside volume_profile, one site at a time; the two
-must give the same volumes, boundaries and Laurent coefficients.
+flat, cells of cospherical sites pulled into simplices, and shares one
+profile per simplex.  The reference here cuts each region out by all N-1
+bisectors with nearest_voronoi / farthest_voronoi and finds its facets with
+face_data inside volume_profile, one site at a time; the two must give the
+same volumes, boundaries and Laurent coefficients.
 """
 
 import itertools
@@ -20,7 +21,8 @@ from scipy.spatial import Delaunay
 from kpv import ball_volumes, polyhedra, truncated_volume
 from kpv.ball_volumes import BallSystem, farthest_voronoi, nearest_voronoi
 from kpv.configurations import PointConfiguration, embed
-from kpv.errors import GeometryError
+from kpv.errors import GeometryError, NumericalError
+from kpv.meanwidth import mean_width_exact
 from kpv.truncated_volume import unit_ball_volume, volume_profile
 
 from conftest import random_config, random_orthogonal
@@ -110,40 +112,30 @@ def test_many_site_build_solves_few_margin_problems(max_margin_solves):
     assert len(max_margin_solves) == 0
 
 
-def test_lifted_build_solves_no_margin_problems(max_margin_solves, lattice_builds):
+def test_lifted_build_solves_no_margin_problems(max_margin_solves):
     """2-d N=20 in E^4 to 3 diam: both families on the lattice, no max-margin solve."""
     p = PointConfiguration.from_points(np.random.default_rng(0).uniform(-1, 1, (20, 2)))
     BallSystem(embed(p, 4), 3.0 * p.diameter)
-    assert lattice_builds["families"] == ["nearest", "farthest"]
     assert len(max_margin_solves) == 0
 
 
 @pytest.fixture
-def lattice_builds(monkeypatch):
-    """Families read off a triangulation, and face profiles built per dimension."""
-    built = {"families": [], "faces": {}}
-    read = ball_volumes._lattice_profiles
-
-    def spy_family(points, simplices, kind, *args):
-        out = read(points, simplices, kind, *args)
-        if out is not None:
-            built["families"].append(kind)
-        return out
-    monkeypatch.setattr(ball_volumes, "_lattice_profiles", spy_family)
+def face_builds(monkeypatch):
+    """Face profiles built, counted per dimension."""
+    built = {}
     for name in ("_interval_profile", "_profile_from_faces"):
         def spy_face(*args, make=getattr(ball_volumes, name)):
             prof = make(*args)
-            built["faces"][prof.dimension] = built["faces"].get(prof.dimension, 0) + 1
+            built[prof.dimension] = built.get(prof.dimension, 0) + 1
             return prof
         monkeypatch.setattr(ball_volumes, name, spy_face)
     return built
 
 
 @pytest.mark.parametrize("dim, n_pts", [(2, 30), (3, 12), (4, 8)])
-def test_one_profile_per_simplex(dim, n_pts, rng, lattice_builds):
+def test_one_profile_per_simplex(dim, n_pts, rng, face_builds):
     p = random_config(rng, dim, n_pts)
     BallSystem(p, np.inf)
-    assert lattice_builds["families"] == ["nearest", "farthest"]
     # the face of a simplex with m sites has dimension n - m + 1
     want = {}
     for furthest in (False, True):
@@ -151,18 +143,17 @@ def test_one_profile_per_simplex(dim, n_pts, rng, lattice_builds):
         for m in range(1, dim + 1):
             faces = {c for s in simplices for c in itertools.combinations(sorted(s), m)}
             want[dim - m + 1] = want.get(dim - m + 1, 0) + len(faces)
-    assert lattice_builds["faces"] == want
+    assert face_builds == want
 
 
 @pytest.mark.parametrize("points", [[[0, 0], [1, 0], [0.3, 0.8]],
                                     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]]],
                          ids=["triangle-2d", "tetrahedron-3d"])
-def test_simplex_sites_build_both_families_without_qhull(points, lattice_builds, monkeypatch):
+def test_simplex_sites_build_both_families_without_qhull(points, monkeypatch):
     def no_qhull(*args, **kwargs):
         raise AssertionError("qhull called")
     monkeypatch.setattr(ball_volumes, "Delaunay", no_qhull)
     assert_same_system(PointConfiguration.from_points(points))
-    assert lattice_builds["families"] == ["nearest", "farthest"]
 
 
 def test_face_error_names_family_and_simplex(monkeypatch):
@@ -192,6 +183,10 @@ def lifted(dim, n_pts):
     return embed(p, dim + 2).points.tolist()
 
 
+def _grid(*sides):
+    return np.array(list(itertools.product(*(range(k) for k in sides))), dtype=float)
+
+
 @pytest.mark.parametrize("points", [
     [[0, 0], [1, 0], [2.5, 0], [4, 0]],                            # collinear
     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1.2, 0], [0.3, 0.4, 0]],  # coplanar
@@ -200,64 +195,102 @@ def lifted(dim, n_pts):
     [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
     [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]],
     lifted(2, 3), lifted(2, 6), lifted(2, 12), lifted(3, 5),
+    # cospherical cells, which qhull splits into simplices, flat ones among them
+    np.vstack((np.eye(3), -np.eye(3))),
+    [p for p in itertools.product((-1, 0, 1), repeat=3) if sum(map(abs, p)) == 2],
+    np.vstack((_grid(2, 2, 2), [[0.5, 0.5, 0.5]])),
+    np.vstack((_grid(2, 2), [[0.5, 0.5]])),
+    np.column_stack((np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3))),
+    _grid(3, 3), _grid(4, 4),
 ], ids=["collinear-2d", "coplanar-3d", "pair-2d", "triangle-2d", "triangle-3d",
-        "tetrahedron-3d", "lifted-2d-N3", "lifted-2d-N6", "lifted-2d-N12", "lifted-3d-N5"])
-def test_fallback_inputs_match_all_bisectors(points, lattice_builds):
+        "tetrahedron-3d", "lifted-2d-N3", "lifted-2d-N6", "lifted-2d-N12", "lifted-3d-N5",
+        "octahedron", "cuboctahedron", "cube-centre", "square-centre", "hexagon",
+        "lattice-3x3", "lattice-4x4"])
+def test_fallback_inputs_match_all_bisectors(points):
     # sites in a lower flat are triangulated in it, and their regions are
     # prisms over the flat's regions; k + 1 sites spanning a k-flat are
-    # their own simplex
+    # their own simplex; each cell of cospherical sites is pulled into
+    # simplices of its own
     p = PointConfiguration.from_points(points)
     assert_same_system(p)
     assert_same_system(p, r_max=0.7 * p.diameter)
-    assert lattice_builds["families"] == ["nearest", "farthest"] * 2
 
 
 @pytest.mark.parametrize("points", [[[0.0]], [[0.0], [1.0]], [[0.0], [2.5], [1.0], [-0.4]]],
                          ids=["one-site", "pair", "four-sites"])
-def test_one_dimensional_inputs_match_all_bisectors(points, lattice_builds):
+def test_one_dimensional_inputs_match_all_bisectors(points):
     p = PointConfiguration.from_points(points)
     if p.n_points == 1:
         # one unit interval: union and intersection of length 2r
         system = BallSystem(p, 10.0)
         assert system.union_volume(1.5) == pytest.approx(3.0, rel=REL)
         assert system.intersection_volume(1.5) == pytest.approx(3.0, rel=REL)
-        assert lattice_builds["families"] == ["nearest", "farthest"]
         return
     assert_same_system(p)
     assert_same_system(p, r_max=0.7 * p.diameter)
-    assert lattice_builds["families"] == ["nearest", "farthest"] * 2
 
 
-@pytest.mark.parametrize("points, families, faces", [
-    # 5 edges, the diagonal's face is a point
-    ([[0, 0], [1, 0], [1, 1], [0, 1]], ["nearest"], {2: 4, 1: 4}),
-    # 12 hull triangles, whose faces are rays, and 12 cube edges; the faces
-    # of inner triangles, face and body diagonals are the centre
-    ([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], ["nearest"],
-     {3: 8, 2: 12, 1: 12}),
+@pytest.mark.parametrize("points, faces", [
+    # per family: 5 edges, the diagonal's face is a point
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], {2: 4 + 4, 1: 4 + 4}),
+    # per family: 12 cube edges and 12 hull triangles (nearest faces: rays);
+    # the faces of inner triangles, face and body diagonals are the centre
+    ([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],
+     {3: 8 + 8, 2: 12 + 12, 1: 12 + 12}),
     # a hull-edge point; the farthest family is a cocircular rectangle
-    ([[0, 0], [2, 0], [1, 0], [2, 1], [0, 1], [0.7, 0.4]], ["nearest", "farthest"],
-     {2: 6 + 4, 1: 10 + 4}),
+    ([[0, 0], [2, 0], [1, 0], [2, 1], [0, 1], [0.7, 0.4]], {2: 6 + 4, 1: 10 + 4}),
 ], ids=["unit-square", "unit-cube", "hull-edge"])
-def test_degenerate_inputs_match_all_bisectors(points, families, faces, lattice_builds):
+def test_degenerate_inputs_match_all_bisectors(points, faces, face_builds):
     p = PointConfiguration.from_points(points)
     assert_same_system(p)
     # faces of zero extent are dropped; qhull cannot build the furthest-site
-    # triangulation of the cospherical square and cube, whose farthest
-    # regions then come from bisectors
-    assert lattice_builds["families"] == families
-    assert lattice_builds["faces"] == faces
+    # triangulation of the cospherical square and cube, which then are one
+    # cell of the farthest family
+    assert face_builds == faces
     assert_same_system(p, r_max=0.7 * p.diameter)
 
 
-def test_large_offset_matches_all_bisectors(lattice_builds):
+def _box_mean_width(sides):
+    # kappa_(n-1) V_1: V_1 of a box is the sum of its edge lengths along the axes
+    return unit_ball_volume(len(sides) - 1) * sum(k - 1 for k in sides)
+
+
+@pytest.mark.parametrize("points, mean_width", [
+    (_grid(2, 2, 2, 2), _box_mean_width((2, 2, 2, 2))),
+    (_grid(3, 3, 3), _box_mean_width((3, 3, 3))),
+    (_grid(4, 3, 2), _box_mean_width((4, 3, 2))),
+    (np.vstack((_grid(2, 2, 2, 2), [[0.5] * 4])), _box_mean_width((2, 2, 2, 2))),
+    (_grid(2, 2, 3, 2), _box_mean_width((2, 2, 3, 2))),
+], ids=["4-cube", "lattice-3x3x3", "lattice-4x3x2", "4-cube-centre", "lattice-2x2x3x2"])
+def test_lattices_have_the_ball_and_mean_width_at_infinity(points, mean_width):
+    system = BallSystem(PointConfiguration.from_points(points), np.inf)
+    delta = unit_ball_volume(points.shape[1])
+    for which, sign in (("union", 1.0), ("intersection", -1.0)):
+        lead, second = system.laurent_coefficients(which)
+        assert lead == pytest.approx(delta, rel=1e-12)
+        assert second == pytest.approx(sign * mean_width, rel=1e-12)
+
+
+def test_jittered_lattice_volumes_do_not_depend_on_r_max():
+    # slivers of the jittered grid put breakpoints near 1e5; one quadrature
+    # piece spanning [2, 8e4] once read the union at r = 5 as 910.27 built to
+    # infinity, 888.54 built to r = 6 (Monte Carlo: 889.17 +- 0.50)
+    p = PointConfiguration.from_points(
+        _grid(3, 2, 2) + 1e-5 * np.random.default_rng(0).standard_normal((12, 3)))
+    radii = np.linspace(0.3, 5.0, 12)
+    to_infinity, to_six = BallSystem(p, np.inf), BallSystem(p, 6.0)
+    for f in ("union_volume", "intersection_volume"):
+        assert getattr(to_infinity, f)(radii) == pytest.approx(getattr(to_six, f)(radii),
+                                                               rel=1e-10, abs=1e-10)
+
+
+def test_large_offset_matches_all_bisectors():
     # sites a few units apart, 1e6 away from the origin (the far box of the
     # max-margin solve then cancels in its roundoff test)
     base = np.array([[0.0, 0.0], [10.0, 1.0], [4.0, 9.0], [-6.0, 7.0], [-8.0, -3.0],
                      [1.0, -9.0], [9.0, -7.0], [2.0, 3.0], [-3.0, -1.0]])
     offset = PointConfiguration.from_points(base + 1e6)
     pruned = assert_same_system(offset, r_max=3.0 * offset.diameter)
-    assert lattice_builds["families"] == ["nearest", "farthest"]
     unshifted = BallSystem(PointConfiguration.from_points(base), 3.0 * offset.diameter)
     radii = np.linspace(0.1, 2.9, 8) * offset.diameter
     # coordinates of 1e6 leave about 1e-10 of relative precision in the sites
@@ -271,7 +304,6 @@ CUBE = np.array(list(itertools.product(range(2), repeat=3)), dtype=float)
 
 @pytest.mark.parametrize("sites, moved, j", [
     # the corner (0, 1) moved by 1e-9 gives a diagonal face of length ~1e-9
-    # that facet extraction cannot call a face or not
     (SQUARE, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1e-9, 1.0]]), 1e-9),
     # sites moved by 1e-6 split the cube's centre into Voronoi vertices 1e-6
     # apart, joined by thin faces whose profiles halve pieces finer than the
@@ -288,17 +320,58 @@ def test_jittered_lattice_matches_the_lattice(sites, moved, j):
         assert np.max(np.abs(getattr(got, f)(radii) - getattr(want, f)(radii)) / ball) < 10 * j
 
 
-def test_ambiguous_facet_error_names_region():
-    # the unit cube with corner (1, 1, 1) moved by 1e-9: the nearest
-    # triangulation has sliver tetrahedra, so that family is cut out by
-    # bisectors and passed through facet extraction
+def test_corner_moved_cube_builds_to_infinity():
+    # sliver tetrahedra with circumcentres far out; facets between the two
+    # on-facet tolerances it once had were counted twice (union a_n 10.47)
     pts = CUBE.copy()
     pts[7] += 1e-9
-    with pytest.raises(GeometryError) as err:
-        BallSystem(PointConfiguration.from_points(pts), np.inf)
-    msg = str(err.value)
-    assert msg.startswith("facet dimension numerically ambiguous")
-    assert msg.endswith("(nearest region of site 3)")
+    system = BallSystem(PointConfiguration.from_points(pts), np.inf)
+    for which in ("union", "intersection"):
+        assert system.laurent_coefficients(which, 1)[0] == pytest.approx(4 * math.pi / 3,
+                                                                         rel=1e-6)
+
+
+@pytest.mark.parametrize("sides, j, seed, r_max", [
+    ((2, 2, 2, 2), 1e-12, 1, np.inf),   # unchecked, union a_n reads 33% high
+    ((2, 2, 2, 2), 1e-12, 1, 5.0),
+    ((2, 2, 2), 1e-14, 0, 3.0),         # unchecked, union volumes read up to 15% high
+    # a hull-edge site 1e-13 out of line: its wedge is too thin to keep, and
+    # the intersection's a_(n-1) reads -7 for -8 while both a_n are right
+    ((3, 3), 1e-13, 0, np.inf),
+], ids=["4-cube-to-infinity", "4-cube-finite", "cube-finite", "lattice-3x3"])
+def test_nearly_cospherical_sets_raise_instead_of_a_wrong_volume(sides, j, seed, r_max):
+    # slivers of sites cospherical to about 1e-12 keep only eps / j of the
+    # digits of their circumcentres; the families' identities expose it
+    grid = _grid(*sides)
+    pts = grid + j * np.random.default_rng(seed).standard_normal(grid.shape)
+    with pytest.raises(NumericalError, match=r"do not cancel|not delta_n"):
+        BallSystem(PointConfiguration.from_points(pts), r_max)
+
+
+@pytest.mark.parametrize("sides", [(3, 3), (3, 2, 2)])
+def test_thin_far_wedges_keep_their_share_of_the_mean_width(sides):
+    # jitter 1e-12 pushes hull-edge sites out of line: their farthest regions
+    # are wedges about 1e-12 wide with apices about 1e12 out, which carry 2 of
+    # the 3x3's a_(n-1) and must not be dropped as of zero extent
+    grid = _grid(*sides)
+    p = PointConfiguration.from_points(
+        grid + 1e-12 * np.random.default_rng(0).standard_normal(grid.shape))
+    system = BallSystem(p, np.inf)
+    mean_width = mean_width_exact(p).value
+    assert system.laurent_coefficients("union")[1] == pytest.approx(mean_width, rel=1e-9)
+    assert system.laurent_coefficients("intersection")[1] == pytest.approx(-mean_width, rel=1e-9)
+
+
+def test_lattice_error_names_its_region(monkeypatch):
+    make = ball_volumes._profile_from_faces
+
+    def fail_regions(n, *args):
+        if n == 3:
+            raise NumericalError("no region")
+        return make(n, *args)
+    monkeypatch.setattr(ball_volumes, "_profile_from_faces", fail_regions)
+    with pytest.raises(NumericalError, match=r"^no region \(nearest region of site 0\)$"):
+        BallSystem(PointConfiguration.from_points(CUBE), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +413,30 @@ def test_volumes_invariant_under_rigid_motion_and_relabelling_2d(data):
 @given(moved_configuration(3))
 def test_volumes_invariant_under_rigid_motion_and_relabelling_3d(data):
     _invariance(data, 3)
+
+
+# ---------------------------------------------------------------------------
+# nearly cospherical input
+# ---------------------------------------------------------------------------
+
+@st.composite
+def jittered_grid(draw):
+    """An integer grid, 2 or 3 sites a side in 2-d or 3-d, jittered by 10^-k, k = 3..8."""
+    dim = draw(st.sampled_from([2, 3]))
+    pts = _grid(*draw(st.lists(st.integers(2, 3), min_size=dim, max_size=dim)))
+    jitter = 10.0 ** -draw(st.integers(3, 8))
+    return pts + jitter * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        pts.shape)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(jittered_grid())
+def test_nearly_cospherical_sets_have_the_ball_at_infinity(pts):
+    # slivers of nearly cospherical sites have circumcentres far out
+    system = BallSystem(PointConfiguration.from_points(pts), np.inf)
+    for which in ("union", "intersection"):
+        assert system.laurent_coefficients(which, 1)[0] == pytest.approx(
+            unit_ball_volume(pts.shape[1]), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

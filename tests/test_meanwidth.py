@@ -96,7 +96,7 @@ def test_exact_polytopes_in_closed_form():
     # Kubota with kappa_2 = pi: M_3 = sum(beta * d) / 2
     tet = mean_width_exact(unit_tetrahedron())
     assert tet.value == pytest.approx(6.0 * TET_BETA * math.pi / (2.0 * math.pi), rel=1e-12)
-    assert tet.method == "exact" and tet.nodes_used == 0
+    assert tet.method == "exact" and tet.nodes_used == 0 and not tet.seeded
     assert mean_width_exact(unit_cube()).value == pytest.approx(3.0 * math.pi, rel=1e-12)
     # a point on a face splits it into coplanar triangles, whose edges add nothing
     face_point = np.vstack([unit_cube().points, [[0.5, 0.5, 1.0]]])
@@ -239,3 +239,6 @@ def test_quadrature_result_invariants(rng):
     assert res.value >= 0.0
     assert res.stderr > 0.0
     assert res.nodes_used >= 5000
+    # the sphere is sampled; the planar trapezoid reads no seed
+    assert res.seeded
+    assert not mean_width_quadrature(random_config(rng, 2, 5), 64, seed=1).seeded
