@@ -41,8 +41,8 @@ from .truncated_volume import (_EPS, _interval_profile, _profile_from_faces,
                                _solid_angle_fraction, unit_ball_volume)
 
 DISTINCT_SITE_TOL = 1e-9
-# boundary measures are read only at radii at least BREAKPOINT_TOL * max(1, r)
-# away from every profile breakpoint
+# boundary measures are read only at radii at least BREAKPOINT_TOL * r away
+# from every profile breakpoint
 BREAKPOINT_TOL = 1e-9
 
 
@@ -341,7 +341,8 @@ class BallSystem:
         self.r_max = float(r_max)
         self.dimension = p.dimension
         self.delta = unit_ball_volume(p.dimension)
-        scale = max(1.0, p.diameter)
+        # every tolerance is relative to the configuration's extent
+        scale = p.diameter if p.n_points > 1 else 1.0
         # volumes are translation-invariant; circumcentres about the centroid keep
         # their rounding relative to the configuration's extent, not its offset
         centred = p.points - p.points.mean(axis=0)
@@ -412,7 +413,7 @@ class BallSystem:
         if not self.breakpoints.size:
             return
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        tol = BREAKPOINT_TOL * np.maximum(1.0, arr)
+        tol = BREAKPOINT_TOL * np.abs(arr)
         bad = np.flatnonzero(self._breakpoint_gap(arr) < tol)
         if bad.size:
             rb, tb = float(arr[bad[0]]), float(tol[bad[0]])
@@ -421,7 +422,7 @@ class BallSystem:
                 f"offset the radius by at least {tb:g}")
 
     def off_breakpoint(self, r):
-        """Nearest radius at least BREAKPOINT_TOL * max(1, r) away from breakpoints.
+        """Nearest radius at least BREAKPOINT_TOL * r away from breakpoints.
 
         Radius grids built from the configuration diameter hit bisector
         distances exactly; callers scanning many radii nudge them with this
@@ -433,7 +434,7 @@ class BallSystem:
             return r
         out = np.atleast_1d(arr).copy()
         for _ in range(64):
-            tol = BREAKPOINT_TOL * np.maximum(1.0, out)
+            tol = BREAKPOINT_TOL * np.abs(out)
             near = self._breakpoint_gap(out) < tol
             if not near.any():
                 return float(out[0]) if arr.ndim == 0 else out

@@ -13,8 +13,16 @@ factor r^-n this is a quadrature:
 
 where omega is the solid-angle fraction of P at the base point.  S vanishes
 below the first positive face distance, so there V is the exact cone volume
-omega * delta_n * r^n.  Beyond it the integral is built piecewise from
-already-built lower-dimensional profiles:
+omega * delta_n * r^n.  Beyond it the integral comes from already-built
+lower-dimensional profiles.
+
+The recursion bottoms out in dimension two.  The faces of a planar set are
+intervals, whose lengths in the window are linear in rho_i = sqrt(t^2 - h_i^2)
+between at most two kinks, so the integral is elementary (Green's theorem,
+_PlanarPieces) and exact at every radius, infinity included.  Intervals,
+dimension one, keep their exact overlap lengths.
+
+In dimension three and up the integral is an adaptive Chebyshev quadrature:
 
 - between two knots b_k < b_{k+1} (the face distances and their
   recursively propagated images, with knots added so that consecutive ones
@@ -27,15 +35,15 @@ already-built lower-dimensional profiles:
   series reaches infinity.
 
 A piece is halved until its trailing Chebyshev coefficients fall below RTOL
-relative to its largest one.  The recursion bottoms out at exact interval
-overlap lengths in dimension one.  Evaluating a profile at any number of radii
-is one searchsorted plus one Clenshaw pass; dV/dr is read off the ODE
-right-hand side.
+relative to its largest one.  Evaluating a profile at any number of radii
+is one searchsorted plus one Clenshaw pass (in the plane, one closed-form pass
+over every facet and radius); dV/dr is read off the ODE right-hand side.
 
 The Taylor coefficients of W(s) = s^n V(1/s) at s = 0, the Laurent
 coefficients of V at infinity, are exact by-products of the build: W(0) =
-omega * delta_n - I(inf) is the constant of the last tail piece, and the ODE
-gives every later one from the face profiles' own (RadialVolumeProfile.taylor).
+omega * delta_n - I(inf) is the closed form's limit in the plane and the
+constant of the last tail piece above it, and the ODE gives every later one
+from the face profiles' own (RadialVolumeProfile.taylor).
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet, _solve_max_margin, face_data
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # A quadrature piece is accepted once its trailing Chebyshev coefficients fall
 # below RTOL times its largest one
@@ -67,15 +76,18 @@ _CHEB_NODES = np.cos(_CHEB_THETA)
 _CHEB_COEFFS = (2.0 / _CHEB_POINTS) * np.cos(
     np.outer(np.arange(_CHEB_POINTS), _CHEB_THETA))
 _CHEB_COEFFS[0] *= 0.5
-_CHEB_INTEGRAL = chebyshev.chebint(np.eye(_CHEB_POINTS), lbnd=-1, axis=1)  # 0 at -1
+# Chebyshev coefficients -> those of the antiderivative that is 0 at -1, for the
+# quadrature of sets of dimension >= 3 (planar sets have a closed form)
+_CHEB_INTEGRAL = chebyshev.chebint(np.eye(_CHEB_POINTS), lbnd=-1, axis=1)
 # a piece halved this often is accepted as it stands (its width is ~1e-15 of
 # its segment, so its error cannot matter)
 _MAX_HALVINGS = 50
 # more pieces than this pending at once means noise is being chased: give up
 _MAX_PENDING = 4096
-# The segment on which V rises from zero (base point outside P) starts graded
-# toward its left end, 2^-8 of its width first: V ~ (r - reach)^p there, and a
-# uniform error across a wide first piece would swamp V just past the onset.
+# In the quadrature (dimension >= 3), the segment on which V rises from zero
+# (base point outside P) starts graded toward its left end, 2^-8 of its width
+# first: V ~ (r - reach)^p there, and a uniform error across a wide first piece
+# would swamp V just past the onset.  Planar onsets use _onset_share instead.
 _ONSET_GRADING = 8
 
 
@@ -175,6 +187,118 @@ class _ChebyshevPieces:
         err[inside] = self.error[k]
         return out, err
 
+    @property
+    def at_infinity(self) -> float | None:
+        """I(inf), the constant of the tail piece; None when no tail piece was built."""
+        return float(self.offset[-1]) if self.tail[-1] else None
+
+
+# 2d - sin(2d) = (2d)^3 sum_m (-1)^m (2d)^(2m) / (2m+3)!, highest power first:
+# eight terms reach full precision for 2d <= 2 _SHIFTED_TURN
+_SHIFTED_SERIES = np.array([(-1) ** m / math.factorial(2 * m + 3) for m in range(8)])[::-1]
+# the shifted form serves a facet's window end until it has turned by this
+# angle; past it Green's form loses no more than about 1e-14 of the share
+_SHIFTED_TURN = 0.25
+
+
+def _onset_share(rho, r, h, beta, k) -> np.ndarray:
+    """The integral of k (rho - beta) t^-3 dt from where rho = beta, without cancellation.
+
+    The share (k/h) [(2d - sin 2d)/4 + (beta/h) sin^2(d)/2], where
+    d = atan2((rho - beta) h, h^2 + rho beta) <= _SHIFTED_TURN is the angle the
+    facet's window end has turned through since it passed beta, and
+    sin d = (rho - beta) h / (r sqrt(h^2 + beta^2)).  It is of third
+    (beta = 0) or second order in rho - beta, where Green's form subtracts
+    first-order terms.
+    """
+    gap = (rho - beta) * h
+    x = 2.0 * np.arctan2(gap, h * h + rho * beta)
+    x2 = x * x
+    return (k / h) * (0.25 * x2 * x * np.polyval(_SHIFTED_SERIES, x2)
+                      + (0.5 * beta / h) * gap * gap / (r * r * (h * h + beta * beta)))
+
+
+class _PlanarPieces:
+    """Closed form of I(t) = int_0^t S(x) x^-3 dx for a planar set, by Green's theorem.
+
+    Facet i at distance h with sign eps has as its own profile the interval
+    (a, b, t) about its foot point.  Its ends lie at e = t - a and e = b - t
+    from the foot point (infinite for a whole line; at most one negative, and
+    then no farther than the other), so its length in the window of
+    half-width rho is V_i(rho) = sum over its ends of sign(e) min(rho, |e|).
+    With theta = atan2(rho, h), d/dt [theta / (2h) - rho / (2t^2)] = rho t^-3
+    and d/dt [-|e| / (2t^2)] = |e| t^-3, so the facet's share of I is
+
+        F = sum over ends of sign(e) [min(theta, theta_e) / (2h) - min(rho, |e|) / (2 r^2)],
+
+    theta_e = atan2(|e|, h), and I = sum_i eps_i h_i F_i.  As r -> inf, F
+    tends to sum sign(e) theta_e / (2h), so I(inf) is exact.  Where the base
+    point lies outside the set (onset), V = -r^2 I rises from zero, and where
+    a facet's length first rises, as k (rho - beta), Green's form cancels:
+    _onset_share evaluates those radii instead, until theta has grown by
+    _SHIFTED_TURN.
+
+    The facets' data are columns with one row per facet, so that each
+    operation covers every (facet, radius) pair.
+    """
+
+    def __init__(self, faces, onset: bool):
+        rows = []
+        for h, eps, sub in faces:
+            # a facet profile without an interval is a whole line (a pure cone)
+            a, b, t = sub.interval or (-math.inf, math.inf, 0.0)
+            low, high = sorted((float(t - a), float(b - t)))
+            sign = [math.copysign(1.0, e) if e else 0.0 for e in (low, high)]
+            # where the length first rises: from beta with slope k, up to rise_end
+            beta, k, rise_end = ((-low, float(high > -low), high) if low < 0.0 else
+                                 (0.0, float(low > 0.0) + float(high > 0.0),
+                                  low if low > 0.0 else high))
+            rise = math.inf
+            if onset and k > 0.0:
+                rise = max(beta, _TINY)
+                turn = math.atan2(beta, h) + _SHIFTED_TURN
+                if turn < 0.5 * math.pi:
+                    rise_end = min(rise_end, h * math.tan(turn))
+            rows.append((h, eps * h, *[0.5 * eps * s for s in sign],
+                         *[math.atan2(abs(e), h) for e in (low, high)],
+                         *[0.5 * eps * h * s for s in sign], abs(low), abs(high),
+                         rise, rise_end, beta, k))
+        data = np.array(rows).T
+        (self.h, self.eh, self.w_low, self.w_high, self.theta_low, self.theta_high,
+         self.u_low, self.u_high, self.len_low, self.len_high, self.rise,
+         self.rise_end) = data[:12, :, None]
+        self.beta, self.k = data[12:]
+        self.at_infinity = float(np.sum(self.w_low * self.theta_low + self.w_high * self.theta_high))
+        # each facet's terms add up to at most pi/2 + 1/2 in size: the rounding
+        # error of I grows by 8 eps that much per facet reached
+        self.h_sorted = np.sort(self.h[:, 0])
+
+    def integral(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I at radii r, and its rounding error estimate.
+
+        Each (facet, radius) share is computed elementwise and the facets add
+        up one at a time in a fixed order, so a batch of radii gives the bits
+        each radius gives alone.  A facet not yet reached has rho = 0 and
+        share 0.
+        """
+        h = self.h
+        rho = np.sqrt(np.maximum((r - h) * (r + h), 0.0))
+        theta = np.arctan2(rho, h)
+        share = (self.w_low * np.minimum(theta, self.theta_low)
+                 + self.w_high * np.minimum(theta, self.theta_high)
+                 - (self.u_low * np.minimum(rho, self.len_low)
+                    + self.u_high * np.minimum(rho, self.len_high)) * (1.0 / (r * r)))
+        near = (rho >= self.rise) & (rho < self.rise_end)
+        if near.any():
+            i, at = np.nonzero(near)
+            share[i, at] = self.eh[i, 0] * _onset_share(rho[i, at], r[at], h[i, 0],
+                                                        self.beta[i], self.k[i])
+        out = np.zeros_like(r)
+        for row in share:
+            out += row
+        reached = np.searchsorted(self.h_sorted, r)
+        return out, (8.0 * _EPS * (0.5 * math.pi + 0.5)) * reached
+
 
 class RadialVolumeProfile:
     """Volume of a ball-truncated polyhedral set as a function of the radius.
@@ -182,12 +306,12 @@ class RadialVolumeProfile:
     Built by volume_profile.  value and derivative evaluate V and dV/dr on
     [0, r_max] (r_max may be infinite), at one radius or a whole array of
     radii in one pass.  w_at_zero = W(0), W(s) = s^n V(1/s), is set exactly
-    at construction; it stays None when the quadrature stops short of
-    infinity.  taylor gives the later coefficients of W.
+    at construction; it stays None when the quadrature (dimension >= 3)
+    stops short of infinity.  taylor gives the later coefficients of W.
     """
 
     def __init__(self, dimension, breakpoints, omega,
-                 pieces: _ChebyshevPieces | None = None, interval=None,
+                 pieces: _ChebyshevPieces | _PlanarPieces | None = None, interval=None,
                  faces=(), r_max=np.inf, reach=0.0):
         self.dimension = int(dimension)
         self.delta = unit_ball_volume(self.dimension)
@@ -214,9 +338,8 @@ class RadialVolumeProfile:
         elif not self.faces:
             # pure cone: V = omega * delta * r^n for every radius
             self.w_at_zero = self.cone_coef
-        elif self.pieces is not None and self.pieces.tail[-1]:
-            # I(inf) is the constant of the tail piece that reaches 1/t = 0
-            self.w_at_zero = self.cone_coef - float(self.pieces.offset[-1])
+        elif self.pieces is not None and self.pieces.at_infinity is not None:
+            self.w_at_zero = self.cone_coef - self.pieces.at_infinity
 
     def taylor(self, order: int) -> np.ndarray:
         """Taylor coefficients w_0 .. w_order of W(s) = s^n V(1/s) at s = 0.
@@ -453,6 +576,29 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
     return _ChebyshevPieces(*(np.concatenate(parts) for parts in zip(*done)))
 
 
+def _quadrature(terms, n: int, breakpoints, r_max: float, reach: float) -> _ChebyshevPieces:
+    """Chebyshev pieces of I for the facets terms (some reached below r_max).
+
+    The knots are the first facet distance, the breakpoints up to r_max and
+    twice the last breakpoint, where the tail piece starts if r_max lies
+    beyond it.
+    """
+    h0 = min(h for h, _, _ in terms)
+    tail_from = 2.0 * breakpoints[-1]
+    end = min(r_max, tail_from)
+    knots = np.array([h0] + [b for b in breakpoints if h0 < b < end] + [end])
+    # knots at most a factor 2 apart: a piece spanning many scales could pass
+    # on the face noise at its far end with its near end unresolved
+    for k in np.flatnonzero(knots[1:] > 2.0 * knots[:-1])[::-1]:
+        m = math.ceil(math.log2(knots[k + 1] / knots[k]))
+        knots = np.insert(knots, k + 1, np.geomspace(knots[k], knots[k + 1], m + 1)[1:-1])
+    # the segment on which V rises from zero, if the base point is outside P
+    onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
+                len(knots) - 2)
+    return _integrate(terms, n, knots, tail_from if r_max > tail_from else None,
+                      onset if 0 < reach < end else None)
+
+
 def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
                         scale: float) -> RadialVolumeProfile:
     """Profile of an n-dimensional set from its genuine facets' data.
@@ -479,21 +625,9 @@ def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
             merged.append(b)
 
     pieces = None
-    h0 = min((h for h, _, _ in terms), default=np.inf)
-    if h0 < r_max:
-        tail_from = 2.0 * merged[-1]
-        end = min(r_max, tail_from)
-        knots = np.array([h0] + [b for b in merged if h0 < b < end] + [end])
-        # knots at most a factor 2 apart: a piece spanning many scales could pass
-        # on the face noise at its far end with its near end unresolved
-        for k in np.flatnonzero(knots[1:] > 2.0 * knots[:-1])[::-1]:
-            m = math.ceil(math.log2(knots[k + 1] / knots[k]))
-            knots = np.insert(knots, k + 1, np.geomspace(knots[k], knots[k + 1], m + 1)[1:-1])
-        # the segment on which V rises from zero, if the base point is outside P
-        onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
-                    len(knots) - 2)
-        pieces = _integrate(terms, n, knots, tail_from if r_max > tail_from else None,
-                            onset if 0 < reach < end else None)
+    if min((h for h, _, _ in terms), default=np.inf) < r_max:
+        pieces = (_PlanarPieces(terms, onset=omega == 0.0) if n == 2 else
+                  _quadrature(terms, n, merged, r_max, reach))
     return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
                                omega=omega, pieces=pieces,
                                faces=terms, r_max=r_max, reach=reach)
@@ -505,8 +639,9 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
     r_max may be infinite.  Face profiles are built recursively one dimension
     down (exact interval overlap at the base) and cover every radius.  Below
     the first positive face distance V is the exact cone formula; beyond it,
-    the integrating-factor quadrature runs between breakpoints and, when
-    r_max reaches past twice the last breakpoint, in 1/r to infinity.
+    a planar set has its closed form, and in higher dimensions the
+    integrating-factor quadrature runs between breakpoints and, when r_max
+    reaches past twice the last breakpoint, in 1/r to infinity.
     Raises GeometryError for infeasible P.
     """
     p0 = np.asarray(p0, dtype=float)

@@ -105,6 +105,29 @@ def test_boundary_rejects_breakpoint_radius():
     assert system.union_boundary(nudged) > 0.0
 
 
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 1e4])
+def test_volumes_and_boundaries_scale_with_the_configuration(s):
+    # volumes scale as s^n and boundaries as s^(n-1): no tolerance may be
+    # absolute, or small configurations lose digits
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (8, 3))
+    unit = BallSystem(PointConfiguration.from_points(pts), np.inf)
+    scaled = BallSystem(PointConfiguration.from_points(s * pts), np.inf)
+    radii = np.array([0.37, 0.81, 1.43, 2.9]) * unit.config.diameter
+    assert np.min(np.abs(unit.breakpoints[:, None] / radii - 1.0)) > 1e-3
+    ball = unit_ball_volume(3) * radii ** 3
+    for name, power, size in (("union_volume", 3, ball), ("intersection_volume", 3, ball),
+                              ("union_boundary", 2, 3.0 * ball / radii),
+                              ("intersection_boundary", 2, 3.0 * ball / radii)):
+        got = getattr(scaled, name)(s * radii) / s ** power
+        assert np.all(np.abs(got - getattr(unit, name)(radii)) <= 1e-13 * size), name
+    # two sites 2e-6 apart are the unit pair at distance 2, scaled by 1e-6
+    pair = BallSystem(PointConfiguration.from_points([[0.0, 0.0], [2e-6, 0.0]]), np.inf)
+    unit_pair = BallSystem(PointConfiguration.from_points([[0.0, 0.0], [2.0, 0.0]]), np.inf)
+    assert pair.intersection_boundary(1.0005e-6) == pytest.approx(
+        1e-6 * unit_pair.intersection_boundary(1.0005), rel=1e-13)
+    assert pair.off_breakpoint(1.0005e-6) == 1.0005e-6
+
+
 def test_union_bounds_and_monotonicity(rng):
     cfg = random_config(rng, 2, 4)
     system = BallSystem(cfg, r_max=6.0)

@@ -161,9 +161,10 @@ def test_clustered_breakpoints_match_greens_theorem(centre, above):
 
 
 def test_step_control_splits_more_under_tighter_tolerance(monkeypatch):
-    angles = 2.0 * np.pi * np.arange(12) / 12.0
-    P = polygon_set(np.column_stack((np.cos(angles), np.sin(angles))))
-    p0 = np.array([1e-5, 2e-5])
+    # the quadrature serves dimension >= 3 (planar faces have a closed form):
+    # a cube about a point just off its centre, with clustered breakpoints
+    P = PolyhedralSet(3, tuple(Halfspace(s * e, 1.0) for e in np.eye(3) for s in (1.0, -1.0)))
+    p0 = np.array([1e-5, 2e-5, -3e-5])
     monkeypatch.setattr(truncated_volume, "RTOL", 1e-4)
     loose = volume_profile(P, p0, np.inf)
     monkeypatch.setattr(truncated_volume, "RTOL", 1e-13)
@@ -268,3 +269,55 @@ def test_tied_onsets_lifted_one_dimension_build():
     assert ref.method == "exact"
     assert system.laurent_coefficients("union")[1] == pytest.approx(m, rel=REL)
     assert system.laurent_coefficients("intersection")[1] == pytest.approx(-m, rel=REL)
+
+
+# The closed form of planar profiles against the quadrature, which is
+# dimension-generic and serves dimension >= 3: run on the same facets, knotted
+# at the same breakpoints, it is the oracle.
+@pytest.mark.parametrize("n_pts", [6, 12, 30])
+def test_planar_closed_form_matches_the_quadrature(n_pts):
+    p = PointConfiguration.from_points(np.random.default_rng(n_pts).uniform(-1, 1, (n_pts, 2)))
+    system = BallSystem(p, np.inf)
+    radii = np.geomspace(0.05, 40.0 * p.diameter, 400)
+    regions = [prof for prof in system.nearest_profiles + system.farthest_profiles
+               if prof is not None]
+    assert any(prof.omega == 0.0 for prof in regions)
+    for prof in regions:
+        closed, _ = prof.pieces.integral(radii)
+        oracle, _ = truncated_volume._quadrature(prof.faces, 2, prof.breakpoints,
+                                                 prof.r_max, prof.reach).integral(radii)
+        # V = r^2 (omega pi - I)
+        assert np.max(np.abs(closed - oracle)) <= 1e-13 * math.pi
+
+
+def test_planar_onsets_array_equals_scalar_path():
+    # a farthest region (omega = 0) rises from zero past its onset, where the
+    # closed form switches per radius to its shifted, cancellation-free form
+    p = PointConfiguration.from_points(np.random.default_rng(3).uniform(-1, 1, (6, 2)))
+    prof = next(prof for prof in BallSystem(p, np.inf).farthest_profiles if prof is not None)
+    assert prof.omega == 0.0
+    steps = 10.0 ** -np.arange(2, 11)
+    radii = np.concatenate([b * (1.0 + sign * steps)
+                            for b in prof.breakpoints for sign in (1.0, -1.0)])
+    values = prof.value(radii)
+    slopes = prof.derivative(radii)
+    assert np.any(values == 0.0) and prof.value(prof.reach * (1.0 + 1e-10)) > 0.0
+    for r, v, s in zip(radii, values, slopes):
+        assert v == prof.value(float(r))
+        assert s == prof.derivative(float(r))
+
+
+@pytest.mark.parametrize("dim, n_pts", [(2, 12), (3, 8)])
+def test_ball_systems_run_no_planar_quadrature(monkeypatch, dim, n_pts):
+    dims = []
+    integrate = truncated_volume._integrate
+
+    def spy(faces, n, *args):
+        dims.append(n)
+        return integrate(faces, n, *args)
+
+    monkeypatch.setattr(truncated_volume, "_integrate", spy)
+    BallSystem(PointConfiguration.from_points(
+        np.random.default_rng(0).uniform(-1, 1, (n_pts, dim))), np.inf)
+    assert 2 not in dims
+    assert (3 in dims) == (dim == 3)

@@ -88,14 +88,17 @@ def test_w_coefficients_complement_halfplane():
 
 
 def test_w_prime_needs_long_profile():
-    # W'(0) comes from the face profiles, which reach infinity, so a profile
-    # stopped at r_max = 1.5, short of its tail piece from 2, has it exactly;
-    # W(0) needs that tail
-    P = PolyhedralSet(2, (halfplane(1, 0, 1),))
-    prof = volume_profile(P, np.zeros(2), 1.5)
-    w = prof.taylor(1)
+    # W'(0) comes from the face profiles, which reach infinity, so a 3-d
+    # profile stopped at r_max = 1.5, short of its tail piece from 2, has it
+    # exactly; W(0) needs that tail.  A planar profile's closed form has W(0)
+    # at any r_max
+    P = PolyhedralSet(3, (Halfspace(np.array([1.0, 0.0, 0.0]), 1.0),))
+    w = volume_profile(P, np.zeros(3), 1.5).taylor(1)
     assert math.isnan(w[0])
-    assert w[1] == pytest.approx(2.0, abs=1e-12)
+    assert w[1] == pytest.approx(math.pi, abs=1e-12)
+    plane = volume_profile(PolyhedralSet(2, (halfplane(1, 0, 1),)), np.zeros(2), 1.5)
+    assert plane.taylor(1)[0] == pytest.approx(math.pi / 2.0, abs=1e-15)
+    assert plane.taylor(1)[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cone_profile_quadrant():
@@ -224,12 +227,14 @@ def test_fit_residual_decays_with_window():
 
 
 def test_step_control_is_honored(monkeypatch):
-    P = PolyhedralSet(2, (halfplane(1, 0, 1),))
+    # the quadrature serves dimension >= 3: the half-space {x1 <= 1} is the
+    # ball less a cap of volume pi (r - 1)^2 (2r + 1) / 3
+    P = PolyhedralSet(3, (Halfspace(np.array([1.0, 0.0, 0.0]), 1.0),))
     monkeypatch.setattr(truncated_volume, "RTOL", 1e-6)
-    loose = volume_profile(P, np.zeros(2), 10.0)
+    loose = volume_profile(P, np.zeros(3), 10.0)
     monkeypatch.setattr(truncated_volume, "RTOL", 1e-12)
-    tight = volume_profile(P, np.zeros(2), 10.0)
-    want = halfplane_truncated_area(1.0, 8.0)
+    tight = volume_profile(P, np.zeros(3), 10.0)
+    want = 4.0 * math.pi / 3.0 * 8.0 ** 3 - math.pi * 7.0 ** 2 * 17.0 / 3.0
     assert abs(tight.value(8.0) - want) <= abs(loose.value(8.0) - want) + 1e-13
     assert tight.pieces.t_lo.size >= loose.pieces.t_lo.size
 
