@@ -186,7 +186,7 @@ def verify_ww_proposition(p: PointConfiguration) -> CheckReport:
         raise GeometryError(f"proposition needs N <= n+1, got N={N} in E^{n}")
     if N >= 2:
         centered = p.points - p.points[0]
-        if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, p.diameter)) < N - 1:
+        if np.linalg.matrix_rank(centered, tol=1e-9 * p.diameter) < N - 1:
             raise GeometryError("points are not in general position (affinely dependent)")
     if N == 1:
         return CheckReport(claim="W-sum derivative vanishes at s=0",

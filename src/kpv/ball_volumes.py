@@ -22,12 +22,19 @@ only the triangulation sees coordinates in the flat.  Every family of every
 input is built this way and checked by two exact identities (BallSystem);
 nearest_voronoi and farthest_voronoi cut a region out by all the bisectors.
 
+Sites spanning the plane skip the per-face profiles: their regions' facets
+are the edges of the triangulation, so each family is one facet table with a
+row per (site, edge) incidence, built and evaluated in array passes
+(_PlanarFamily).  The face lattice (_Lattice) serves sites in a lower flat
+and every dimension from three up.
+
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -37,13 +44,18 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError
 from .configurations import PointConfiguration, distance_matrix
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet
-from .truncated_volume import (_EPS, _interval_profile, _profile_from_faces,
-                               _solid_angle_fraction, unit_ball_volume)
+from .truncated_volume import (_EPS, _check_range, _interval_profile, _PlanarPieces,
+                               _profile_from_faces, _running_sum, _solid_angle_fraction,
+                               unit_ball_volume)
 
+# sites closer than this share of the diameter count as duplicates
 DISTINCT_SITE_TOL = 1e-9
 # boundary measures are read only at radii at least BREAKPOINT_TOL * r away
 # from every profile breakpoint
 BREAKPOINT_TOL = 1e-9
+# (facet rows) x (radii) evaluated at a time by a planar family: larger passes
+# leave the cache and run slower
+_CHUNK_ELEMENTS = 2 ** 14
 
 
 def _check_distinct(p: PointConfiguration):
@@ -51,7 +63,7 @@ def _check_distinct(p: PointConfiguration):
         return
     d = distance_matrix(p).entries
     off = d[np.triu_indices(p.n_points, k=1)]
-    if np.min(off) <= DISTINCT_SITE_TOL:
+    if np.min(off) <= DISTINCT_SITE_TOL * p.diameter:
         raise GeometryError(
             "configuration has duplicate (or nearly duplicate) sites; "
             "deduplicate upstream before building Voronoi regions")
@@ -182,6 +194,22 @@ def _circumcentres(points: np.ndarray, groups: np.ndarray, kind: str):
     return verts[:, 0] + np.einsum("ki,kin->kn", y, vt[:, :m]), vt[:, m:]
 
 
+def _where(kind: str, sigma) -> str:
+    """The name of the face of a family dual to the simplex sigma (its sites)."""
+    sites = tuple(int(i) for i in sigma)
+    return (f"{kind} region of site {sites[0]}" if len(sites) == 1 else
+            f"{kind} face of sites {sites}")
+
+
+@contextlib.contextmanager
+def _located(kind: str, sigma):
+    """Name the face dual to sigma in a GeometryError or NumericalError raised inside."""
+    try:
+        yield
+    except (GeometryError, NumericalError) as exc:
+        raise type(exc)(f"{exc} ({_where(kind, sigma)})") from exc
+
+
 def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
                       r_max: float, scale: float) -> list:
     """Per-site region profiles of one family, read off its triangulation.
@@ -221,13 +249,10 @@ def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
             star = by_size[m][sigma]
             if m == k and len(star) == 1:
                 lattice.add_ray(sigma, star[0], c, normal)
-            try:
+            with _located(kind, sigma):
                 lattice.profile[sigma] = (
                     lattice.segment(sigma, star, c, normal[0]) if normal.shape[0] == 1 else
                     lattice.face(sigma, star, c, normal, r_max if m == 1 else np.inf))
-            except (GeometryError, NumericalError) as exc:
-                where = f"region of site {sigma[0]}" if m == 1 else f"face of sites {sigma}"
-                raise type(exc)(f"{exc} ({kind} {where})") from exc
     return [lattice.profile.get((i,)) for i in range(points.shape[0])]
 
 
@@ -321,16 +346,209 @@ class _Lattice:
                                    self.scale)
 
 
+class _SiteProfiles:
+    """A family as its sites' region profiles (None for a site without a region)."""
+
+    def __init__(self, profiles: list):
+        self.profiles = profiles
+        self.breakpoints = np.array([bp for prof in profiles if prof is not None
+                                     for bp in prof.breakpoints])
+
+    def evaluate(self, r: np.ndarray, derivative: bool) -> np.ndarray:
+        """Sum of the regions' volumes (boundaries), site by site, at radii r > 0."""
+        total = np.zeros(r.shape)
+        for prof in self.profiles:
+            if prof is not None:
+                total = total + (prof.derivative(r) if derivative else prof.value(r))
+        return total
+
+    def taylor(self, order: int) -> np.ndarray:
+        """The sum of the regions' taylor(order), site by site."""
+        return sum((prof.taylor(order) for prof in self.profiles if prof is not None),
+                   np.zeros(order + 1))
+
+
+def _segment_ends(points, tris, centres, nearest: bool):
+    """The 1-d faces of a planar family, one per edge of its triangulation.
+
+    tris holds the sorted sites of each triangle and centres their
+    circumcentres.  Returns (edges, u, a, b, hull): the sorted site pairs,
+    a unit normal u of each edge, the ends a <= b of its face along the line
+    m + x u through its midpoint m, and whether it is a hull edge.  Each
+    triangle t at an edge bounds the face at <c_t - m, u>, from the side away
+    from (farthest: toward) t's third site; a hull edge's face is a ray.
+    """
+    n_pts = points.shape[0]
+    # the edge opposite each vertex of each triangle
+    pairs = tris[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
+    keys, edge_of = np.unique(pairs[:, 0] * n_pts + pairs[:, 1], return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, n_pts))
+    p, q = points[edges[:, 0]], points[edges[:, 1]]
+    mid = 0.5 * (p + q)
+    u = (q - p)[:, ::-1] * np.array([-1.0, 1.0])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    along = u[edge_of]
+    end = np.sum((np.repeat(centres, 3, axis=0) - mid[edge_of]) * along, axis=1)
+    ahead = (np.sum((points[tris.ravel()] - mid[edge_of]) * along, axis=1) > 0.0) == nearest
+    a, b = np.full(len(edges), -np.inf), np.full(len(edges), np.inf)
+    np.maximum.at(a, edge_of[~ahead], end[~ahead])
+    np.minimum.at(b, edge_of[ahead], end[ahead])
+    return edges, u, a, b, np.bincount(edge_of, minlength=len(edges)) == 1
+
+
+def _region_extent(n_pts: int, tris, centres, edges, u, hull, scale: float) -> np.ndarray:
+    """Whether each site's planar region has extent, as _Lattice.face decides it.
+
+    It has unless the differences of its star's circumcentres and the lines
+    of its hull edges' rays (counted 100 scale long) span no plane: their
+    second singular value is at most 1e-12 scale.  Each site's vectors are
+    stacked, zero rows padding, for one batched SVD.
+    """
+    first = np.zeros((n_pts, 2))
+    in_star, t = np.unique(tris.ravel(), return_index=True)
+    first[in_star] = centres[t // 3]
+    site = np.concatenate((tris.ravel(), edges[hull].ravel()))
+    vectors = np.concatenate((np.repeat(centres, 3, axis=0) - first[tris.ravel()],
+                              np.repeat(100.0 * scale * u[hull], 2, axis=0)))
+    order = np.argsort(site, kind="stable")
+    site, vectors = site[order], vectors[order]
+    spans = np.zeros((n_pts, max(2, int(np.max(np.bincount(site)))), 2))
+    spans[site, np.arange(site.size) - np.searchsorted(site, site)] = vectors
+    return np.linalg.svd(spans, compute_uv=False)[:, 1] > 1e-12 * scale
+
+
+class _PlanarFamily:
+    """One family of sites spanning the plane, as one facet table.
+
+    The table has a row per (site, edge) incidence of the family's
+    triangulation, sorted by site and then by the edge's other site: the
+    facet of the site's region dual to the edge, at distance h = |p_j - p_i| / 2
+    with sign eps = 1 (farthest: -1), whose own profile is the edge's face
+    (_segment_ends) about the edge's midpoint.  Faces and regions of zero
+    extent are dropped as _Lattice drops them, and every region has
+    solid-angle fraction omega = 1 (farthest: 0) at its site.  A region's
+    volume is r^2 (omega pi - I(r)), I the sum of its rows' shares of
+    _PlanarPieces, and its boundary (2 V - S) / r, S = sum eps h V_i(rho)
+    from the same columns in the same pass.  Each sum runs in table order, over a
+    region's rows and then over the regions: so the family's sums carry the
+    bits of the sums of its sites' own profiles (profiles, built on first
+    access, as _Lattice builds them), and a batch of radii gives the bits
+    each radius gives alone.
+    """
+
+    def __init__(self, points, simplices, kind: str, r_max: float, scale: float):
+        self.kind, self.r_max, self.scale = kind, r_max, scale
+        nearest = kind == "nearest"
+        tris = np.sort(simplices, axis=1)
+        centres = _circumcentres(points, tris, kind)[0]
+        self.edges, u, self.a, self.b, hull = _segment_ends(points, tris, centres, nearest)
+        bad = np.flatnonzero(np.isnan(self.a) | np.isnan(self.b))
+        if bad.size:
+            raise NumericalError(f"segment ends are not numbers "
+                                 f"({_where(kind, self.edges[bad[0]])})")
+        self.extent = _region_extent(points.shape[0], tris, centres, self.edges, u, hull, scale)
+        keep = self.b - self.a > 2e-12 * scale
+        # the table: (site, edge) rows by site and then by the edge's other site
+        site = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
+        edge = np.tile(np.arange(len(self.edges)), 2)
+        rows = np.lexsort((self.edges[edge, 0] + self.edges[edge, 1] - site, site))
+        rows = rows[keep[edge[rows]] & self.extent[site[rows]]]
+        self.site, self.edge = site[rows], edge[rows]
+        h = 0.5 * np.linalg.norm(points[self.edges[:, 1]] - points[self.edges[:, 0]], axis=1)
+        self.h = h[self.edge]
+        self.eps = 1.0 if nearest else -1.0
+        self.omega = 1.0 if nearest else 0.0
+        self.cone_coef = self.omega * unit_ball_volume(2)
+        # the columns run slot by slot, a slot holding the k-th row of every
+        # region (a row of a zero segment, exactly 0 in every sum, where a region
+        # has fewer), so that a region's terms lie one region-count apart
+        place = np.arange(rows.size) - np.searchsorted(self.site, self.site)
+        self.regions, self.depth = int(np.sum(self.extent)), int(np.max(place, initial=0)) + 1
+        column = place * self.regions + (np.cumsum(self.extent) - 1)[self.site]
+        cells = self.depth * self.regions
+        h_col, a_col, b_col = np.ones(cells), np.zeros(cells), np.zeros(cells)
+        h_col[column], a_col[column], b_col[column] = self.h, self.a[self.edge], self.b[self.edge]
+        self.ends = np.array([a_col, b_col])[:, :, None]
+        self.pieces = _PlanarPieces(h_col, np.full(cells, self.eps), a_col, b_col,
+                                    onset=not nearest)
+        # every facet's breakpoints: h, and sqrt(h^2 + e^2) for the ends e of its
+        # face, as _interval_profile and _profile_from_faces record them
+        used = np.unique(self.edge)
+        ends = np.abs(np.concatenate((self.a[used], self.b[used])))
+        on = np.isfinite(ends) & (ends > 0.0)
+        rounded = np.array([round(e, 15) for e in ends[on].tolist()])
+        foot = np.concatenate((h[used], h[used]))[on]
+        self.breakpoints = np.concatenate((h[used], np.sqrt(foot * foot + rounded * rounded)))
+        self._profiles = None
+
+    def _by_region(self, columns: np.ndarray) -> np.ndarray:
+        """Column values summed region by region, each in table order."""
+        return _running_sum(columns.reshape((self.depth, self.regions) + columns.shape[1:]))
+
+    def evaluate(self, r: np.ndarray, derivative: bool) -> np.ndarray:
+        """The family's volume (boundary) at radii r > 0, _CHUNK_ELEMENTS table cells at a time."""
+        _check_range(self.r_max, float(np.max(r)))
+        out = np.empty_like(r)
+        step = max(1, _CHUNK_ELEMENTS // (self.depth * self.regions))
+        a, b = self.ends
+        for start in range(0, r.size, step):
+            rr = r[start:start + step]
+            share, rho = self.pieces.shares(rr)
+            v = (self.cone_coef - self._by_region(share)) * rr ** 2
+            if derivative:
+                length = np.maximum(np.minimum(b, rho) - np.maximum(a, -rho), 0.0)
+                v = (2 * v - self._by_region(self.pieces.eh * length)) / rr
+            out[start:start + step] = _running_sum(v)
+        return out
+
+    def taylor(self, order: int) -> np.ndarray:
+        """(w_0, ..., w_order) of the family's W(s) = s^2 V(1/s), order <= 2.
+
+        A region's w_0 is omega pi - I(inf).  A facet whose face is a line,
+        a ray or a segment has W_i(s) = lambda_0 + lambda_1 s, lambda_0 = 2,
+        1 or 0 and lambda_1 = 0, the foot point's distance to the ray's end
+        or the segment's length; it adds eps h lambda_0 to w_1 and
+        eps h lambda_1 / 2 to w_2.
+        """
+        a, b = self.ends[:, :, 0]
+        lam = np.column_stack((np.isinf(a) * 1.0 + np.isinf(b),
+                               np.where(np.isinf(b), 0.0, b) - np.where(np.isinf(a), 0.0, a)))
+        w = np.column_stack((self.cone_coef - self._by_region(self.pieces.infinite_shares),
+                             self._by_region(self.pieces.eh * lam) / [1.0, 2.0]))
+        return _running_sum(np.vstack((np.zeros(3), w)))[:order + 1]
+
+    @property
+    def profiles(self) -> list:
+        """Each site's region profile as _Lattice builds it (None: the site has no region)."""
+        if self._profiles is None:
+            segments, faces = {}, {}
+            for i, e, h in zip(self.site.tolist(), self.edge.tolist(), self.h.tolist()):
+                if e not in segments:
+                    with _located(self.kind, self.edges[e]):
+                        segments[e] = _interval_profile(float(self.a[e]), float(self.b[e]), 0.0)
+                faces.setdefault(i, []).append((h, int(self.eps), segments[e]))
+            self._profiles = [None] * self.extent.size
+            for i in np.flatnonzero(self.extent).tolist():
+                with _located(self.kind, (i,)):
+                    self._profiles[i] = _profile_from_faces(
+                        2, self.omega, faces.get(i, []), self.r_max,
+                        0.0 if self.omega else np.inf, self.scale)
+        return self._profiles
+
+
 class BallSystem:
     """Union and intersection volumes of one configuration's balls, by radius.
 
-    This is the way to evaluate them: the per-site nearest and farthest
-    region profiles are built once up to r_max (np.inf covers every radius),
-    and union_volume, intersection_volume, union_boundary and
+    This is the way to evaluate them: the nearest and farthest families of
+    regions are built once up to r_max (np.inf covers every radius), and
+    union_volume, intersection_volume, union_boundary and
     intersection_boundary sum them at a radius or a whole array of radii in
-    one pass, so radius scans (threshold searches, dense scans) stay
-    cheap.  The sites of a Delaunay simplex share its face's profile (see
-    the module docstring).  Sums reduce in ascending site order.  Built with
+    one pass, so radius scans (threshold searches, dense scans) stay cheap.
+    A family is a facet table for sites spanning the plane and its sites'
+    region profiles otherwise, the sites of a Delaunay simplex sharing its
+    face's profile (see the module docstring).  Sums reduce in facet order
+    within a region and then in ascending site order, so they carry the bits
+    of the sums of nearest_profiles and farthest_profiles.  Built with
     r_max = np.inf, the system also carries the exact Laurent coefficients
     of both volume functions.
     """
@@ -347,17 +565,15 @@ class BallSystem:
         # their rounding relative to the configuration's extent, not its offset
         centred = p.points - p.points.mean(axis=0)
         rank, basis = _affine_rank(centred)
-        self.nearest_profiles, self.farthest_profiles = (
-            _lattice_profiles(centred, _triangulation(centred, rank, basis, kind), kind,
-                              self.r_max, scale) for kind in ("nearest", "farthest"))
-        bps = [bp for prof in self.nearest_profiles + self.farthest_profiles
-               if prof is not None for bp in prof.breakpoints]
-        self.breakpoints = np.unique(np.asarray(bps)) if bps else np.zeros(0)
+        self._nearest, self._farthest = (
+            self._family(centred, _triangulation(centred, rank, basis, kind), kind, rank, scale)
+            for kind in ("nearest", "farthest"))
+        self.breakpoints = np.unique(np.concatenate((self._nearest.breakpoints,
+                                                     self._farthest.breakpoints)))
         # the union's a_(n-1) is minus the intersection's, and to infinity both a_n
         # are delta_n: slivers of nearly cospherical sites, whose circumcentres keep
         # eps / jitter of their digits, break these identities by far more than 1e-6
-        union, inter = (sum(prof.taylor(1)[1] for prof in profiles if prof is not None)
-                        for profiles in (self.nearest_profiles, self.farthest_profiles))
+        union, inter = (family.taylor(1)[1] for family in (self._nearest, self._farthest))
         if not abs(union + inter) <= 1e-6 * max(abs(union), abs(inter)):
             raise NumericalError(f"a_(n-1) of the union ({union:.12g}) and of the "
                                  f"intersection ({inter:.12g}) do not cancel")
@@ -366,20 +582,36 @@ class BallSystem:
             if not abs(lead - self.delta) <= 1e-6 * self.delta:
                 raise NumericalError(f"a_n = {lead:.12g}, not delta_n ({kind} family)")
 
-    def _sum(self, profiles, r, derivative: bool = False):
-        """Sum of per-site values (or derivatives) at a radius or an array of radii."""
+    def _family(self, centred, simplices, kind: str, rank: int, scale: float):
+        """One family: a facet table for sites spanning the plane, else the face lattice."""
+        if rank == self.dimension == 2:
+            return _PlanarFamily(centred, simplices, kind, self.r_max, scale)
+        return _SiteProfiles(_lattice_profiles(centred, simplices, kind, self.r_max, scale))
+
+    @property
+    def nearest_profiles(self) -> list:
+        """Each site's nearest-region profile (None for a site without a region)."""
+        return self._nearest.profiles
+
+    @property
+    def farthest_profiles(self) -> list:
+        """Each site's farthest-region profile (None for a site without a region)."""
+        return self._farthest.profiles
+
+    def _sum(self, family, r, derivative: bool = False):
+        """A family's volume (or boundary) at a radius or an array of radii."""
         arr = np.asarray(r, dtype=float)
         total = np.zeros(arr.shape)
-        for prof in profiles:
-            if prof is not None:
-                total = total + (prof.derivative(arr) if derivative else prof.value(arr))
+        pos = arr > 0.0
+        if pos.any():
+            total[pos] = family.evaluate(arr[pos], derivative)
         return float(total) if total.ndim == 0 else total
 
     def laurent_coefficients(self, which: str, terms: int = 2) -> tuple[float, ...]:
         """Exact (a_n, a_(n-1), ...) of the union or intersection volume at infinity.
 
-        The first terms coefficients, 1 <= terms <= n + 1: the sums of the
-        per-site taylor(terms - 1) in ascending site order.  They need a
+        The first terms coefficients, 1 <= terms <= n + 1: the family's
+        Taylor coefficients of W(s) = s^n V(1/s) at s = 0.  They need a
         system built with r_max = np.inf (InputError otherwise).
         """
         if which not in ("union", "intersection"):
@@ -389,18 +621,16 @@ class BallSystem:
                              f"got {terms}")
         if not math.isinf(self.r_max):
             raise InputError("Laurent coefficients need a system built with r_max=np.inf")
-        profiles = self.nearest_profiles if which == "union" else self.farthest_profiles
-        total = sum((prof.taylor(terms - 1) for prof in profiles if prof is not None),
-                    np.zeros(terms))
-        return tuple(float(c) for c in total)
+        family = self._nearest if which == "union" else self._farthest
+        return tuple(float(c) for c in family.taylor(terms - 1))
 
     def union_volume(self, r):
         """Union volume at a radius (float) or an array of radii (array)."""
-        return self._sum(self.nearest_profiles, r)
+        return self._sum(self._nearest, r)
 
     def intersection_volume(self, r):
         """Intersection volume at a radius (float) or an array of radii (array)."""
-        return self._sum(self.farthest_profiles, r)
+        return self._sum(self._farthest, r)
 
     def _breakpoint_gap(self, r: np.ndarray) -> np.ndarray:
         """Distance from each radius to the nearest breakpoint."""
@@ -445,12 +675,12 @@ class BallSystem:
     def union_boundary(self, r):
         """Boundary measure of the union, d/dr of its volume, off breakpoints."""
         self._check_off_breakpoint(r)
-        return self._sum(self.nearest_profiles, r, derivative=True)
+        return self._sum(self._nearest, r, derivative=True)
 
     def intersection_boundary(self, r):
         """Boundary measure of the intersection, d/dr of its volume, off breakpoints."""
         self._check_off_breakpoint(r)
-        return self._sum(self.farthest_profiles, r, derivative=True)
+        return self._sum(self._farthest, r, derivative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +697,16 @@ def _distance_hits(sites, lo, hi, radii, samples: int, seed: int):
     """Hit counts of uniform samples in the box [lo, hi]: (nearest, farthest).
 
     The samples are default_rng(seed).uniform(lo, hi, (m, n)) in chunks of
-    MC_CHUNK rows.  Entry k of nearest (farthest) counts the samples within
-    radii[k] of their nearest (farthest) site, i.e. in the union
-    (intersection) of the balls.  Squared distances add the coordinates left
-    to right, as np.sum(axis=1) does for a row.
+    MC_CHUNK rows, formed as Generator.uniform forms them, lo + (hi - lo) u
+    from rng.random((m, n)), one block at a time in place.  Entry k of
+    nearest (farthest) counts the samples within radii[k] of their nearest
+    (farthest) site, i.e. in the union (intersection) of the balls.  Squared
+    distances add the coordinates left to right, as np.sum(axis=1) does for
+    a row.
     """
     sites = np.asarray(sites, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    span = np.asarray(hi, dtype=float) - lo
     r2 = np.asarray(radii, dtype=float) ** 2
     near_hits = [0] * r2.size
     far_hits = [0] * r2.size
@@ -481,9 +715,12 @@ def _distance_hits(sites, lo, hi, radii, samples: int, seed: int):
     done = 0
     while done < samples:
         m = min(MC_CHUNK, samples - done)
-        x = rng.uniform(lo, hi, size=(m, sites.shape[1]))
+        x = rng.random((m, sites.shape[1]))
         for start in range(0, m, MC_BLOCK):
-            cols = x[start:start + MC_BLOCK].T      # strided coordinate columns
+            block = x[start:start + MC_BLOCK]
+            np.multiply(block, span, out=block)
+            np.add(block, lo, out=block)
+            cols = block.T                          # strided coordinate columns
             near, far, d2, term = buffers[:, :cols.shape[1]]
             near.fill(np.inf)
             far.fill(0.0)

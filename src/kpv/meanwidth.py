@@ -97,12 +97,13 @@ def mean_width_quadrature(points: PointConfiguration, nodes: int,
 def _flat_coordinates(points: PointConfiguration) -> np.ndarray:
     """The centred points in an orthonormal frame of the k-flat they span (N x k).
 
-    k counts the singular values of the centred points above
-    1e-9 * max(1, largest), so a set within that of a k-flat is taken as flat.
+    k counts the singular values of the centred points above 1e-9 times the
+    largest, so a set within that share of its extent of a k-flat is taken as
+    flat, at any scale.
     """
     centered = points.points - np.mean(points.points, axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    k = int(np.sum(svals > 1e-9 * max(1.0, float(svals[0]))))
+    k = int(np.sum(svals > 1e-9 * float(svals[0])))
     return centered @ vt[:k].T
 
 

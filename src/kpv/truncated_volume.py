@@ -218,13 +218,25 @@ def _onset_share(rho, r, h, beta, k) -> np.ndarray:
                       + (0.5 * beta / h) * gap * gap / (r * r * (h * h + beta * beta)))
 
 
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, added one term at a time in order.
+
+    Unlike np.sum (pairwise along a contiguous axis), the order, and so the
+    bits, of each entry's sum do not depend on the other axes' sizes.
+    """
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 class _PlanarPieces:
     """Closed form of I(t) = int_0^t S(x) x^-3 dx for a planar set, by Green's theorem.
 
-    Facet i at distance h with sign eps has as its own profile the interval
-    (a, b, t) about its foot point.  Its ends lie at e = t - a and e = b - t
-    from the foot point (infinite for a whole line; at most one negative, and
-    then no farther than the other), so its length in the window of
+    Facet i at distance h with sign eps has as its own profile an interval
+    [a, b] about its foot point.  Its ends lie at e = -a and e = b from the
+    foot point (infinite for a whole line; at most one negative, and then no
+    farther than the other), so its length in the window of
     half-width rho is V_i(rho) = sum over its ends of sign(e) min(rho, |e|).
     With theta = atan2(rho, h), d/dt [theta / (2h) - rho / (2t^2)] = rho t^-3
     and d/dt [-|e| / (2t^2)] = |e| t^-3, so the facet's share of I is
@@ -238,48 +250,48 @@ class _PlanarPieces:
     _onset_share evaluates those radii instead, until theta has grown by
     _SHIFTED_TURN.
 
-    The facets' data are columns with one row per facet, so that each
-    operation covers every (facet, radius) pair.
+    The facets come as columns, one row per facet: h, eps and the ends a <= b
+    (a = -inf, b = inf for a whole line); onset says whether the base point
+    lies outside the set.  Their data stay columns, so that each operation
+    covers every (facet, radius) pair.
     """
 
-    def __init__(self, faces, onset: bool):
-        rows = []
-        for h, eps, sub in faces:
-            # a facet profile without an interval is a whole line (a pure cone)
-            a, b, t = sub.interval or (-math.inf, math.inf, 0.0)
-            low, high = sorted((float(t - a), float(b - t)))
-            sign = [math.copysign(1.0, e) if e else 0.0 for e in (low, high)]
-            # where the length first rises: from beta with slope k, up to rise_end
-            beta, k, rise_end = ((-low, float(high > -low), high) if low < 0.0 else
-                                 (0.0, float(low > 0.0) + float(high > 0.0),
-                                  low if low > 0.0 else high))
-            rise = math.inf
-            if onset and k > 0.0:
-                rise = max(beta, _TINY)
-                turn = math.atan2(beta, h) + _SHIFTED_TURN
-                if turn < 0.5 * math.pi:
-                    rise_end = min(rise_end, h * math.tan(turn))
-            rows.append((h, eps * h, *[0.5 * eps * s for s in sign],
-                         *[math.atan2(abs(e), h) for e in (low, high)],
-                         *[0.5 * eps * h * s for s in sign], abs(low), abs(high),
-                         rise, rise_end, beta, k))
-        data = np.array(rows).T
+    def __init__(self, h, eps, a, b, onset: bool):
+        h, eps = np.asarray(h, dtype=float), np.asarray(eps, dtype=float)
+        low, high = np.minimum(-a, b), np.maximum(-a, b)
+        s_low, s_high = np.sign(low), np.sign(high)
+        # where the length first rises: from beta with slope k, up to rise_end
+        behind = low < 0.0
+        beta = np.where(behind, -low, 0.0)
+        k = np.where(behind, 1.0 * (high > -low), 1.0 * (low > 0.0) + (high > 0.0))
+        rise_end = np.where(low > 0.0, low, high)
+        rise = np.full(h.shape, np.inf)
+        if onset:
+            rising = k > 0.0
+            rise[rising] = np.maximum(beta[rising], _TINY)
+            turn = np.arctan2(beta, h) + _SHIFTED_TURN
+            capped = rising & (turn < 0.5 * math.pi)
+            rise_end = np.where(capped, np.minimum(rise_end, h * np.tan(turn)), rise_end)
+        # facets down the first axis, radii along the second
         (self.h, self.eh, self.w_low, self.w_high, self.theta_low, self.theta_high,
          self.u_low, self.u_high, self.len_low, self.len_high, self.rise,
-         self.rise_end) = data[:12, :, None]
-        self.beta, self.k = data[12:]
-        self.at_infinity = float(np.sum(self.w_low * self.theta_low + self.w_high * self.theta_high))
+         self.rise_end) = np.array([
+             h, eps * h, 0.5 * eps * s_low, 0.5 * eps * s_high, np.arctan2(np.abs(low), h),
+             np.arctan2(np.abs(high), h), 0.5 * eps * h * s_low, 0.5 * eps * h * s_high,
+             np.abs(low), np.abs(high), rise, rise_end])[:, :, None]
+        self.beta, self.k = beta, k
+        # each facet's share of I at infinity, and their sum in facet order
+        self.infinite_shares = (self.w_low * self.theta_low + self.w_high * self.theta_high)[:, 0]
+        self.at_infinity = float(_running_sum(self.infinite_shares))
         # each facet's terms add up to at most pi/2 + 1/2 in size: the rounding
         # error of I grows by 8 eps that much per facet reached
-        self.h_sorted = np.sort(self.h[:, 0])
+        self.h_sorted = np.sort(h)
 
-    def integral(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """I at radii r, and its rounding error estimate.
+    def shares(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every facet's share of I at radii r, and its rho there.
 
-        Each (facet, radius) share is computed elementwise and the facets add
-        up one at a time in a fixed order, so a batch of radii gives the bits
-        each radius gives alone.  A facet not yet reached has rho = 0 and
-        share 0.
+        Two (facets, radii) arrays, computed elementwise.  A facet not yet
+        reached has rho = 0 and share 0.
         """
         h = self.h
         rho = np.sqrt(np.maximum((r - h) * (r + h), 0.0))
@@ -293,11 +305,23 @@ class _PlanarPieces:
             i, at = np.nonzero(near)
             share[i, at] = self.eh[i, 0] * _onset_share(rho[i, at], r[at], h[i, 0],
                                                         self.beta[i], self.k[i])
-        out = np.zeros_like(r)
-        for row in share:
-            out += row
+        return share, rho
+
+    def integral(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I at radii r, and its rounding error estimate.
+
+        The facets add up one at a time in facet order, so a batch of radii
+        gives the bits each radius gives alone.
+        """
+        share, _ = self.shares(r)
         reached = np.searchsorted(self.h_sorted, r)
-        return out, (8.0 * _EPS * (0.5 * math.pi + 0.5)) * reached
+        return _running_sum(share), (8.0 * _EPS * (0.5 * math.pi + 0.5)) * reached
+
+
+def _check_range(r_max: float, requested: float):
+    """InputError unless the largest requested radius lies within r_max."""
+    if requested > r_max * (1 + 1e-12):
+        raise InputError(f"profile only extends to r_max={r_max:g}, requested {requested:g}")
 
 
 class RadialVolumeProfile:
@@ -366,12 +390,6 @@ class RadialVolumeProfile:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_range(self, rmax_requested: float):
-        if rmax_requested > self.r_max * (1 + 1e-12):
-            raise InputError(
-                f"profile only extends to r_max={self.r_max:g}, "
-                f"requested {rmax_requested:g}")
-
     def _volume(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """V at radii r > 0 (range already checked), and its error estimate."""
         if self.interval is not None:
@@ -394,7 +412,7 @@ class RadialVolumeProfile:
         pos = arr > 0.0
         if np.any(pos):
             if self.interval is None:
-                self._check_range(float(np.max(arr[pos])))
+                _check_range(self.r_max, float(np.max(arr[pos])))
             out[pos] = self._volume(arr[pos])[0]
         return float(out[0]) if scalar else out
 
@@ -412,7 +430,7 @@ class RadialVolumeProfile:
             reached = (t + rr >= a) & (t - rr <= b)
             out[pos] = np.where(reached, (t - rr > a).astype(float) + (t + rr < b), 0.0)
         elif rr.size:
-            self._check_range(float(np.max(rr)))
+            _check_range(self.r_max, float(np.max(rr)))
             s, _ = _source(self.faces, 0.0, rr)
             out[pos] = (self.dimension * self._volume(rr)[0] - s) / rr
         return float(out[0]) if scalar else out
@@ -599,6 +617,14 @@ def _quadrature(terms, n: int, breakpoints, r_max: float, reach: float) -> _Cheb
                       onset if 0 < reach < end else None)
 
 
+def _planar_pieces(terms, onset: bool) -> _PlanarPieces:
+    """_PlanarPieces of the facets terms, (h, eps, interval profile) each."""
+    # a facet profile without an interval is a whole line (a pure cone)
+    ends = np.array([sub.interval or (-math.inf, math.inf, 0.0) for _, _, sub in terms])
+    h, eps = np.array([(h, eps) for h, eps, _ in terms]).T
+    return _PlanarPieces(h, eps, ends[:, 0] - ends[:, 2], ends[:, 1] - ends[:, 2], onset)
+
+
 def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
                         scale: float) -> RadialVolumeProfile:
     """Profile of an n-dimensional set from its genuine facets' data.
@@ -626,7 +652,7 @@ def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
 
     pieces = None
     if min((h for h, _, _ in terms), default=np.inf) < r_max:
-        pieces = (_PlanarPieces(terms, onset=omega == 0.0) if n == 2 else
+        pieces = (_planar_pieces(terms, omega == 0.0) if n == 2 else
                   _quadrature(terms, n, merged, r_max, reach))
     return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
                                omega=omega, pieces=pieces,

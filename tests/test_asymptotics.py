@@ -161,6 +161,17 @@ def test_verify_ww_triangle():
     assert rep.passed
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
+def test_verify_ww_rank_test_is_relative_to_the_diameter(s):
+    tri = PointConfiguration.from_points(s * np.array([[0, 0], [1, 0], [0.3, 0.8]]))
+    rep = verify_ww_proposition(tri)
+    assert rep.passed
+    assert rep.extras["union_coefficient"] == pytest.approx(2.917414955805219 * s, rel=1e-13)
+    collinear = PointConfiguration.from_points(s * np.array([[0, 0], [1, 1], [2, 2]]))
+    with pytest.raises(GeometryError, match="general position"):
+        verify_ww_proposition(collinear)
+
+
 def test_verify_ww_single_point():
     one = PointConfiguration.from_points([[0.0, 0.0]])
     rep = verify_ww_proposition(one)

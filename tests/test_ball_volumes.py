@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from kpv import ball_volumes
 from kpv.ball_volumes import (BallSystem, farthest_voronoi, mc_ball_volume,
                               nearest_voronoi)
 from kpv.configurations import PointConfiguration, embed
@@ -219,6 +220,22 @@ def test_mc_matches_per_site_loop_across_chunks(dim, n_pts, r):
     for samples in (500_001, 1_000_000):
         assert mc_ball_volume(cfg, r, "both", samples, 13) == \
             _mc_per_site_loop(cfg, r, samples, 13)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_mc_samples_are_generator_uniform_draws(seed, monkeypatch):
+    # lo + (hi - lo) u from Generator.random is Generator.uniform(lo, hi), bit for bit
+    lo, hi = np.array([-1.3, 0.2, -7.0]), np.array([2.1, 0.2000001, 5.5])
+    u = np.random.default_rng(seed).random((1000, 3))
+    assert np.array_equal(lo + (hi - lo) * u,
+                          np.random.default_rng(seed).uniform(lo, hi, (1000, 3)))
+    # and the counter draws them so across chunk and block boundaries
+    monkeypatch.setattr(ball_volumes, "MC_CHUNK", 1000)
+    monkeypatch.setattr(ball_volumes, "MC_BLOCK", 300)
+    cfg = random_config(np.random.default_rng(70 + seed), 3, 4)
+    for samples in (999, 1000, 2501):
+        assert mc_ball_volume(cfg, 0.8, "both", samples, seed) == \
+            _mc_per_site_loop(cfg, 0.8, samples, seed), samples
 
 
 def test_mc_zero_hits_and_halves_of_both():

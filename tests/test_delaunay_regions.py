@@ -119,6 +119,10 @@ def test_lifted_build_solves_no_margin_problems(max_margin_solves):
     assert len(max_margin_solves) == 0
 
 
+def read_profiles(system):
+    return system.nearest_profiles + system.farthest_profiles
+
+
 @pytest.fixture
 def face_builds(monkeypatch):
     """Face profiles built, counted per dimension."""
@@ -135,7 +139,8 @@ def face_builds(monkeypatch):
 @pytest.mark.parametrize("dim, n_pts", [(2, 30), (3, 12), (4, 8)])
 def test_one_profile_per_simplex(dim, n_pts, rng, face_builds):
     p = random_config(rng, dim, n_pts)
-    BallSystem(p, np.inf)
+    # a planar system builds its sites' profiles when they are first read
+    read_profiles(BallSystem(p, np.inf))
     # the face of a simplex with m sites has dimension n - m + 1
     want = {}
     for furthest in (False, True):
@@ -157,12 +162,29 @@ def test_simplex_sites_build_both_families_without_qhull(points, monkeypatch):
 
 
 def test_face_error_names_family_and_simplex(monkeypatch):
+    # a planar family's faces come out of one array step; one face whose
+    # ends are no numbers is named
+    segment_ends = ball_volumes._segment_ends
+
+    def fail(*args):
+        edges, u, a, b, hull = segment_ends(*args)
+        a[0] = np.nan
+        return edges, u, a, b, hull
+    monkeypatch.setattr(ball_volumes, "_segment_ends", fail)
+    p = PointConfiguration.from_points([[0, 0], [1, 0], [0.3, 0.8]])
+    with pytest.raises(NumericalError, match=r"^segment ends are not numbers "
+                                             r"\(nearest face of sites \(0, 1\)\)$"):
+        BallSystem(p, np.inf)
+
+
+def test_site_profile_error_names_family_and_simplex(monkeypatch):
     def fail(*args):
         raise GeometryError("no face")
     monkeypatch.setattr(ball_volumes, "_interval_profile", fail)
     p = PointConfiguration.from_points([[0, 0], [1, 0], [0.3, 0.8]])
+    system = BallSystem(p, np.inf)
     with pytest.raises(GeometryError, match=r"^no face \(nearest face of sites \(0, 1\)\)$"):
-        BallSystem(p, np.inf)
+        system.nearest_profiles
 
 
 def test_farthest_neighbours_skip_interior_and_hull_edge_sites():
@@ -242,7 +264,7 @@ def test_one_dimensional_inputs_match_all_bisectors(points):
 ], ids=["unit-square", "unit-cube", "hull-edge"])
 def test_degenerate_inputs_match_all_bisectors(points, faces, face_builds):
     p = PointConfiguration.from_points(points)
-    assert_same_system(p)
+    read_profiles(assert_same_system(p))
     # faces of zero extent are dropped; qhull cannot build the furthest-site
     # triangulation of the cospherical square and cube, which then are one
     # cell of the farthest family

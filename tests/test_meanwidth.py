@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from kpv.configurations import PointConfiguration, embed, random_expansion
 from kpv.errors import GeometryError, InputError
 from kpv.meanwidth import (calibrate, mean_width_edge_sum_3d, mean_width_exact,
-                           mean_width_exact_2d, mean_width_quadrature)
+                           mean_width_exact_2d, mean_width_quadrature,
+                           reference_mean_width)
 from kpv.truncated_volume import unit_ball_volume
 
 from conftest import placed, random_config, random_orthogonal
@@ -242,3 +243,12 @@ def test_quadrature_result_invariants(rng):
     # the sphere is sampled; the planar trapezoid reads no seed
     assert res.seeded
     assert not mean_width_quadrature(random_config(rng, 2, 5), 64, seed=1).seeded
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
+def test_reference_rank_test_is_relative_to_the_extent(s):
+    # the triangle's perimeter / pi times pi: its exact mean width at any scale
+    tri = PointConfiguration.from_points(s * np.array([[0, 0], [1, 0], [0.3, 0.8]]))
+    ref = reference_mean_width(tri)
+    assert ref.method == "exact"
+    assert ref.value == pytest.approx(2.917414955805219 * s, rel=1e-13)
