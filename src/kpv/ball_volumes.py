@@ -476,9 +476,8 @@ class _PlanarFamily:
         used = np.unique(self.edge)
         ends = np.abs(np.concatenate((self.a[used], self.b[used])))
         on = np.isfinite(ends) & (ends > 0.0)
-        rounded = np.array([round(e, 15) for e in ends[on].tolist()])
         foot = np.concatenate((h[used], h[used]))[on]
-        self.breakpoints = np.concatenate((h[used], np.sqrt(foot * foot + rounded * rounded)))
+        self.breakpoints = np.concatenate((h[used], np.sqrt(foot * foot + ends[on] ** 2)))
         self._profiles = None
 
     def _by_region(self, columns: np.ndarray) -> np.ndarray:
@@ -504,11 +503,10 @@ class _PlanarFamily:
     def taylor(self, order: int) -> np.ndarray:
         """(w_0, ..., w_order) of the family's W(s) = s^2 V(1/s), order <= 2.
 
-        A region's w_0 is omega pi - I(inf).  A facet whose face is a line,
-        a ray or a segment has W_i(s) = lambda_0 + lambda_1 s, lambda_0 = 2,
-        1 or 0 and lambda_1 = 0, the foot point's distance to the ray's end
-        or the segment's length; it adds eps h lambda_0 to w_1 and
-        eps h lambda_1 / 2 to w_2.
+        A region's w_0 is omega pi - I(inf).  A facet's face, a line, a ray or
+        a segment, has W_i(s) = lambda_0 + lambda_1 s with lambda_0 = 2, 1, 0
+        and lambda_1 = 0, its end's distance from the foot point, its length:
+        it adds eps h lambda_0 to w_1 and eps h lambda_1 / 2 to w_2.
         """
         a, b = self.ends[:, :, 0]
         lam = np.column_stack((np.isinf(a) * 1.0 + np.isinf(b),

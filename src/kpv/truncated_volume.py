@@ -22,32 +22,27 @@ between at most two kinks, so the integral is elementary (Green's theorem,
 _PlanarPieces) and exact at every radius, infinity included.  Intervals,
 dimension one, keep their exact overlap lengths.
 
-In dimension three and up the integral is an adaptive Chebyshev quadrature:
+In dimension three and up the integral is an adaptive Chebyshev quadrature
+up to twice the last breakpoint b_last.  Between two knots b_k < b_{k+1}
+(the face distances and their recursively propagated images, at most a
+factor 2 apart) the substitution t = b_k + u^2 makes the onsets
+(t - b_k)^(1/2) and (t - b_k)^(3/2) of new face terms smooth, and the
+integrand 2u S(t) t^(-n-1) is interpolated at Chebyshev points in u and
+integrated as a Chebyshev series, halved until its trailing coefficients
+fall below RTOL relative to its largest one.
 
-- between two knots b_k < b_{k+1} (the face distances and their
-  recursively propagated images, with knots added so that consecutive ones
-  are at most a factor 2 apart) the substitution t = b_k + u^2 makes the
-  (t - b_k)^(1/2) and (t - b_k)^(3/2) onsets of new face terms smooth, and
-  the integrand 2u S(t) t^(-n-1) is interpolated at Chebyshev points in u
-  and integrated as a Chebyshev series;
-- from 2 b_last on the integral runs in s = 1/t, where the integrand
-  S(1/s) s^(n-1) is analytic at s = 0 (so is W(s) = s^n V(1/s)), and one
-  series reaches infinity.
-
-A piece is halved until its trailing Chebyshev coefficients fall below RTOL
-relative to its largest one.  Evaluating a profile at any number of radii
-is one searchsorted plus one Clenshaw pass (in the plane, one closed-form pass
-over every facet and radius); dV/dr is read off the ODE right-hand side.
-
-The Taylor coefficients of W(s) = s^n V(1/s) at s = 0, the Laurent
-coefficients of V at infinity, are exact by-products of the build: W(0) =
-omega * delta_n - I(inf) is the closed form's limit in the plane and the
-constant of the last tail piece above it, and the ODE gives every later one
-from the face profiles' own (RadialVolumeProfile.taylor).
+Past 2 b_last, V is read off the Taylor series of W(s) = s^n V(1/s) at
+s = 0, which converges for s < 1/b_last.  The ODE gives W'(s) =
+sum_i eps_i h_i (1 - h_i^2 s^2)^((n-1)/2) W_i(s / sqrt(1 - h_i^2 s^2)), so
+each coefficient past W(0) is a finite sum over the face profiles' own, and
+W(0) makes the series meet the quadrature at 2 b_last (in the plane it is
+the closed form's limit).  Each profile stores its first _SERIES_TERMS
+coefficients, V's Laurent coefficients at infinity.  dV/dr is the ODE's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,9 +86,24 @@ _MAX_PENDING = 4096
 _ONSET_GRADING = 8
 
 
-def _binom(a: float, m: int) -> float:
-    """The generalised binomial coefficient: the product of (a - j) / (j + 1), j < m."""
-    return math.prod((a - j) / (j + 1) for j in range(m))
+# Taylor coefficients of W at s = 0 that a profile stores: in x = b_last s
+# they converge for x < 1, and from x = 1/2 on 60 terms reach 2^-60 = 8.7e-19
+_SERIES_TERMS = 60
+_POWERS = np.arange(_SERIES_TERMS)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_recursion(n: int, width: int):
+    """The face recursion of W's coefficients in dimension n: (k + 1, m, j, binom / (k+1)).
+
+    (k+1) w_(k+1) = sum_i eps_i h_i sum_m binom((n-1-j)/2, m) (-h_i^2)^m w_(i,j),
+    one entry per (k, m) with j = k - 2m < width; binom is the generalised one.
+    """
+    k, m = np.nonzero(2 * _POWERS[:_SERIES_TERMS // 2] <= _POWERS[:-1, None])
+    k, m = k[k - 2 * m < width], m[k - 2 * m < width]
+    i = _POWERS[:_SERIES_TERMS // 2]
+    factors = (0.5 * (n - 1 - k + 2 * m)[:, None] - i) / (i + 1)
+    return k + 1, m, k - 2 * m, np.prod(np.where(i < m[:, None], factors, 1.0), axis=1) / (k + 1)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -126,8 +136,7 @@ def _source(faces, base, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distance h.
     """
     t = base + dt
-    s = np.zeros_like(t)
-    err = np.zeros_like(t)
+    s, err = np.zeros_like(t), np.zeros_like(t)
     for h, eps, sub in faces:
         gap = (base - h) + dt
         on = gap > 0.0
@@ -143,54 +152,45 @@ def _source(faces, base, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ChebyshevPieces:
-    """Piecewise Chebyshev form of I(t) = int_0^t S(x) x^(-n-1) dx.
+    """Piecewise Chebyshev form of I(t) = int_0^t S(x) x^(-n-1) dx up to t = end.
 
-    Piece k covers t in [t_lo[k], t_lo[k+1]) (the last one up to infinity).
-    Its variable is v = sqrt(t - base[k]) on segment pieces and v = 1/t on
-    tail pieces, mapped from [lo[k], hi[k]] onto [-1, 1], and there
-    I(t) = offset[k] + sum_j coeffs[k, j] T_j(x).  I vanishes below t_lo[0].
+    Piece k covers t in [t_lo[k], t_lo[k+1]) (the last one up to end), where
+    v = sqrt(t - base[k]) mapped from [lo[k], hi[k]] onto [-1, 1] gives
+    I(t) = offset[k] + sum_j coeffs[k, j] T_j(x); I vanishes below t_lo[0].
     error[k] estimates the error of I on piece k: the quadrature error of the
-    pieces up to k plus the rounding of the series.
+    pieces up to k plus the rounding of the series.  end_value and end_error
+    are I and its error estimate at end.
     """
 
-    def __init__(self, base, lo, hi, tail, coeffs, err):
-        # by segment and then by u (tail pieces by 1/hi): halvings chasing a
-        # kink can leave pieces narrower than the spacing of doubles in t
-        order = np.lexsort((np.where(tail, -hi, lo), np.where(tail, 1.0 / hi, base)))
-        base, lo, hi, tail = base[order], lo[order], hi[order], tail[order]
-        coeffs, err = coeffs[order], err[order]
+    def __init__(self, end, base, lo, hi, coeffs, err):
+        # by segment and then by u: halvings chasing a kink can leave pieces
+        # narrower than the spacing of doubles in t
+        order = np.lexsort((lo, base))
+        base, lo, hi, coeffs, err = base[order], lo[order], hi[order], coeffs[order], err[order]
         half = 0.5 * (hi - lo)
         # antiderivative from the low end of each piece's variable
-        anti = (coeffs @ _CHEB_INTEGRAL) * half[:, None]
-        total = anti.sum(axis=1)                 # the integral over the piece
-        start = np.concatenate(([0.0], np.cumsum(total)[:-1]))
-        # on tail pieces v = 1/t runs backwards: I = I(t_lo) + total - A(v)
-        self.offset = np.where(tail, start + total, start)
-        self.coeffs = np.where(tail[:, None], -anti, anti)
+        self.coeffs = (coeffs @ _CHEB_INTEGRAL) * half[:, None]
+        total = np.cumsum(self.coeffs.sum(axis=1))      # I at the end of each piece
+        self.offset = np.concatenate(([0.0], total[:-1]))
         self.error = np.cumsum(err * half) + 16.0 * _EPS * (
-            np.abs(self.offset) + np.sum(np.abs(anti), axis=1))
-        self.t_lo = np.where(tail, 1.0 / hi, base + lo * lo)
-        self.base, self.lo, self.hi, self.tail = base, lo, hi, tail
+            np.abs(self.offset) + np.sum(np.abs(self.coeffs), axis=1))
+        self.t_lo = base + lo * lo
+        self.base, self.lo, self.hi = base, lo, hi
+        self.end, self.end_value, self.end_error = end, float(total[-1]), float(self.error[-1])
 
     def integral(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """I at radii r, and its error estimate."""
+        """I at radii r <= end, and its error estimate."""
         k = np.searchsorted(self.t_lo, r, side="right") - 1
-        out = np.zeros_like(r)
-        err = np.zeros_like(r)
+        out, err = np.zeros_like(r), np.zeros_like(r)
         inside = k >= 0
         k, rr = k[inside], r[inside]
-        v = np.where(self.tail[k], 1.0 / rr, np.sqrt(np.maximum(rr - self.base[k], 0.0)))
+        v = np.sqrt(np.maximum(rr - self.base[k], 0.0))
         lo, hi = self.lo[k], self.hi[k]
         # a radius between two such pieces maps just outside [-1, 1]
         x = np.clip((2.0 * v - lo - hi) / (hi - lo), -1.0, 1.0)
         out[inside] = self.offset[k] + _clenshaw(self.coeffs[k], x)
         err[inside] = self.error[k]
         return out, err
-
-    @property
-    def at_infinity(self) -> float | None:
-        """I(inf), the constant of the tail piece; None when no tail piece was built."""
-        return float(self.offset[-1]) if self.tail[-1] else None
 
 
 # 2d - sin(2d) = (2d)^3 sum_m (-1)^m (2d)^(2m) / (2m+3)!, highest power first:
@@ -244,11 +244,11 @@ class _PlanarPieces:
         F = sum over ends of sign(e) [min(theta, theta_e) / (2h) - min(rho, |e|) / (2 r^2)],
 
     theta_e = atan2(|e|, h), and I = sum_i eps_i h_i F_i.  As r -> inf, F
-    tends to sum sign(e) theta_e / (2h), so I(inf) is exact.  Where the base
-    point lies outside the set (onset), V = -r^2 I rises from zero, and where
-    a facet's length first rises, as k (rho - beta), Green's form cancels:
-    _onset_share evaluates those radii instead, until theta has grown by
-    _SHIFTED_TURN.
+    tends to sum sign(e) theta_e / (2h), so I(inf), end_value with
+    end = inf, is exact.  Where the base point lies outside the set (onset),
+    V = -r^2 I rises from zero, and where a facet's length first rises, as
+    k (rho - beta), Green's form cancels: _onset_share evaluates those radii
+    instead, until theta has grown by _SHIFTED_TURN.
 
     The facets come as columns, one row per facet: h, eps and the ends a <= b
     (a = -inf, b = inf for a whole line); onset says whether the base point
@@ -282,7 +282,7 @@ class _PlanarPieces:
         self.beta, self.k = beta, k
         # each facet's share of I at infinity, and their sum in facet order
         self.infinite_shares = (self.w_low * self.theta_low + self.w_high * self.theta_high)[:, 0]
-        self.at_infinity = float(_running_sum(self.infinite_shares))
+        self.end, self.end_value = math.inf, float(_running_sum(self.infinite_shares))
         # each facet's terms add up to at most pi/2 + 1/2 in size: the rounding
         # error of I grows by 8 eps that much per facet reached
         self.h_sorted = np.sort(h)
@@ -324,14 +324,39 @@ def _check_range(r_max: float, requested: float):
         raise InputError(f"profile only extends to r_max={r_max:g}, requested {requested:g}")
 
 
+def _face_series(n: int, faces, scale_exp: int) -> np.ndarray:
+    """The stored terms of a profile, scale = 2^scale_exp, from its faces' (w_0 left NaN).
+
+    With eta_i = h_i / scale and rho_i = scale_i / scale, neither above 1, no
+    power grows in (k+1) c_(k+1) = sum_i eps_i eta_i sum_m binom (-eta_i^2)^m rho_i^j c_(i,j).
+    Units of powers of two keep w_1 and w_2 to the bits of the plain sums over the faces.
+    """
+    # the faces are all intervals (two terms each) or all of dimension >= 2
+    own = np.array([sub.series for _, _, sub in faces])
+    shift = np.array([sub.scale_exp for _, _, sub in faces]) - scale_exp
+    own = np.ldexp(own, np.multiply.outer(shift, _POWERS[:own.shape[1]]))
+    eps_eta = np.ldexp([eps * h for h, eps, _ in faces], -scale_exp)
+    weight = np.empty((len(faces), _SERIES_TERMS // 2))      # eps_i eta_i (-eta_i^2)^m
+    weight[:, 0], weight[:, 1:] = eps_eta, -(eps_eta * eps_eta)[:, None]
+    # g[m, j] = sum_i eps_i eta_i (-eta_i^2)^m rho_i^j c_(i,j), face by face
+    g = _running_sum(np.multiply.accumulate(weight, axis=1)[:, :, None] * own[:, None, :])
+    k, m, j, share = _series_recursion(n, own.shape[1])
+    series = np.bincount(k, share * g[m, j], minlength=_SERIES_TERMS)
+    series[0] = math.nan
+    return series
+
+
 class RadialVolumeProfile:
     """Volume of a ball-truncated polyhedral set as a function of the radius.
 
     Built by volume_profile.  value and derivative evaluate V and dV/dr on
     [0, r_max] (r_max may be infinite), at one radius or a whole array of
-    radii in one pass.  w_at_zero = W(0), W(s) = s^n V(1/s), is set exactly
-    at construction; it stays None when the quadrature (dimension >= 3)
-    stops short of infinity.  taylor gives the later coefficients of W.
+    radii in one pass.  series holds the first _SERIES_TERMS Taylor
+    coefficients of W(s) = s^n V(1/s) at s = 0 (an interval's two) in units
+    of scale = 2^scale_exp, the power of two above the last breakpoint
+    b_last: series[k] = w_k / scale^k.  w_0 = w_at_zero is None when the
+    quadrature stops short of 2 b_last, which is series_from in dimension
+    >= 3: V is read off the series from there on.
     """
 
     def __init__(self, dimension, breakpoints, omega,
@@ -347,45 +372,49 @@ class RadialVolumeProfile:
         self.faces = list(faces)            # (h_i, eps_i, sub-profile), h_i > 0
         self.r_max = float(r_max)
         self.reach = float(reach)           # distance from the base point to P
-        self.w_at_zero: float | None = None
+        self.scale_exp = math.frexp(self.breakpoints[-1])[1] if self.breakpoints.size else 0
+        self.scale = math.ldexp(1.0, self.scale_exp)     # a power of two: scaling is exact
+        self.series_from = math.inf         # radii from here on read the series
         if self.interval is not None:
             a, b, t = self.interval
             # W(s) = s V(1/s) is span s, 1 + (t - a) s or 1 + (b - t) s on a
             # half-line, and 2 on the whole line
-            if math.isinf(a) and math.isinf(b):
-                self._line = (2.0, 0.0)
-            elif math.isinf(a) or math.isinf(b):
-                self._line = (1.0, (t - a) if math.isinf(b) else (b - t))
-            else:
-                self._line = (0.0, b - a)
-            self.w_at_zero = self._line[0]
+            span = (b if math.isfinite(b) else t) - (a if math.isfinite(a) else t)
+            self.series = np.array([math.isinf(a) + math.isinf(b), span / self.scale])
         elif not self.faces:
             # pure cone: V = omega * delta * r^n for every radius
-            self.w_at_zero = self.cone_coef
-        elif self.pieces is not None and self.pieces.at_infinity is not None:
-            self.w_at_zero = self.cone_coef - self.pieces.at_infinity
+            self.series = self.cone_coef * (_POWERS == 0)
+        else:
+            self.series = _face_series(self.dimension, self.faces, self.scale_exp)
+            if pieces is not None and pieces.end >= 2.0 * self.breakpoints[-1]:
+                self._join(pieces)
+        self.w_at_zero = None if math.isnan(self.series[0]) else float(self.series[0])
+
+    def _join(self, pieces):
+        """w_0 from W where the pieces end: continuous at 2 b_last (the plane: W(0))."""
+        self.series[0] = self.cone_coef - pieces.end_value
+        if math.isfinite(pieces.end):
+            self.series_from = pieces.end
+            terms = self.series * (self.scale / pieces.end) ** _POWERS
+            self.series[0] -= np.sum(terms[1:])
+            # the terms that matter from there on, where they are largest
+            size = np.abs(terms)
+            last = np.max(np.flatnonzero(size > 2.0 ** -60 * np.max(size)), initial=0)
+            self.far_series = self.series[:last + 1]
+            self.far_error = pieces.end_error + 8.0 * _EPS * (self.cone_coef + np.sum(size))
 
     def taylor(self, order: int) -> np.ndarray:
         """Taylor coefficients w_0 .. w_order of W(s) = s^n V(1/s) at s = 0.
 
-        w_k is the coefficient a_(n-k) of r^(n-k) in V at infinity.  w_0 is
-        w_at_zero (NaN when the profile stops short of infinity).  The ODE
-        W'(s) = sum_i eps_i h_i (1 - h_i^2 s^2)^((n-1)/2) W_i(s / sqrt(1 - h_i^2 s^2))
-        gives w_(k+1) from the face profiles' coefficients up to order k:
-
-            (k+1) w_(k+1) = sum_i eps_i h_i sum_m w_(i,k-2m) binom((n-1-k+2m)/2, m) (-h_i^2)^m
+        w_k = series[k] scale^k is the coefficient a_(n-k) of r^(n-k) in V at
+        infinity: NaN for k = 0 short of 2 b_last, and infinite past the range
+        of a float (w_40 of a region with b_last near 1e10).  order < _SERIES_TERMS.
         """
-        w = np.zeros(order + 1)
-        if self.interval is not None:
-            w[:2] = self._line[:order + 1]
-            return w
-        w[0] = np.nan if self.w_at_zero is None else self.w_at_zero
-        n = self.dimension
-        faces = [(h, eps, sub.taylor(order - 1)) for h, eps, sub in self.faces] if order else []
-        for k in range(order):
-            w[k + 1] = sum(eps * h * sum(wi[k - 2 * m] * _binom((n - 1 - k + 2 * m) / 2, m)
-                                         * (-h * h) ** m for m in range(k // 2 + 1))
-                           for h, eps, wi in faces) / (k + 1)
+        if not 0 <= order < _SERIES_TERMS:
+            raise InputError(f"taylor order must be in 0..{_SERIES_TERMS - 1}, got {order}")
+        w, c = np.zeros(order + 1), self.series[:order + 1]
+        with np.errstate(over="ignore"):
+            w[:c.size] = np.ldexp(c, self.scale_exp * _POWERS[:c.size])
         return w
 
     # -- evaluation ---------------------------------------------------------
@@ -400,40 +429,46 @@ class RadialVolumeProfile:
         rn = r ** self.dimension
         if self.pieces is None:
             return self.cone_coef * rn, 4.0 * _EPS * self.cone_coef * rn
-        i, i_err = self.pieces.integral(r)
-        return (self.cone_coef - i) * rn, (i_err + 4.0 * _EPS * self.cone_coef) * rn
+        far = r >= self.series_from
+        if not far.any():
+            i, i_err = self.pieces.integral(r)
+            return (self.cone_coef - i) * rn, (i_err + 4.0 * _EPS * self.cone_coef) * rn
+        v, err = np.empty_like(r), np.empty_like(r)
+        v[~far], err[~far] = self._volume(r[~far])
+        x = self.scale / r[far]
+        series = np.full_like(x, self.far_series[-1])
+        for c in self.far_series[-2::-1]:             # Horner's rule
+            series *= x
+            series += c
+        v[far], err[far] = series * rn[far], self.far_error * rn[far]
+        return v, err
 
     def value(self, r) -> np.ndarray | float:
         """V at a radius (float) or an array of radii (array)."""
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        if np.any(pos):
-            if self.interval is None:
-                _check_range(self.r_max, float(np.max(arr[pos])))
-            out[pos] = self._volume(arr[pos])[0]
-        return float(out[0]) if scalar else out
+        return self._at(r, lambda rr: self._volume(rr)[0])
 
     def derivative(self, r) -> np.ndarray | float:
         """dV/dr recovered from the ODE right-hand side (not differences)."""
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        return self._at(r, self._slope)
+
+    def _at(self, r, f) -> np.ndarray | float:
+        """f at the positive radii among r (0 elsewhere), a float for a float."""
+        arr = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.zeros_like(arr)
         pos = arr > 0.0
-        rr = arr[pos]
+        if pos.any():
+            if self.interval is None:
+                _check_range(self.r_max, float(np.max(arr[pos])))
+            out[pos] = f(arr[pos])
+        return float(out[0]) if np.ndim(r) == 0 else out
+
+    def _slope(self, r: np.ndarray) -> np.ndarray:
         if self.interval is not None:
             a, b, t = self.interval
             # the window [t - r, t + r] meets [a, b]: count the ends still inside
-            reached = (t + rr >= a) & (t - rr <= b)
-            out[pos] = np.where(reached, (t - rr > a).astype(float) + (t + rr < b), 0.0)
-        elif rr.size:
-            _check_range(self.r_max, float(np.max(rr)))
-            s, _ = _source(self.faces, 0.0, rr)
-            out[pos] = (self.dimension * self._volume(rr)[0] - s) / rr
-        return float(out[0]) if scalar else out
+            reached = (t + r >= a) & (t - r <= b)
+            return np.where(reached, (t - r > a).astype(float) + (t + r < b), 0.0)
+        return (self.dimension * self._volume(r)[0] - _source(self.faces, 0.0, r)[0]) / r
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +483,11 @@ def _wedge_fraction(n1: np.ndarray, n2: np.ndarray) -> float:
 
 
 def _planar_cone_fraction(normals: np.ndarray) -> float:
-    """Exact angular fraction of a 2-d cone {u : N u <= 0}."""
-    rays = []
-    for v in normals:
-        rays.append(np.array([-v[1], v[0]]))
-        rays.append(np.array([v[1], -v[0]]))
+    """Exact angular fraction of a 2-d cone {u : N u <= 0}: the widest angle of its edge rays."""
+    rays = [r for v in normals for r in (np.array([-v[1], v[0]]), np.array([v[1], -v[0]]))]
     feas = [r for r in rays if np.all(normals @ r <= 1e-12)]
-    if not feas:
-        return 0.0
-    best = 0.0
-    for i in range(len(feas)):
-        for j in range(i + 1, len(feas)):
-            dot = float(np.clip(np.dot(feas[i], feas[j]), -1.0, 1.0))
-            best = max(best, math.acos(dot))
+    best = max((math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
+                for i, a in enumerate(feas) for b in feas[i + 1:]), default=0.0)
     return best / (2.0 * math.pi)
 
 
@@ -512,8 +539,7 @@ def _interval_profile(a: float, b: float, t: float) -> RadialVolumeProfile:
     """Exact profile of the interval [a, b] about the base point t."""
     if a > b:
         a = b = 0.5 * (a + b)
-    bps = [abs(t - a), abs(t - b)]
-    bps = sorted({round(x, 15) for x in bps if np.isfinite(x) and x > 0})
+    bps = sorted({x for x in (abs(t - a), abs(t - b)) if np.isfinite(x) and x > 0})
     return RadialVolumeProfile(
         dimension=1, breakpoints=np.asarray(bps),
         omega=(1.0 if a < t < b else (0.5 if a == t or b == t else 0.0)),
@@ -528,8 +554,7 @@ def _zero_profile(dimension: int) -> RadialVolumeProfile:
 def _classify_base_point(P: PolyhedralSet, p0: np.ndarray, scale: float):
     """Slack signs of p0 against the halfspaces: (violated, active_normals)."""
     tol = 1e-9 * scale
-    violated = False
-    active = []
+    violated, active = False, []
     for h in P.halfspaces:
         s = h.slack(p0)
         if s < -tol:
@@ -539,17 +564,15 @@ def _classify_base_point(P: PolyhedralSet, p0: np.ndarray, scale: float):
     return violated, active
 
 
-def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
-               onset: int | None) -> _ChebyshevPieces:
+def _integrate(faces, n: int, knots: list[float], onset: int | None) -> _ChebyshevPieces:
     """Adaptive Chebyshev quadrature of S(t) t^(-n-1) between the knots.
 
     Every segment [knots[k], knots[k+1]] starts as one piece in u, with
-    t = knots[k] + u^2 (segment onset starts graded, see _ONSET_GRADING),
-    and the tail [tail_from, inf) as one piece in s = 1/t.  All pending
-    pieces are sampled together, so each round costs one vectorised
-    sub-profile call per face.  A piece is halved for the next round while
-    its last three coefficients exceed both RTOL times its largest one and
-    the error its face terms carry in.
+    t = knots[k] + u^2 (segment onset starts graded, see _ONSET_GRADING).
+    All pending pieces are sampled together, so each round costs one
+    vectorised sub-profile call per face.  A piece is halved for the next
+    round while its last three coefficients exceed both RTOL times its
+    largest one and the error its face terms carry in.
     """
     base = np.asarray(knots[:-1], dtype=float)
     lo = np.zeros_like(base)
@@ -559,25 +582,18 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
         base = np.insert(base, onset, np.full(_ONSET_GRADING, base[onset]))
         lo = np.insert(lo, onset + 1, cuts[:-1])
         hi = np.insert(hi, onset, cuts[:-1])
-    tail = np.zeros(base.size, dtype=bool)
-    if tail_from is not None:
-        base, lo = np.append(base, 0.0), np.append(lo, 0.0)
-        hi, tail = np.append(hi, 1.0 / tail_from), np.append(tail, True)
     depth = np.zeros(base.size, dtype=int)
     done: list[tuple] = []
     while base.size:
         if base.size > _MAX_PENDING:
-            r = 1.0 / hi[0] if tail[0] else base[0] + hi[0] ** 2
             raise NumericalError(
-                f"profile quadrature does not converge near r={r:.6g} "
+                f"profile quadrature does not converge near r={base[0] + hi[0] ** 2:.6g} "
                 f"({base.size} pieces pending)")
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        v = mid[:, None] + half[:, None] * _CHEB_NODES
-        dt = np.where(tail[:, None], 1.0 / v, v * v)      # tail pieces have base 0
-        t = base[:, None] + dt
-        s, s_err = _source(faces, np.repeat(base, _CHEB_POINTS), dt.ravel())
-        # dt = 2u du on segments; t^(-n-1) dt = -s^(n-1) ds on the tail
-        weight = np.where(tail[:, None], v ** (n - 1), 2.0 * v * t ** (-n - 1.0))
+        u = mid[:, None] + half[:, None] * _CHEB_NODES
+        t = base[:, None] + u * u
+        s, s_err = _source(faces, np.repeat(base, _CHEB_POINTS), (u * u).ravel())
+        weight = 2.0 * u * t ** (-n - 1.0)             # dt = 2u du
         coeffs = (s.reshape(t.shape) * weight) @ _CHEB_COEFFS.T
         trailing = np.max(np.abs(coeffs[:, -3:]), axis=1)
         # no point resolving the integrand below the error of its face terms
@@ -586,24 +602,23 @@ def _integrate(faces, n: int, knots: list[float], tail_from: float | None,
               | (depth >= _MAX_HALVINGS))
         # error estimate per unit half-width: interpolation plus face-term error
         err = 2.0 * (trailing + noise)
-        done.append((base[ok], lo[ok], hi[ok], tail[ok], coeffs[ok], err[ok]))
+        done.append((base[ok], lo[ok], hi[ok], coeffs[ok], err[ok]))
         split = ~ok
-        base, tail, depth = (np.repeat(a[split], 2) for a in (base, tail, depth + 1))
+        base, depth = np.repeat(base[split], 2), np.repeat(depth[split] + 1, 2)
         lo, mid, hi = lo[split], mid[split], hi[split]
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-    return _ChebyshevPieces(*(np.concatenate(parts) for parts in zip(*done)))
+    return _ChebyshevPieces(knots[-1], *(np.concatenate(parts) for parts in zip(*done)))
 
 
 def _quadrature(terms, n: int, breakpoints, r_max: float, reach: float) -> _ChebyshevPieces:
     """Chebyshev pieces of I for the facets terms (some reached below r_max).
 
     The knots are the first facet distance, the breakpoints up to r_max and
-    twice the last breakpoint, where the tail piece starts if r_max lies
-    beyond it.
+    twice the last breakpoint, where the stored series takes over, or r_max
+    if that comes first.
     """
     h0 = min(h for h, _, _ in terms)
-    tail_from = 2.0 * breakpoints[-1]
-    end = min(r_max, tail_from)
+    end = min(r_max, 2.0 * breakpoints[-1])
     knots = np.array([h0] + [b for b in breakpoints if h0 < b < end] + [end])
     # knots at most a factor 2 apart: a piece spanning many scales could pass
     # on the face noise at its far end with its near end unresolved
@@ -613,8 +628,7 @@ def _quadrature(terms, n: int, breakpoints, r_max: float, reach: float) -> _Cheb
     # the segment on which V rises from zero, if the base point is outside P
     onset = min(int(np.searchsorted(knots, reach * (1 + 1e-12), side="right")) - 1,
                 len(knots) - 2)
-    return _integrate(terms, n, knots, tail_from if r_max > tail_from else None,
-                      onset if 0 < reach < end else None)
+    return _integrate(terms, n, knots, onset if 0 < reach < end else None)
 
 
 def _planar_pieces(terms, onset: bool) -> _PlanarPieces:
@@ -654,9 +668,8 @@ def _profile_from_faces(n: int, omega: float, faces, r_max: float, reach: float,
     if min((h for h, _, _ in terms), default=np.inf) < r_max:
         pieces = (_planar_pieces(terms, omega == 0.0) if n == 2 else
                   _quadrature(terms, n, merged, r_max, reach))
-    return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged),
-                               omega=omega, pieces=pieces,
-                               faces=terms, r_max=r_max, reach=reach)
+    return RadialVolumeProfile(dimension=n, breakpoints=np.asarray(merged), omega=omega,
+                               pieces=pieces, faces=terms, r_max=r_max, reach=reach)
 
 
 def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
@@ -666,8 +679,8 @@ def volume_profile(P: PolyhedralSet, p0, r_max: float) -> RadialVolumeProfile:
     down (exact interval overlap at the base) and cover every radius.  Below
     the first positive face distance V is the exact cone formula; beyond it,
     a planar set has its closed form, and in higher dimensions the
-    integrating-factor quadrature runs between breakpoints and, when r_max
-    reaches past twice the last breakpoint, in 1/r to infinity.
+    integrating-factor quadrature runs between breakpoints up to twice the
+    last one, and the profile's stored series of W beyond.
     Raises GeometryError for infeasible P.
     """
     p0 = np.asarray(p0, dtype=float)
@@ -719,16 +732,13 @@ def fit_radial_powers(evaluate, n: int, terms: int, window: RadiusGrid,
                       cond_bound: float = 1e8):
     """Least squares of V(r) against a_n r^n + ... + a_{n-terms+1} r^{n-terms+1}.
 
-    evaluate maps an array of radii to the array of volumes.  The regression
-    runs on V(r)/r^n, so rows carry comparable (relative) weight, against the
-    powers (r_min/r)^k, so the condition number depends on the window's span
-    and not on its absolute scale; the fitted coefficients are rescaled by
-    r_min^k.  Returns (coefficients descending by power, rms residual in
-    relative units, condition estimate of the scaled design matrix).
+    evaluate maps radii to volumes.  V(r)/r^n is regressed on (r_min/r)^k,
+    whose condition depends on the window's span only, and the coefficients
+    are rescaled by r_min^k.  Returns (coefficients descending by power, rms
+    relative residual, condition estimate of the scaled design matrix).
     """
     radii = window.radii()
-    vals = np.asarray(evaluate(radii), dtype=float)
-    y = vals / radii ** n
+    y = np.asarray(evaluate(radii), dtype=float) / radii ** n
     powers = np.arange(terms)
     X = (window.r_min / radii[:, None]) ** powers
     cond = float(np.linalg.cond(X))
@@ -755,8 +765,7 @@ def check_ww_lemma(halfspaces, p0) -> float:
     if not hs:
         return 0.0
     p0 = np.asarray(p0, dtype=float)
-    n = hs[0].dimension
-    k = len(hs)
+    n, k = hs[0].dimension, len(hs)
     if k > n:
         raise GeometryError(f"need k <= n halfspaces, got k={k} in E^{n}")
     normals = np.array([h.normal for h in hs])
@@ -779,24 +788,16 @@ def mc_truncated_volume(P: PolyhedralSet, p0, r: float, samples: int,
         raise InputError("samples must be >= 1")
     p0 = np.asarray(p0, dtype=float)
     n = P.dimension
-    delta = unit_ball_volume(n)
-    ball = delta * r ** n
-    A, b = P.constraint_arrays()
+    ball = unit_ball_volume(n) * r ** n
+    A, b = P.constraint_arrays()            # no rows: every sample hits
     rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    chunk = 500_000
-    while done < samples:
-        m = min(chunk, samples - done)
+    for done in range(0, samples, 500_000):
+        m = min(500_000, samples - done)
         g = rng.standard_normal((m, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True) + 1e-300
-        t = rng.random(m) ** (1.0 / n)
-        x = p0 + r * t[:, None] * g
-        if A.shape[0] == 0:
-            hits += m
-        else:
-            hits += int(np.count_nonzero(np.all(x @ A.T <= b, axis=1)))
-        done += m
+        x = p0 + r * (rng.random(m) ** (1.0 / n))[:, None] * g
+        hits += int(np.count_nonzero(np.all(x @ A.T <= b, axis=1)))
     p = hits / samples
     return ball * p, ball * math.sqrt(max(p * (1 - p), 0.0) / samples)
 

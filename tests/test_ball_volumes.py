@@ -129,6 +129,20 @@ def test_volumes_and_boundaries_scale_with_the_configuration(s):
     assert pair.off_breakpoint(1.0005e-6) == 1.0005e-6
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]],
+                                    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.8, 0.0],
+                                     [0.2, 0.3, 0.7]]], ids=["triangle", "tetrahedron"])
+def test_breakpoints_scale_with_the_configuration(points, s):
+    # breakpoints once sat on a grid of 1e-15: at s = 1e-13 the triangle's
+    # 0.56765 s read 0.5652 s, and the series starts at twice the last one
+    unit = BallSystem(PointConfiguration.from_points(points), np.inf).breakpoints
+    scaled = BallSystem(PointConfiguration.from_points(s * np.asarray(points)), np.inf)
+    # the same breakpoint reached along two paths may differ in its last bits
+    near = np.abs(scaled.breakpoints[:, None] / s - unit) <= 1e-12 * unit
+    assert np.all(near.any(axis=0)) and np.all(near.any(axis=1))
+
+
 def test_union_bounds_and_monotonicity(rng):
     cfg = random_config(rng, 2, 4)
     system = BallSystem(cfg, r_max=6.0)

@@ -5,6 +5,7 @@ onsets (phi - sin(phi) by its series for small phi), so they can check the
 profiles to 1e-12 relative right above a breakpoint.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -241,6 +242,109 @@ def test_unbounded_profile_covers_every_radius():
         assert 0.0 < system.intersection_volume(r) < delta * r * r
 
 
+# Closed forms in E^3, where the quadrature runs up to twice the last
+# breakpoint and the face recursion's series takes over: the ball less a cap
+# and two balls, whose lens pi (4r + d)(2r - d)^2 / 12 carries no rounding
+# at binary-exact sites (2r - d is exact near the onset)
+def ball_less_cap(h: float, r: float) -> float:
+    """{x1 <= h} cut with the ball of radius r about the origin in E^3."""
+    cap = 0.0 if r <= h else math.pi * (r - h) ** 2 * (2.0 * r + h) / 3.0
+    return 4.0 * math.pi * r ** 3 / 3.0 - cap
+
+
+def ball_lens(d: float, r: float) -> float:
+    """Intersection of two balls of radius r at centre distance d in E^3."""
+    return 0.0 if 2.0 * r <= d else math.pi * (4.0 * r + d) * (2.0 * r - d) ** 2 / 12.0
+
+
+def test_half_space_matches_closed_form_to_all_radii():
+    P = PolyhedralSet(3, (Halfspace(np.array([1.0, 0.0, 0.0]), 1.0),))
+    prof = volume_profile(P, np.zeros(3), np.inf)
+    radii = radii_around(prof.breakpoints, 0.01, 1e4)
+    want = np.array([ball_less_cap(1.0, r) for r in radii])
+    assert np.max(np.abs(prof.value(radii) - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("pts", [[[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]],
+                                 [[0.25, -0.125, 0.5], [0.25, 0.25, 0.5]]])
+def test_two_balls_match_closed_forms_to_all_radii(pts):
+    pts = np.asarray(pts)
+    d = float(np.linalg.norm(pts[1] - pts[0]))
+    system = BallSystem(PointConfiguration.from_points(pts), r_max=np.inf)
+    radii = radii_around(system.breakpoints, 0.01 * d, 1e4 * d)
+    want_i = np.array([ball_lens(d, r) for r in radii])
+    want_u = 8.0 * math.pi * radii ** 3 / 3.0 - want_i
+    union, inter = system.union_volume(radii), system.intersection_volume(radii)
+    assert np.max(np.abs(union - want_u) / want_u) <= 1e-13
+    hit = want_i > 0.0
+    assert np.all(inter[~hit] == 0.0)
+    # 1e-7 past its onset the lens is ~1e-14 of the ball, and the quadrature
+    # keeps 1e-11 of it; from twice the last breakpoint d/2 on, the series 1e-13
+    far = radii >= d
+    rel = np.abs(inter[hit] - want_i[hit]) / want_i[hit]
+    assert np.max(rel, initial=0.0) <= 1e-11
+    assert np.max(rel[far[hit]]) <= 1e-13
+
+
+def _regions(points):
+    system = BallSystem(PointConfiguration.from_points(points), r_max=np.inf)
+    return [prof for prof in system.nearest_profiles + system.farthest_profiles
+            if prof is not None]
+
+
+@pytest.mark.parametrize("dim, n_pts", [(3, 4), (3, 7), (3, 12), (4, 5), (4, 8)])
+def test_series_takes_over_from_the_quadrature_continuously(dim, n_pts):
+    # below 2 b_last the quadrature gives V, from there on the stored series:
+    # across a step of 2e-12 b_last over the hand-off, V and dV/dr change as
+    # across the same step just below it, to 1e-13 of the ball's volume and
+    # boundary (a region far smaller than the ball has its quadrature's W,
+    # omega delta_n - I, to that much of delta_n, not of itself)
+    points = np.random.default_rng([34, dim, n_pts]).uniform(-1, 1, (n_pts, dim))
+    for prof in _regions(points):
+        join = 2.0 * prof.breakpoints[-1]
+        assert prof.series_from == join
+        radii = join * (1.0 + 1e-12 * np.array([-3.0, -1.0, 1.0]))
+        ball = prof.delta * join ** dim
+        for f, size in ((prof.value, ball), (prof.derivative, dim * ball / join)):
+            below, before, after = f(radii)
+            assert abs(after - 2.0 * before + below) <= 1e-13 * size
+        # and it is the quadrature carried on to 4 join, to 1e-14 of delta_n in
+        # I = omega delta_n - V / r^n (a series cut to 24 terms is 1e-12 off)
+        longer = truncated_volume._quadrature(
+            prof.faces, dim, np.append(prof.breakpoints, 2.0 * join), np.inf, prof.reach)
+        radii = np.geomspace(join, 4.0 * join, 50)
+        integral = prof.cone_coef - prof.value(radii) / radii ** dim
+        assert np.max(np.abs(integral - longer.integral(radii)[0])) <= 1e-14 * prof.delta
+
+
+def _grid(*sides):
+    return np.array(list(itertools.product(*(range(k) for k in sides))), dtype=float)
+
+
+def test_series_of_far_out_facets_stays_finite():
+    # slivers of the (3, 2, 2) grid jittered by 1e-8 put facets ~1e8 to 1e10
+    # out, and taylor(40) multiplied (-h^2)^m out in floats (OverflowError);
+    # the stored terms, in units of the last breakpoint, sum to W at
+    # s = 1 / (2 b_last), and so do the coefficients in s wherever a float
+    # holds them (w_40 of a region with b_last ~ 6e9 is ~1e360)
+    grid = _grid(3, 2, 2)
+    regions = _regions(grid + 1e-8 * np.random.default_rng(1).standard_normal(grid.shape))
+    delta = unit_ball_volume(3)
+    finite = 0
+    for prof in regions:
+        w = prof.taylor(40)
+        s = 0.5 / prof.breakpoints[-1]
+        want = s ** 3 * prof.value(1.0 / s)
+        stored = prof.series * (prof.scale * s) ** np.arange(prof.series.size)
+        assert np.all(np.isfinite(stored))
+        assert abs(np.sum(stored[:41]) - want) <= 1e-15 * delta
+        if np.all(np.isfinite(w)):
+            finite += 1
+            assert abs(np.sum(w * s ** np.arange(41)) - want) <= 1e-15 * delta
+    assert max(prof.breakpoints[-1] for prof in regions) > 1e9
+    assert finite >= len(regions) // 2
+
+
 # Sites in a lower flat give farthest regions whose faces' sub-profiles rise
 # from zero at the same radius.  Just past such an onset the rounding of
 # sqrt(t^2 - h^2) moves the tiny V_i by eps * rho * V_i'; unless the face-term
@@ -273,7 +377,8 @@ def test_tied_onsets_lifted_one_dimension_build():
 
 # The closed form of planar profiles against the quadrature, which is
 # dimension-generic and serves dimension >= 3: run on the same facets, knotted
-# at the same breakpoints, it is the oracle.
+# at the same breakpoints and continued past twice the last one by the face
+# recursion's series, it is the oracle.
 @pytest.mark.parametrize("n_pts", [6, 12, 30])
 def test_planar_closed_form_matches_the_quadrature(n_pts):
     p = PointConfiguration.from_points(np.random.default_rng(n_pts).uniform(-1, 1, (n_pts, 2)))
@@ -284,9 +389,12 @@ def test_planar_closed_form_matches_the_quadrature(n_pts):
     assert any(prof.omega == 0.0 for prof in regions)
     for prof in regions:
         closed, _ = prof.pieces.integral(radii)
-        oracle, _ = truncated_volume._quadrature(prof.faces, 2, prof.breakpoints,
-                                                 prof.r_max, prof.reach).integral(radii)
+        quadrature = truncated_volume.RadialVolumeProfile(
+            2, prof.breakpoints, prof.omega,
+            truncated_volume._quadrature(prof.faces, 2, prof.breakpoints, prof.r_max, prof.reach),
+            faces=prof.faces, r_max=prof.r_max, reach=prof.reach)
         # V = r^2 (omega pi - I)
+        oracle = prof.cone_coef - quadrature.value(radii) / radii ** 2
         assert np.max(np.abs(closed - oracle)) <= 1e-13 * math.pi
 
 
