@@ -566,8 +566,11 @@ class BallSystem:
         self._nearest, self._farthest = (
             self._family(centred, _triangulation(centred, rank, basis, kind), kind, rank, scale)
             for kind in ("nearest", "farthest"))
-        self.breakpoints = np.unique(np.concatenate((self._nearest.breakpoints,
-                                                     self._farthest.breakpoints)))
+        # one breakpoint reached along two paths may differ in its last bits
+        breakpoints = np.unique(np.concatenate((self._nearest.breakpoints,
+                                                self._farthest.breakpoints)))
+        self.breakpoints = breakpoints[np.diff(breakpoints, prepend=-np.inf)
+                                       > 1e-12 * breakpoints]
         # the union's a_(n-1) is minus the intersection's, and to infinity both a_n
         # are delta_n: slivers of nearly cospherical sites, whose circumcentres keep
         # eps / jitter of their digits, break these identities by far more than 1e-6

@@ -12,7 +12,12 @@ JSON reports are written in one pass by ``_encode``: keys sorted, 2-space
 indent, each float as the repr of its 12-digit rounding, non-finite floats as
 ``NaN``/``Infinity``/``-Infinity``, numpy arrays and scalars as their Python
 values.  The bytes are those of ``json.dumps(..., indent=2, sort_keys=True)``
-on the rounded report, and equal inputs give equal bytes.
+on the rounded report, and equal inputs give equal bytes.  The per-radius
+results of ``volume`` and ``boundary`` are tables (``_Rows``): float columns
+written as a list of row objects.  A table, like any list of plain floats, is
+written by one %-format pass over all its cells; a numpy mask picks ``%.12g``
+for each cell whose ``%.12g`` text already is its JSON text, ``%r`` for
+zeros, and ``_float_text`` for the rest.
 
 Exit codes: 0 success, 1 a theorem check exceeded its tolerance, 2 input
 error, 3 numerical/geometric failure.
@@ -94,45 +99,76 @@ def _float_text(x: float) -> str:
     return float.__repr__(y)
 
 
-def _floats_text(values: list) -> list[str]:
-    """_float_text of every value of a list of floats, formatted in one pass."""
-    texts = (("%.12g\0" * len(values)) % tuple(values)).split("\0")
-    return [s if "." in s and "e" not in s else _float_text(x)
-            for s, x in zip(texts, values)]
-
-
 def _key_text(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"report keys must be str, not {type(key).__name__}")
     return encode_basestring_ascii(key)
 
 
-def _rows_text(items: list, indent: str) -> str | None:
-    """Body of a list of plain floats or of float-only dicts sharing one key set.
+class _Rows:
+    """A report table: named float columns of equal length, one row per index.
 
-    None when items are of any other shape; the caller then encodes them one
-    by one.  Dict rows go through one template string for the whole list.
+    JSON writes it as a list of row objects, keys sorted; CSV as one key per
+    cell, ``prefix[i].name``, in column order.
     """
-    first = items[0]
-    sep = ",\n" + indent
-    if type(first) is float:
-        if all(type(v) is float for v in items):
-            return sep.join(_floats_text(items))
-        return None
-    if type(first) is not dict or not first:
-        return None
-    names = first.keys()
-    if not all(type(row) is dict and row.keys() == names for row in items):
-        return None
-    keys = sorted(first)
-    values = [row[k] for row in items for k in keys]
-    if not all(type(v) is float for v in values):
-        return None
+
+    def __init__(self, **columns):
+        self.columns = {k: np.asarray(v, dtype=float) for k, v in columns.items()}
+        if len({c.shape for c in self.columns.values()}) > 1:
+            raise ValueError("table columns differ in length")
+
+    def dicts(self) -> list[dict]:
+        """The rows as dicts of Python floats, keys in column order."""
+        names = list(self.columns)
+        return [dict(zip(names, row))
+                for row in zip(*(c.tolist() for c in self.columns.values()))]
+
+
+# a cell's placeholder, chosen by _cells
+_PLACEHOLDERS = ("%.12g", "%r", "%s")
+
+
+def _cells(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each value's placeholder (index into _PLACEHOLDERS) and the value it fills.
+
+    %.12g where that already is the JSON text: |x| >= 2e-4 and farther than
+    1e-10 |x| from an integer.  Rounding to 12 digits moves x by at most
+    5e-12 |x|, so a fraction is left; the distance, at most 1/2, also bounds
+    |x| below 5e9, in fixed notation, and is NaN (no match) for non-finite x.
+    %r for +-0.0.  Every other value fills %s with its _float_text.
+    """
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        fixed = (size >= 2e-4) & (np.abs(values - np.rint(values)) > 1e-10 * size)
+    codes = np.where(fixed, 0, np.where(values == 0.0, 1, 2)).astype(np.uint8)
+    cells = values.tolist()
+    for i in np.flatnonzero(codes == 2).tolist():
+        cells[i] = _float_text(cells[i])
+    return codes, cells
+
+
+def _table_text(values: np.ndarray, keys, indent: str) -> str:
+    """Body of a list of floats (keys None) or of float rows under sorted keys.
+
+    values is (rows, columns).  Rows with one pattern of placeholders share a
+    template, and one % pass over all cells writes the body.
+    """
+    codes, cells = _cells(values.ravel())
+    width = values.shape[1]
+    # each row's placeholders as one bytes value, a dict key
+    patterns = codes.reshape(values.shape).view(f"V{width}").ravel().tolist()
     inner = indent + "  "
-    row = ("{\n" + inner + (",\n" + inner).join(
-        _key_text(k).replace("%", "%%") + ": %s" for k in keys)
-        + "\n" + indent + "}")
-    return sep.join([row] * len(items)) % tuple(_floats_text(values))
+    names = [inner + _key_text(k).replace("%", "%%") + ": " for k in keys or ()]
+
+    def template(pattern: bytes) -> str:
+        fields = [_PLACEHOLDERS[code] for code in pattern]
+        if keys is None:
+            return fields[0]
+        return ("{\n" + ",\n".join([n + f for n, f in zip(names, fields)])
+                + "\n" + indent + "}")
+
+    templates = {p: template(p) for p in set(patterns)}
+    return (",\n" + indent).join([templates[p] for p in patterns]) % tuple(cells)
 
 
 def _encode(obj, indent: str) -> str:
@@ -157,12 +193,20 @@ def _encode(obj, indent: str) -> str:
         return ("{\n" + inner + (",\n" + inner).join(
             f"{_key_text(k)}: {_encode(obj[k], inner)}" for k in sorted(obj))
             + "\n" + indent + "}")
+    if isinstance(obj, _Rows):
+        keys = sorted(obj.columns)
+        if not keys or not obj.columns[keys[0]].size:
+            return "[]"
+        inner = indent + "  "
+        body = _table_text(np.column_stack([obj.columns[k] for k in keys]), keys, inner)
+        return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
-        body = _rows_text(obj, inner)
-        if body is None:
+        if all(type(v) is float for v in obj):
+            body = _table_text(np.array(obj)[:, None], None, inner)
+        else:
             body = (",\n" + inner).join([_encode(v, inner) for v in obj])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(obj, np.ndarray):
@@ -178,6 +222,8 @@ def _flatten(prefix: str, obj, rows: list):
     """(key, CSV text) rows of obj's leaves; floats take the JSON text."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    elif isinstance(obj, _Rows):
+        obj = obj.dicts()
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
@@ -293,35 +339,31 @@ def _cmd_volume(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
     method = params.get("method", "voronoi_ode")
     radii = _radii(params, max(1.0, config.diameter))
-    out = {"method": method, "radii": radii, "volumes": []}
     if method == "voronoi_ode":
         system = BallSystem(config, r_max=max(radii) * (1 + 1e-9))
-        union = system.union_volume(np.asarray(radii)).tolist()
-        inter = system.intersection_volume(np.asarray(radii)).tolist()
-        out["volumes"] = [{"r": r, "union": u, "intersection": i}
-                          for r, u, i in zip(radii, union, inter)]
+        volumes = _Rows(r=radii, union=system.union_volume(np.asarray(radii)),
+                        intersection=system.intersection_volume(np.asarray(radii)))
     elif method == "monte_carlo":
         samples = int(params.get("samples", 1_000_000))
         seed = _seed(params, 0)
-        for k, r in enumerate(radii):
-            both = mc_ball_volume(config, r, "both", samples, seed + k)
-            (u, su), (i, si) = both["union"], both["intersection"]
-            out["volumes"].append({
-                "r": r, "union": u, "union_stderr": su,
-                "intersection": i, "intersection_stderr": si})
+        both = [mc_ball_volume(config, r, "both", samples, seed + k)
+                for k, r in enumerate(radii)]
+        # (value, stderr) per radius
+        union, inter = (np.array([b[which] for b in both]).reshape(-1, 2)
+                        for which in ("union", "intersection"))
+        volumes = _Rows(r=radii, union=union[:, 0], union_stderr=union[:, 1],
+                        intersection=inter[:, 0], intersection_stderr=inter[:, 1])
     else:
         raise InputError(f"unknown volume method {method!r}")
-    return out, EXIT_OK
+    return {"method": method, "radii": radii, "volumes": volumes}, EXIT_OK
 
 
 def _cmd_boundary(spec: ExperimentSpec, params: _Parameters):
     (config,) = _load_configs(spec, 1)
     radii = _radii(params, max(1.0, config.diameter))
     system = BallSystem(config, r_max=max(radii) * (1 + 1e-9))
-    union = system.union_boundary(np.asarray(radii)).tolist()
-    inter = system.intersection_boundary(np.asarray(radii)).tolist()
-    rows = [{"r": r, "union_boundary": u, "intersection_boundary": i}
-            for r, u, i in zip(radii, union, inter)]
+    rows = _Rows(r=radii, union_boundary=system.union_boundary(np.asarray(radii)),
+                 intersection_boundary=system.intersection_boundary(np.asarray(radii)))
     return {"boundaries": rows}, EXIT_OK
 
 
@@ -442,8 +484,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves it as it was (append actions copy
+# their default list before appending)
+_PARSER = _build_parser()
+
+
 def spec_from_argv(argv) -> ExperimentSpec:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     parameters = {
         "claim": args.claim, "r": args.r, "r_grid": args.r_grid,
         "method": args.method, "samples": args.samples, "nodes": args.nodes,

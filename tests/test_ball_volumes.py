@@ -138,9 +138,11 @@ def test_breakpoints_scale_with_the_configuration(points, s):
     # 0.56765 s read 0.5652 s, and the series starts at twice the last one
     unit = BallSystem(PointConfiguration.from_points(points), np.inf).breakpoints
     scaled = BallSystem(PointConfiguration.from_points(s * np.asarray(points)), np.inf)
-    # the same breakpoint reached along two paths may differ in its last bits
+    # the same breakpoint reached along two paths may differ in its last bits;
+    # BallSystem keeps one of them
     near = np.abs(scaled.breakpoints[:, None] / s - unit) <= 1e-12 * unit
     assert np.all(near.any(axis=0)) and np.all(near.any(axis=1))
+    assert scaled.breakpoints.size == unit.size
 
 
 def test_union_bounds_and_monotonicity(rng):

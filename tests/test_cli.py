@@ -37,6 +37,23 @@ def test_volume_report_two_disks(two_disks, tmp_path):
     assert report["version"]
 
 
+def test_consecutive_calls_share_no_list(two_disks, tmp_path, monkeypatch):
+    # the argument parser is built once per process; each call's lists are its own
+    specs = []
+    monkeypatch.setattr(kpv.cli, "run", lambda spec: specs.append(spec) or EXIT_OK)
+    other = str(tmp_path / "other.json")
+    assert main(["volume", "--config", two_disks, "--r", "1.5", "--r", "2.5"]) == EXIT_OK
+    assert main(["volume", "--config", other, "--config", two_disks, "--r", "4.0"]) == EXIT_OK
+    assert main(["meanwidth"]) == EXIT_OK
+    first, second, third = specs
+    assert first.inputs == [two_disks] and first.parameters["r"] == [1.5, 2.5]
+    assert second.inputs == [other, two_disks] and second.parameters["r"] == [4.0]
+    assert third.inputs == [] and third.parameters["r"] is None
+    assert first.inputs is not second.inputs
+    assert first.parameters["r"] is not second.parameters["r"]
+    assert kpv.cli._PARSER.get_default("config") == []
+
+
 def test_reports_are_byte_identical(two_disks, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

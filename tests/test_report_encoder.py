@@ -2,7 +2,8 @@
 
 The oracle below is the former report path verbatim: round every float to 12
 significant digits, then ``json.dumps(indent=2, sort_keys=True)``.  The
-encoder must reproduce its bytes on every input the oracle accepts.
+encoder must reproduce its bytes on every input the oracle accepts; a report
+table (``cli._Rows``) is given to the oracle as its list of row dicts.
 """
 
 import copy
@@ -19,6 +20,10 @@ from kpv import cli
 
 
 def _round12(obj):
+    if isinstance(obj, cli._Rows):      # a table is its list of row dicts
+        names = list(obj.columns)
+        rows = zip(*[column.tolist() for column in obj.columns.values()])
+        return _round12([dict(zip(names, row)) for row in rows])
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -50,6 +55,8 @@ EDGE_FLOATS = [
     5e-324, -5e-324, 1.5e-320, sys.float_info.min, sys.float_info.min / 3,
     1e308, -1e308, sys.float_info.max, -sys.float_info.max,
     math.nan, math.inf, -math.inf,
+    1234567890.125, -98765432.5625, 12345678901.5,  # ties at the 12th digit
+    3.0000000000001, 1e6 - 1e-7, 2e-4, 1.9999999999e-4, 99999999999.99,
 ]
 
 
@@ -81,12 +88,28 @@ def test_containers_match_oracle(report):
     assert encoded(report) == oracle(report)
 
 
-def test_fast_paths_taken_only_for_uniform_rows():
-    assert cli._rows_text([0.5, 1e-5, 3.0], "") == "0.5,\n1e-05,\n3.0"
-    assert cli._rows_text([0.5, 1], "") is None
-    assert cli._rows_text([{"a": 1.0}, {"b": 1.0}], "") is None
-    assert cli._rows_text([{"a": 1.0}, {"a": np.float64(1.0)}], "") is None
-    assert cli._rows_text([{"a": 1.0}, {"a": 2.0}], "") is not None
+def test_cells_sent_to_the_fixed_format_are_their_json_text():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2 ** 64, size=400_000, dtype=np.uint64)
+    # half the patterns get exponents from about 1e-5 to 1e12, around the
+    # mask's range, where whole-range bits land one time in a hundred
+    exponents = rng.integers(1006, 1064, size=bits.size // 2).astype(np.uint64)
+    bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+    values = np.concatenate((bits.view(np.float64), [0.0, -0.0, 5e-324, 2e-4, 1e11]))
+    codes, cells = cli._cells(values)
+    fixed = np.flatnonzero(codes == 0)
+    assert fixed.size > 50_000
+    for i in fixed.tolist():
+        text = "%.12g" % values[i]
+        assert "." in text and "e" not in text and text == cli._float_text(values[i])
+    assert set(values[codes == 1].tolist()) == {0.0}
+    assert all(cells[i] == cli._float_text(values[i])
+               for i in np.flatnonzero(codes == 2).tolist())
+
+
+def test_table_columns_must_have_one_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._Rows(r=[1.0, 2.0], union=[3.0])
 
 
 def test_numpy_scalars_and_arrays():
@@ -140,6 +163,37 @@ def test_random_trees_match_oracle(tree):
     assert encoded(tree) == oracle(tree)
 
 
+_ties = st.builds(lambda whole, part: whole + part, st.integers(10 ** 9, 10 ** 10 - 1),
+                  st.sampled_from([0.125, 0.375, 0.625, 0.875]))
+_near_integers = st.builds(lambda whole, step: whole + step * math.ulp(whole),
+                           st.integers(1, 10 ** 12).map(float), st.integers(-4, 4))
+_cell = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                  _edge, _ties, _near_integers,
+                  st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                   -1.5e-320, sys.float_info.min / 2]))
+
+
+@st.composite
+def _tables(draw):
+    names = draw(st.lists(st.one_of(_keys, st.sampled_from(["%", "%s", "%%d", "r"])),
+                          max_size=4, unique=True))
+    count = draw(st.sampled_from([0, 1, 1, 2, 5, 12]))
+    return cli._Rows(**{k: [draw(_cell) for _ in range(count)] for k in names})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_tables(), st.lists(_cell, max_size=12))
+def test_random_tables_match_oracle(table, floats):
+    for report in (table, {"t": table, "floats": floats}, [table, table]):
+        assert encoded(report) == oracle(report)
+    want = [(f"t[{i}].{name}", cli._float_text(column[i]))
+            for i in range(len(next(iter(table.columns.values()), [])))
+            for name, column in table.columns.items()]
+    got: list = []
+    cli._flatten("", {"t": table}, got)
+    assert got == want
+
+
 @pytest.fixture
 def two_disks(tmp_path):
     path = tmp_path / "two.json"
@@ -175,4 +229,5 @@ def test_command_reports_match_oracle(argv, two_disks, tmp_path, monkeypatch):
         wide.write_text(json.dumps({"dimension": 2, "points": [[0.0, 0.0], [1.3, 0.0]]}))
         config += ["--config", str(wide)]
     assert cli.main(argv + config + ["--out", str(out)]) == cli.EXIT_OK
+    # the oracle writes each table as its list of row dicts
     assert out.read_text() == oracle(seen[0])
