@@ -71,9 +71,11 @@ class ThresholdResult:
     """Outcome of the large-radius inequality scan for an expansion pair.
 
     margins holds the four normalized gaps (union volume, intersection
-    volume, union boundary, intersection boundary) at every checked radius;
-    negative entries mark radii where an inequality fails, which is expected
-    at small radii (boundary inequalities genuinely can fail there).  r0
+    volume, union boundary, intersection boundary) at every checked radius,
+    each a length: the volume gaps over r^(n-1) and the boundary gaps over
+    r^(n-2), which tend to multiples of the mean-width gap.  Negative
+    entries mark radii where an inequality fails, which is expected at
+    small radii (boundary inequalities genuinely can fail there).  r0
     needs all four to hold from it on; all_hold covers only the two volume
     inequalities (margins[:, :2]), over the whole grid.
     """
@@ -115,10 +117,6 @@ def laurent_fit(evaluate, n: int, terms: int, window: RadiusGrid) -> LaurentFit:
     return LaurentFit(coefficients=np.asarray(coeffs),
                       powers=tuple(n - k for k in range(terms)),
                       window=window, residual_norm=resid, condition_estimate=cond)
-
-
-def _config_scale(p: PointConfiguration) -> float:
-    return max(p.diameter, 1e-2)
 
 
 def mean_width_difference(p: PointConfiguration, q: PointConfiguration
@@ -210,9 +208,9 @@ def verify_lift_identity(p: PointConfiguration, r_samples) -> list[CheckReport]:
     The right side is the boundary measure of the configuration embedded in
     E^(n+2), read off its ODE, against the n-volume of the configuration
     itself; both systems are built once, to the largest radius.  The
-    tolerance, 1e-9 delta_n r^n (that of kp_threshold), is reported as the
-    check's "stderr".  Raises GeometryError for a radius on a breakpoint of
-    the lifted system, where its boundary measure is not read off.
+    tolerance, 1e-9 delta_n r^n, is reported as the check's "stderr".
+    Raises GeometryError for a radius on a breakpoint of the lifted system,
+    where its boundary measure is not read off.
     """
     r_samples = [float(r) for r in np.atleast_1d(np.asarray(r_samples, dtype=float))]
     if not r_samples:
@@ -250,11 +248,15 @@ def kp_threshold(p: PointConfiguration, q: PointConfiguration,
     pairs short-circuit: congruence implies equal volumes at every radius, so
     every margin is exactly zero.  Otherwise r0 is the smallest grid radius
     from which all four inequalities hold at every larger grid point, and
-    strictness_margin is the smallest normalized gap beyond r0.
+    strictness_margin is the smallest normalized gap beyond r0.  The gaps
+    are lengths (see ThresholdResult), so margins scale with the pair, and
+    an inequality holds where its gap is at least -1e-9 delta_n diam, diam
+    the larger of the two diameters.
     """
     if p.dimension != q.dimension:
         raise InputError("threshold scan needs configurations in the same dimension")
-    scale = max(_config_scale(p), _config_scale(q))
+    # a pair of single sites (diameter 0) keeps absolute tolerances
+    scale = max(p.diameter, q.diameter) or 1.0
     if not is_expansion(p, q, tol=1e-9 * scale):
         raise GeometryError("q is not an expansion of p")
     radii = grid.radii()
@@ -268,14 +270,16 @@ def kp_threshold(p: PointConfiguration, q: PointConfiguration,
     sys_q = BallSystem(q, r_max=grid.r_max * (1 + 1e-6))
 
     used = sys_p.off_breakpoint(sys_q.off_breakpoint(sys_p.off_breakpoint(radii)))
-    norm = used ** (n - 1)
+    # volume gaps tend to c dM r^(n-1) and boundary gaps to (n-1) c dM r^(n-2),
+    # dM the mean-width gap: both normalized to lengths
     margins = np.column_stack((
         sys_q.union_volume(used) - sys_p.union_volume(used),
         sys_p.intersection_volume(used) - sys_q.intersection_volume(used),
         sys_q.union_boundary(used) - sys_p.union_boundary(used),
-        sys_p.intersection_boundary(used) - sys_q.intersection_boundary(used))) / norm[:, None]
+        sys_p.intersection_boundary(used) - sys_q.intersection_boundary(used))
+    ) / used[:, None] ** np.array([n - 1, n - 1, n - 2, n - 2])
 
-    hold_tol = 1e-9 * unit_ball_volume(n)
+    hold_tol = 1e-9 * unit_ball_volume(n) * scale
     holds = np.all(margins >= -hold_tol, axis=1)
     suffix_ok = np.flip(np.logical_and.accumulate(np.flip(holds)))
     if not suffix_ok.any():

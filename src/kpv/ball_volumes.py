@@ -22,11 +22,17 @@ only the triangulation sees coordinates in the flat.  Every family of every
 input is built this way and checked by two exact identities (BallSystem);
 nearest_voronoi and farthest_voronoi cut a region out by all the bisectors.
 
-Sites spanning the plane skip the per-face profiles: their regions' facets
-are the edges of the triangulation, so each family is one facet table with a
-row per (site, edge) incidence, built and evaluated in array passes
-(_PlanarFamily).  The face lattice (_Lattice) serves sites in a lower flat
-and every dimension from three up.
+One ridge pass (_ridge_faces) finds the ridges of a triangulation, the
+simplices one site smaller than a full one, and the lines of their faces:
+in full rank a segment between neighbouring circumcentres, or a ray at the
+hull.  Both family builders read it.  The face lattice (_Lattice) builds a
+profile per face from the smallest faces up, and serves sites in a lower
+flat and every dimension from three up.  Sites spanning the plane skip the
+per-face profiles: their regions' facets are the edges of the
+triangulation, so each family is one facet table with a row per (site,
+edge) incidence, built and evaluated in array passes (_PlanarFamily).  Its
+per-site profiles, built by the face lattice when first read, are the
+table's reference.
 
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
@@ -34,7 +40,7 @@ the independent oracle.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import itertools
 import math
 
@@ -179,8 +185,7 @@ def _circumcentres(points: np.ndarray, groups: np.ndarray, kind: str):
     """
     verts = points[groups]
     if groups.shape[1] == 1:
-        return verts[:, 0], np.broadcast_to(np.eye(points.shape[1]),
-                                            (groups.shape[0],) + (points.shape[1],) * 2)
+        return verts[:, 0], np.repeat(np.eye(points.shape[1])[None], groups.shape[0], axis=0)
     edges = verts[:, 1:] - verts[:, :1]
     u, svals, vt = np.linalg.svd(edges)
     if not np.all(svals[:, -1] > _EPS * svals[:, 0]):
@@ -201,106 +206,135 @@ def _where(kind: str, sigma) -> str:
             f"{kind} face of sites {sites}")
 
 
-@contextlib.contextmanager
-def _located(kind: str, sigma):
-    """Name the face dual to sigma in a GeometryError or NumericalError raised inside."""
-    try:
-        yield
-    except (GeometryError, NumericalError) as exc:
-        raise type(exc)(f"{exc} ({_where(kind, sigma)})") from exc
+def _ridge_faces(points: np.ndarray, simplices: np.ndarray, centres: np.ndarray, kind: str):
+    """The ridges of a family's triangulation, and the lines of their faces.
+
+    simplices holds the sorted sites of each full simplex (k + 1 >= 2 of
+    them) and centres their circumcentres; a ridge is a simplex of k sites,
+    an edge in the plane.  Returns (ridges, c, normals, u, a, b, hull,
+    ridge_of): the ridges in sorted order, their circumcentres, bases (rows)
+    of the directions orthogonal to them, the unit normal u of each in the
+    sites' flat, the ends a <= b of its face along the line c + x u, whether
+    it lies on the hull, and the ridge opposite site j of simplex t at
+    ridge_of[t (k + 1) + j].  In the plane c is the edge's midpoint and u the
+    edge turned by 90 degrees; in full rank u is the basis row.  In full rank
+    the face is a segment, a ray at the hull, and each simplex t at the
+    ridge bounds it at <c_t - c, u>, from the side away from (farthest:
+    toward) t's other site.  In a lower flat only a hull ridge's line, that
+    of its face's ray, is read: u is the part of p_j - c in the normal space,
+    j the other site of the ridge's simplex, NaN off the hull, and a, b are
+    None.
+    """
+    n_pts, (size, n) = points.shape[0], (simplices.shape[1], points.shape[1])
+    k = size - 1
+    # the ridge opposite each site of each simplex, found by its integer key
+    drop = np.array([[i for i in range(size) if i != j] for j in range(size)])
+    faces = simplices[:, drop].reshape(-1, k)
+    _, first, ridge_of = np.unique(np.ravel_multi_index(tuple(faces.T), (n_pts,) * k),
+                                   return_index=True, return_inverse=True)
+    ridges = faces[first]
+    hull = np.bincount(ridge_of, minlength=len(ridges)) == 1
+    if k == n == 2:
+        p, q = points[ridges[:, 0]], points[ridges[:, 1]]
+        c, u = 0.5 * (p + q), (q - p)[:, ::-1] * np.array([-1.0, 1.0])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        normals = u[:, None, :]
+    else:
+        c, normals = _circumcentres(points, ridges, kind)
+        u = normals[:, 0]
+    if k < n:
+        basis, u = normals[hull], np.full(c.shape, np.nan)
+        coef = basis @ (points[simplices.ravel()[first[hull]]] - c[hull])[:, :, None]
+        ray = (coef.transpose(0, 2, 1) @ basis)[:, 0]
+        u[hull] = ray / np.linalg.norm(ray, axis=1, keepdims=True)
+        return ridges, c, normals, u, None, None, hull, ridge_of
+    other = points[simplices.ravel()]
+    along, base = u[ridge_of], c[ridge_of]
+    end = np.sum((np.repeat(centres, size, axis=0) - base) * along, axis=1)
+    ahead = (np.sum((other - base) * along, axis=1) > 0.0) == (kind == "nearest")
+    a, b = np.full(len(ridges), -np.inf), np.full(len(ridges), np.inf)
+    with np.errstate(invalid="ignore"):         # an end that is no number is named below
+        np.maximum.at(a, ridge_of[~ahead], end[~ahead])
+        np.minimum.at(b, ridge_of[ahead], end[ahead])
+    bad = np.flatnonzero(np.isnan(b - a))
+    if bad.size:
+        raise NumericalError(f"segment ends are not numbers ({_where(kind, ridges[bad[0]])})")
+    return ridges, c, normals, u, a, b, hull, ridge_of
 
 
-def _lattice_profiles(points: np.ndarray, simplices: np.ndarray, kind: str,
-                      r_max: float, scale: float) -> list:
-    """Per-site region profiles of one family, read off its triangulation.
+class _Lattice:
+    """One family as its sites' region profiles, read off its triangulation.
 
     The sites span a k-flat of E^n and the simplices (k + 1 sites each)
     triangulate it.  The face of a region dual to the simplex sigma is the
     set F_sigma of points equidistant from sigma's sites and nearer to
     (farther from) them than to every other site.  Its base point is sigma's
     circumcentre c_sigma, whichever site the recursion started from, so its
-    profile is built once and shared by every site of sigma.  The face of a
-    full simplex is the (n - k)-flat through its centre; the facets of any
-    other face are the faces F_tau of the simplices tau = sigma + {j} in the
-    triangulation, at distance |c_tau - c_sigma|, with the sign of
+    profile is built once and shared by every site of sigma, from the
+    smallest faces up to the regions.  The face of a full simplex is the
+    (n - k)-flat through its centre, and in full rank a ridge's face is the
+    segment or ray _ridge_faces finds.  The facets of any other face are the
+    faces F_tau of the simplices tau = sigma + {j} in the triangulation, in
+    the order of j, at distance |c_tau - c_sigma|, with the sign of
     |c_sigma - p_j| - R_sigma (reversed for farthest regions).  Faces of zero
     extent (sites on a common sphere) are dropped.
     """
-    lattice = _Lattice(points, simplices, kind == "nearest", scale)
-    n = points.shape[1]
-    k = simplices.shape[1] - 1
-    by_size: list[dict] = [{} for _ in range(k + 1)]    # sigma -> its full simplices
-    for t, simplex in enumerate(lattice.full):
-        for m in range(1, k + 1):
-            for sigma in itertools.combinations(simplex, m):
-                by_size[m].setdefault(sigma, []).append(t)
-    solved = _circumcentres(points, np.array(lattice.full), kind)
-    lattice.vertices = solved[0]
-    # the n - k directions off the sites' flat, along which every face extends
-    lattice.off_flat = scale * solved[1][0]
-    flat = None if k == n else _profile_from_faces(n - k, 1.0, [], np.inf, 0.0, scale)
-    for simplex, c in zip(lattice.full, lattice.vertices):
-        lattice.centre[tuple(simplex)] = c
-        lattice.profile[tuple(simplex)] = flat
-    for m in range(k, 0, -1):
-        faces = list(by_size[m])
-        for sigma, c, normal in zip(faces, *_circumcentres(points, np.array(faces), kind)):
-            lattice.centre[sigma] = c
-            star = by_size[m][sigma]
-            if m == k and len(star) == 1:
-                lattice.add_ray(sigma, star[0], c, normal)
-            with _located(kind, sigma):
-                lattice.profile[sigma] = (
-                    lattice.segment(sigma, star, c, normal[0]) if normal.shape[0] == 1 else
-                    lattice.face(sigma, star, c, normal, r_max if m == 1 else np.inf))
-    return [lattice.profile.get((i,)) for i in range(points.shape[0])]
 
-
-class _Lattice:
-    """Face profiles of one family, built from the smallest faces up to the regions."""
-
-    def __init__(self, points, simplices, nearest: bool, scale: float):
-        self.points = points
-        self.full = np.sort(simplices, axis=1).tolist()
-        self.nearest = nearest
-        self.scale = scale
+    def __init__(self, points, simplices, kind: str, r_max: float, scale: float):
+        self.points, self.scale = points, scale
+        self.nearest = kind == "nearest"
         self.tol = 1e-12 * scale
-        self.vertices = None        # circumcentres of the full simplices
-        self.off_flat = None        # directions off the sites' flat, times scale
-        self.centre: dict = {}      # sigma -> c_sigma
-        self.profile: dict = {}     # sigma -> profile of F_sigma, None if of zero extent
-        self.rays: dict = {}        # ridge -> line along which its face runs off
-
-    def add_ray(self, sigma, t, c, normal):
-        """Record the ray of the hull ridge sigma, whose face leaves simplex t's centre.
-
-        It runs along the component of p_j - c_sigma in sigma's normal
-        space, j the other site of t (away from p_j for nearest regions,
-        toward it for farthest ones; only its line enters the extent test).
-        """
-        j = next(v for v in self.full[t] if v not in sigma)
-        v = normal.T @ (normal @ (self.points[j] - c))
-        self.rays[sigma] = v / np.linalg.norm(v)
-
-    def segment(self, sigma, star, c, u):
-        """Exact profile of the 1-d face F_sigma about c_sigma, or None if a point.
-
-        Its ends are the circumcentres of the one or two simplices that
-        contain sigma, at <c_tau - c_sigma, u> along the face's line; each
-        bounds the face from the side away from (farthest: toward) the
-        simplex's other site.
-        """
-        a, b = -np.inf, np.inf
-        for t in star:
-            k = next(v for v in self.full[t] if v not in sigma)
-            end = float(np.dot(self.vertices[t] - c, u))
-            if (np.dot(self.points[k] - c, u) > 0.0) == self.nearest:
-                b = min(b, end)
+        n, k = points.shape[1], simplices.shape[1] - 1
+        full = np.sort(simplices, axis=1)
+        self.full = full.tolist()
+        by_size: list[dict] = [{} for _ in range(k)]    # sigma under a ridge -> its full simplices
+        for t, simplex in enumerate(self.full):
+            for m in range(1, k):
+                for sigma in itertools.combinations(simplex, m):
+                    by_size[m].setdefault(sigma, []).append(t)
+        self.vertices, normals = _circumcentres(points, full, kind)
+        # the n - k directions off the sites' flat, along which every face extends
+        self.off_flat = scale * normals[0]
+        flat = None if k == n else _profile_from_faces(n - k, 1.0, [], np.inf, 0.0, scale)
+        self.centre = {tuple(s): c for s, c in zip(self.full, self.vertices)}   # sigma -> c_sigma
+        # sigma -> profile of F_sigma, None if of zero extent
+        self.profile: dict = dict.fromkeys(self.centre, flat)
+        self.rays: dict = {}        # hull ridge -> line along which its face runs off
+        # (faces, centres, normals, stars, ends) from the ridges down to the sites
+        levels = []
+        if k:
+            ridges, centres, normals, u, a, b, hull, ridge_of = _ridge_faces(
+                points, full, self.vertices, kind)
+            faces = [tuple(r) for r in ridges.tolist()]
+            self.rays = {r: v for r, v, out in zip(faces, u, hull) if out}
+            if k == n:
+                levels.append((faces, centres, normals, itertools.repeat(None),
+                               zip(a.tolist(), b.tolist())))
             else:
-                a = max(a, end)
-        if b - a <= 2.0 * self.tol:
-            return None
-        return _interval_profile(a, b, 0.0)
+                stars = [[] for _ in faces]
+                for i, ridge in enumerate(ridge_of.tolist()):
+                    stars[ridge].append(i // (k + 1))
+                levels.append((faces, centres, normals, stars, itertools.repeat(None)))
+        for m in range(k - 1, 0, -1):
+            faces = list(by_size[m])
+            levels.append((faces, *_circumcentres(points, np.array(faces), kind),
+                           by_size[m].values(), itertools.repeat(None)))
+        sigma = None
+        try:
+            for faces, centres, normals, stars, ends in levels:
+                for sigma, c, normal, star, end in zip(faces, centres, normals, stars, ends):
+                    self.centre[sigma] = c
+                    self.profile[sigma] = (
+                        self.face(sigma, star, c, normal,
+                                  r_max if len(sigma) == 1 else np.inf) if end is None else
+                        None if end[1] - end[0] <= 2.0 * self.tol else
+                        _interval_profile(*end, 0.0))
+        except (GeometryError, NumericalError) as exc:
+            # name the face being built
+            raise type(exc)(f"{exc} ({_where(kind, sigma)})") from exc
+        self.profiles = [self.profile.get((i,)) for i in range(points.shape[0])]
+        self.breakpoints = np.array([bp for prof in self.profiles if prof is not None
+                                     for bp in prof.breakpoints])
 
     def face(self, sigma, star, c, normal, r_max):
         """Profile of the face F_sigma (dimension >= 2) about c_sigma; None at zero extent."""
@@ -310,49 +344,41 @@ class _Lattice:
         # differences span its d directions.  Rays count down to 1e-14 of angle:
         # a thin wedge has its apex ~1 / angle out and an O(1) share of a_(n-1)
         spans = [self.vertices[star[1:]] - self.vertices[star[0]], self.off_flat]
-        cofaces = {}                # tau -> the site k of tau = sigma + {k}
+        cofaces = {}                # the site j of each tau = sigma + {j} -> tau
         for t in star:
-            for k in self.full[t]:
-                if k in sigma:
+            for j in self.full[t]:
+                if j in sigma:
                     continue
-                cofaces[tuple(sorted(sigma + (k,)))] = k
-                ridge = tuple(v for v in self.full[t] if v != k)
+                cofaces[j] = tuple(sorted(sigma + (j,)))
+                ridge = tuple(v for v in self.full[t] if v != j)
                 if ridge in self.rays:
                     spans.append(100.0 * self.scale * self.rays[ridge][None, :])
         spans = np.concatenate(spans)
         if spans.shape[0] < d or np.linalg.svd(spans, compute_uv=False)[d - 1] <= self.tol:
             return None
 
-        sites = list(cofaces.values())
-        h = np.linalg.norm(np.array([self.centre[tau] for tau in cofaces]) - c, axis=1)
-        dist = np.linalg.norm(self.points[sites] - c, axis=1)
-        inside = dist >= np.linalg.norm(self.points[sigma[0]] - c)
+        sites = sorted(cofaces)
+        taus = [cofaces[j] for j in sites]
+        h = np.linalg.norm(np.array([self.centre[tau] for tau in taus]) - c, axis=1)
+        dist = np.linalg.norm(self.points[sites + [sigma[0]]] - c, axis=1)
+        inside = dist[:-1] >= dist[-1]
         eps = np.where(inside == self.nearest, 1, -1)
         # the distance below which _profile_from_faces drops a facet
         on = h <= self.tol
         facets = [(float(hk), int(ek), self.profile[tau])
-                  for tau, hk, ek in zip(cofaces, h, eps) if self.profile[tau] is not None]
+                  for tau, hk, ek in zip(taus, h, eps) if self.profile[tau] is not None]
         violated = bool(np.any(~on & (eps < 0)))
         if violated:
             omega = 0.0
         elif not on.any():
             omega = 1.0
         else:
-            # outward normals in the face's flat: toward p_k for nearest regions
+            # outward normals in the face's flat: toward p_j for nearest regions
             out = (self.points[np.array(sites)[on]] - c) @ normal.T
             out /= np.linalg.norm(out, axis=1, keepdims=True)
             omega = _solid_angle_fraction(list(out if self.nearest else -out), d)
         return _profile_from_faces(d, omega, facets, r_max, np.inf if violated else 0.0,
                                    self.scale)
-
-
-class _SiteProfiles:
-    """A family as its sites' region profiles (None for a site without a region)."""
-
-    def __init__(self, profiles: list):
-        self.profiles = profiles
-        self.breakpoints = np.array([bp for prof in profiles if prof is not None
-                                     for bp in prof.breakpoints])
 
     def evaluate(self, r: np.ndarray, derivative: bool) -> np.ndarray:
         """Sum of the regions' volumes (boundaries), site by site, at radii r > 0."""
@@ -366,34 +392,6 @@ class _SiteProfiles:
         """The sum of the regions' taylor(order), site by site."""
         return sum((prof.taylor(order) for prof in self.profiles if prof is not None),
                    np.zeros(order + 1))
-
-
-def _segment_ends(points, tris, centres, nearest: bool):
-    """The 1-d faces of a planar family, one per edge of its triangulation.
-
-    tris holds the sorted sites of each triangle and centres their
-    circumcentres.  Returns (edges, u, a, b, hull): the sorted site pairs,
-    a unit normal u of each edge, the ends a <= b of its face along the line
-    m + x u through its midpoint m, and whether it is a hull edge.  Each
-    triangle t at an edge bounds the face at <c_t - m, u>, from the side away
-    from (farthest: toward) t's third site; a hull edge's face is a ray.
-    """
-    n_pts = points.shape[0]
-    # the edge opposite each vertex of each triangle
-    pairs = tris[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
-    keys, edge_of = np.unique(pairs[:, 0] * n_pts + pairs[:, 1], return_inverse=True)
-    edges = np.column_stack(np.divmod(keys, n_pts))
-    p, q = points[edges[:, 0]], points[edges[:, 1]]
-    mid = 0.5 * (p + q)
-    u = (q - p)[:, ::-1] * np.array([-1.0, 1.0])
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    along = u[edge_of]
-    end = np.sum((np.repeat(centres, 3, axis=0) - mid[edge_of]) * along, axis=1)
-    ahead = (np.sum((points[tris.ravel()] - mid[edge_of]) * along, axis=1) > 0.0) == nearest
-    a, b = np.full(len(edges), -np.inf), np.full(len(edges), np.inf)
-    np.maximum.at(a, edge_of[~ahead], end[~ahead])
-    np.minimum.at(b, edge_of[ahead], end[ahead])
-    return edges, u, a, b, np.bincount(edge_of, minlength=len(edges)) == 1
 
 
 def _region_extent(n_pts: int, tris, centres, edges, u, hull, scale: float) -> np.ndarray:
@@ -422,43 +420,38 @@ class _PlanarFamily:
 
     The table has a row per (site, edge) incidence of the family's
     triangulation, sorted by site and then by the edge's other site: the
-    facet of the site's region dual to the edge, at distance h = |p_j - p_i| / 2
-    with sign eps = 1 (farthest: -1), whose own profile is the edge's face
-    (_segment_ends) about the edge's midpoint.  Faces and regions of zero
-    extent are dropped as _Lattice drops them, and every region has
+    facet of the site's region dual to the edge, at distance h = |c - p_i|
+    from the edge's midpoint c, with sign eps = 1 (farthest: -1), whose own
+    profile is the edge's face (_ridge_faces) about c.  Faces and regions of
+    zero extent are dropped as _Lattice drops them, and every region has
     solid-angle fraction omega = 1 (farthest: 0) at its site.  A region's
     volume is r^2 (omega pi - I(r)), I the sum of its rows' shares of
     _PlanarPieces, and its boundary (2 V - S) / r, S = sum eps h V_i(rho)
-    from the same columns in the same pass.  Each sum runs in table order, over a
-    region's rows and then over the regions: so the family's sums carry the
-    bits of the sums of its sites' own profiles (profiles, built on first
-    access, as _Lattice builds them), and a batch of radii gives the bits
-    each radius gives alone.
+    from the same columns in the same pass.  Each sum runs in table order,
+    over a region's rows and then over the regions: so the family's sums
+    carry the bits of the sums of its sites' region profiles, which the face
+    lattice builds when they are first read (profiles), and a batch of radii
+    gives the bits each radius gives alone.
     """
 
     def __init__(self, points, simplices, kind: str, r_max: float, scale: float):
-        self.kind, self.r_max, self.scale = kind, r_max, scale
+        self._lattice = (points, simplices, kind, r_max, scale)
+        self.r_max = r_max
         nearest = kind == "nearest"
         tris = np.sort(simplices, axis=1)
         centres = _circumcentres(points, tris, kind)[0]
-        self.edges, u, self.a, self.b, hull = _segment_ends(points, tris, centres, nearest)
-        bad = np.flatnonzero(np.isnan(self.a) | np.isnan(self.b))
-        if bad.size:
-            raise NumericalError(f"segment ends are not numbers "
-                                 f"({_where(kind, self.edges[bad[0]])})")
-        self.extent = _region_extent(points.shape[0], tris, centres, self.edges, u, hull, scale)
-        keep = self.b - self.a > 2e-12 * scale
+        edges, mid, _, u, a, b, hull, _ = _ridge_faces(points, tris, centres, kind)
+        self.extent = _region_extent(points.shape[0], tris, centres, edges, u, hull, scale)
+        keep = b - a > 2e-12 * scale
         # the table: (site, edge) rows by site and then by the edge's other site
-        site = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
-        edge = np.tile(np.arange(len(self.edges)), 2)
-        rows = np.lexsort((self.edges[edge, 0] + self.edges[edge, 1] - site, site))
+        site = np.concatenate((edges[:, 0], edges[:, 1]))
+        edge = np.tile(np.arange(len(edges)), 2)
+        rows = np.lexsort((edges[edge, 0] + edges[edge, 1] - site, site))
         rows = rows[keep[edge[rows]] & self.extent[site[rows]]]
         self.site, self.edge = site[rows], edge[rows]
-        h = 0.5 * np.linalg.norm(points[self.edges[:, 1]] - points[self.edges[:, 0]], axis=1)
-        self.h = h[self.edge]
+        self.h = np.linalg.norm(mid[self.edge] - points[self.site], axis=1)
         self.eps = 1.0 if nearest else -1.0
-        self.omega = 1.0 if nearest else 0.0
-        self.cone_coef = self.omega * unit_ball_volume(2)
+        self.cone_coef = (1.0 if nearest else 0.0) * unit_ball_volume(2)
         # the columns run slot by slot, a slot holding the k-th row of every
         # region (a row of a zero segment, exactly 0 in every sum, where a region
         # has fewer), so that a region's terms lie one region-count apart
@@ -467,18 +460,16 @@ class _PlanarFamily:
         column = place * self.regions + (np.cumsum(self.extent) - 1)[self.site]
         cells = self.depth * self.regions
         h_col, a_col, b_col = np.ones(cells), np.zeros(cells), np.zeros(cells)
-        h_col[column], a_col[column], b_col[column] = self.h, self.a[self.edge], self.b[self.edge]
+        h_col[column], a_col[column], b_col[column] = self.h, a[self.edge], b[self.edge]
         self.ends = np.array([a_col, b_col])[:, :, None]
         self.pieces = _PlanarPieces(h_col, np.full(cells, self.eps), a_col, b_col,
                                     onset=not nearest)
         # every facet's breakpoints: h, and sqrt(h^2 + e^2) for the ends e of its
         # face, as _interval_profile and _profile_from_faces record them
-        used = np.unique(self.edge)
-        ends = np.abs(np.concatenate((self.a[used], self.b[used])))
+        ends = np.abs(np.concatenate((a[self.edge], b[self.edge])))
         on = np.isfinite(ends) & (ends > 0.0)
-        foot = np.concatenate((h[used], h[used]))[on]
-        self.breakpoints = np.concatenate((h[used], np.sqrt(foot * foot + ends[on] ** 2)))
-        self._profiles = None
+        foot = np.concatenate((self.h, self.h))[on]
+        self.breakpoints = np.concatenate((self.h, np.sqrt(foot * foot + ends[on] ** 2)))
 
     def _by_region(self, columns: np.ndarray) -> np.ndarray:
         """Column values summed region by region, each in table order."""
@@ -515,23 +506,10 @@ class _PlanarFamily:
                              self._by_region(self.pieces.eh * lam) / [1.0, 2.0]))
         return _running_sum(np.vstack((np.zeros(3), w)))[:order + 1]
 
-    @property
+    @functools.cached_property
     def profiles(self) -> list:
-        """Each site's region profile as _Lattice builds it (None: the site has no region)."""
-        if self._profiles is None:
-            segments, faces = {}, {}
-            for i, e, h in zip(self.site.tolist(), self.edge.tolist(), self.h.tolist()):
-                if e not in segments:
-                    with _located(self.kind, self.edges[e]):
-                        segments[e] = _interval_profile(float(self.a[e]), float(self.b[e]), 0.0)
-                faces.setdefault(i, []).append((h, int(self.eps), segments[e]))
-            self._profiles = [None] * self.extent.size
-            for i in np.flatnonzero(self.extent).tolist():
-                with _located(self.kind, (i,)):
-                    self._profiles[i] = _profile_from_faces(
-                        2, self.omega, faces.get(i, []), self.r_max,
-                        0.0 if self.omega else np.inf, self.scale)
-        return self._profiles
+        """Each site's region profile, from the face lattice (None: the site has no region)."""
+        return _Lattice(*self._lattice).profiles
 
 
 class BallSystem:
@@ -542,11 +520,13 @@ class BallSystem:
     union_volume, intersection_volume, union_boundary and
     intersection_boundary sum them at a radius or a whole array of radii in
     one pass, so radius scans (threshold searches, dense scans) stay cheap.
-    A family is a facet table for sites spanning the plane and its sites'
-    region profiles otherwise, the sites of a Delaunay simplex sharing its
-    face's profile (see the module docstring).  Sums reduce in facet order
-    within a region and then in ascending site order, so they carry the bits
-    of the sums of nearest_profiles and farthest_profiles.  Built with
+    A family is a facet table for sites spanning the plane and the face
+    lattice of its sites' region profiles otherwise, the sites of a Delaunay
+    simplex sharing its face's profile (see the module docstring).  Sums
+    reduce in facet order within a region and then in ascending site order,
+    so they carry the bits of the sums of nearest_profiles and
+    farthest_profiles, which a planar family builds from the face lattice
+    when they are first read.  Built with
     r_max = np.inf, the system also carries the exact Laurent coefficients
     of both volume functions.
     """
@@ -587,7 +567,7 @@ class BallSystem:
         """One family: a facet table for sites spanning the plane, else the face lattice."""
         if rank == self.dimension == 2:
             return _PlanarFamily(centred, simplices, kind, self.r_max, scale)
-        return _SiteProfiles(_lattice_profiles(centred, simplices, kind, self.r_max, scale))
+        return _Lattice(centred, simplices, kind, self.r_max, scale)
 
     @property
     def nearest_profiles(self) -> list:

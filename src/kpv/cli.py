@@ -117,12 +117,6 @@ class _Rows:
         if len({c.shape for c in self.columns.values()}) > 1:
             raise ValueError("table columns differ in length")
 
-    def dicts(self) -> list[dict]:
-        """The rows as dicts of Python floats, keys in column order."""
-        names = list(self.columns)
-        return [dict(zip(names, row))
-                for row in zip(*(c.tolist() for c in self.columns.values()))]
-
 
 # a cell's placeholder, chosen by _cells
 _PLACEHOLDERS = ("%.12g", "%r", "%s")
@@ -222,9 +216,17 @@ def _flatten(prefix: str, obj, rows: list):
     """(key, CSV text) rows of obj's leaves; floats take the JSON text."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    elif isinstance(obj, _Rows):
-        obj = obj.dicts()
-    if isinstance(obj, dict):
+    if isinstance(obj, _Rows):
+        # every cell's text in one % pass, its placeholder chosen as _encode chooses it
+        names = list(obj.columns)
+        count = obj.columns[names[0]].size if names else 0
+        if count:
+            codes, cells = _cells(np.column_stack(list(obj.columns.values())).ravel())
+            texts = ("\0".join([_PLACEHOLDERS[c] for c in codes.tolist()]) % tuple(cells))
+            heads = [f"{prefix}[{i}]." for i in range(count)]
+            rows.extend(zip([head + name for head in heads for name in names],
+                            texts.split("\0")))
+    elif isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
     elif isinstance(obj, (list, tuple)):
@@ -403,7 +405,7 @@ def _cmd_verify(spec: ExperimentSpec, params: _Parameters):
 
 def _cmd_threshold(spec: ExperimentSpec, params: _Parameters):
     p, q = _load_configs(spec, 2)
-    diam = max(p.diameter, q.diameter, 1e-2)
+    diam = max(p.diameter, q.diameter) or 1.0
     grid = _radius_grid(params) or RadiusGrid(diam, 1000.0 * diam, 24)
     result = kp_threshold(p, q, grid)
     return result.to_dict(), EXIT_OK

@@ -11,7 +11,10 @@ problem solved by exhaustive vertex enumeration, which is exact at desk scale
 (dimension <= 4, a dozen constraints) and avoids a general LP dependency.
 Its cost grows combinatorially with the number of halfspaces.  BallSystem
 reads the faces of its regions off the sites' Delaunay triangulation and
-does not come here.
+extracts no facets; it comes here only through the solid-angle fraction of
+a face's cone with three or more normals in three or more dimensions
+(truncated_volume._solid_angle_fraction), which runs the max-margin solve
+and the cone's own profile.
 """
 
 from __future__ import annotations

@@ -215,6 +215,22 @@ def test_kp_threshold_scaled_square():
     assert res.margins.shape == (14, 4)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3])
+def test_threshold_margins_scale_with_the_pair(s):
+    # every margin is a length, and the hold tolerance is relative to the
+    # pair's diameter: the pair scaled by s scales r0 and the margins by s
+    base = PointConfiguration.from_points([[0, 0], [1, 0], [0.3, 0.8]])
+    q = random_expansion(base, seed=3, magnitude=0.1)
+    unit = kp_threshold(base, q, RadiusGrid(1.0, 1000.0, 24))
+    scaled = kp_threshold(PointConfiguration.from_points(s * base.points),
+                          PointConfiguration.from_points(s * q.points),
+                          RadiusGrid(s, 1000.0 * s, 24))
+    assert scaled.r0 / s == pytest.approx(unit.r0, rel=1e-12)
+    assert scaled.all_hold == unit.all_hold
+    assert scaled.margins / s == pytest.approx(unit.margins, rel=1e-9)
+    assert scaled.strictness_margin / s == pytest.approx(unit.strictness_margin, rel=1e-9)
+
+
 def test_kp_threshold_congruent_margin_zero():
     moved = PointConfiguration.from_points(SQUARE.points + np.array([4.0, -7.0]))
     res = kp_threshold(SQUARE, moved, RadiusGrid(1.0, 100.0, 6))

@@ -186,6 +186,20 @@ def test_threshold_command(two_disks, tmp_path):
     assert rep["results"]["strictness_margin"] > 0
 
 
+def test_threshold_of_single_sites_runs_from_one(tmp_path):
+    # a pair of single sites has diameter 0: the default grid runs from 1 to 1000
+    paths = []
+    for name, point in (("p", [0.0, 0.0]), ("q", [2.0, 1.0])):
+        paths += ["--config", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"dimension": 2, "points": [point]}))
+    out = tmp_path / "thr.json"
+    assert main(["threshold", *paths, "--out", str(out)]) == EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    assert res["r0"] == 1.0
+    assert res["checked_grid"][-1] == pytest.approx(1000.0, rel=1e-12)
+    assert res["congruent"] is True
+
+
 # a full-dimensional simplex in E^4: np.eye(4) alone spans only a 3-flat
 SIMPLEX_4D = np.vstack([np.zeros(4), np.eye(4)])
 

@@ -11,6 +11,7 @@ same volumes, boundaries and Laurent coefficients.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,19 +163,23 @@ def test_simplex_sites_build_both_families_without_qhull(points, monkeypatch):
 
 
 def test_face_error_names_family_and_simplex(monkeypatch):
-    # a planar family's faces come out of one array step; one face whose
-    # ends are no numbers is named
-    segment_ends = ball_volumes._segment_ends
+    # the ridges' faces come out of one array pass, in the plane and in
+    # space; a full simplex whose circumcentre is no number leaves its
+    # ridges' ends no numbers, and the first of them is named
+    circumcentres = ball_volumes._circumcentres
 
-    def fail(*args):
-        edges, u, a, b, hull = segment_ends(*args)
-        a[0] = np.nan
-        return edges, u, a, b, hull
-    monkeypatch.setattr(ball_volumes, "_segment_ends", fail)
-    p = PointConfiguration.from_points([[0, 0], [1, 0], [0.3, 0.8]])
-    with pytest.raises(NumericalError, match=r"^segment ends are not numbers "
-                                             r"\(nearest face of sites \(0, 1\)\)$"):
-        BallSystem(p, np.inf)
+    def fail(points, groups, kind):
+        centres, normals = circumcentres(points, groups, kind)
+        if groups.shape[1] == points.shape[1] + 1:
+            centres = centres.copy()
+            centres[0] = np.nan
+        return centres, normals
+    monkeypatch.setattr(ball_volumes, "_circumcentres", fail)
+    for points, ridge in (([[0, 0], [1, 0], [0.3, 0.8]], "(0, 1)"),
+                          ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 1]], "(0, 1, 2)")):
+        message = f"segment ends are not numbers (nearest face of sites {ridge})"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            BallSystem(PointConfiguration.from_points(points), np.inf)
 
 
 def test_site_profile_error_names_family_and_simplex(monkeypatch):

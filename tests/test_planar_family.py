@@ -2,15 +2,17 @@
 
 Sites spanning the plane build each family (nearest, farthest) as one table
 with a row per (site, Delaunay edge) incidence, and BallSystem sums volumes,
-boundaries and Laurent coefficients off it.  The per-site profiles, built on
-first access as the face lattice builds them, are the reference: the table's
-sums must be their sums.
+boundaries and Laurent coefficients off it.  The per-site profiles, built by
+the face lattice when they are first read, are the reference: the table's
+sums must be their sums, to the bit.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpv import ball_volumes
 from kpv.ball_volumes import BallSystem
@@ -60,6 +62,31 @@ def test_family_sums_are_the_site_profile_sums(name):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), which
 
 
+@st.composite
+def planar_sets(draw):
+    """Random sites, N = 3 ... 40, or a 3x3, 4x3 or 4x4 grid jittered by 1e-5 ... 1e-9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.uniform(-1, 1, (draw(st.integers(3, 40)), 2))
+    grid = _grid(*draw(st.sampled_from([(3, 3), (4, 3), (4, 4)])))
+    return grid + 10.0 ** -draw(st.integers(5, 9)) * rng.standard_normal(grid.shape)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(planar_sets())
+def test_family_sums_are_the_lattice_sums_bit_for_bit(pts):
+    p = PointConfiguration.from_points(pts)
+    system = BallSystem(p, np.inf)
+    radii = system.off_breakpoint(np.geomspace(0.01, 40.0, 50) * p.diameter)
+    for function, profiles, method in FUNCTIONS:
+        want = sum(getattr(prof, method)(radii) for prof in getattr(system, profiles)
+                   if prof is not None)
+        assert getattr(system, function)(radii).tolist() == want.tolist(), function
+    for which, profiles in (("union", "nearest_profiles"), ("intersection", "farthest_profiles")):
+        want = sum(prof.taylor(2) for prof in getattr(system, profiles) if prof is not None)
+        assert list(system.laurent_coefficients(which, 3)) == want.tolist(), which
+
+
 @pytest.mark.parametrize("name", ["random-N40", "lattice-4x3-jitter-1e-06", "hull-edge"])
 def test_batches_give_the_bits_of_single_radii(name, monkeypatch):
     p = PointConfiguration.from_points(PLANAR_SETS[name])
@@ -95,7 +122,7 @@ def test_planar_builds_run_no_lattice_face(monkeypatch):
 def test_collinear_planar_sites_keep_the_lattice():
     p = PointConfiguration.from_points([[0, 0], [1, 0], [2.5, 0], [4, 0]])
     system = BallSystem(p, np.inf)
-    assert isinstance(system._nearest, ball_volumes._SiteProfiles)
+    assert isinstance(system._nearest, ball_volumes._Lattice)
     # three unit disks apart plus the last one: 4 pi r^2 until the first pair meets
     assert system.union_volume(0.4) == pytest.approx(4 * np.pi * 0.16, rel=1e-14)
 
