@@ -176,16 +176,28 @@ def verify_csikos(p: PointConfiguration) -> list[CheckReport]:
     return reports
 
 
+def ww_inapplicable(p: PointConfiguration) -> str | None:
+    """Why the W-sum proposition does not apply to p, or None where it does.
+
+    It needs N <= n+1 points in general position: affinely independent, by a
+    rank test at 1e-9 times the diameter.
+    """
+    n, N = p.dimension, p.n_points
+    if N > n + 1:
+        return f"proposition needs N <= n+1, got N={N} in E^{n}"
+    if N >= 2 and np.linalg.matrix_rank(p.points - p.points[0],
+                                        tol=1e-9 * p.diameter) < N - 1:
+        return "points are not in general position (affinely dependent)"
+    return None
+
+
 def verify_ww_proposition(p: PointConfiguration) -> CheckReport:
     """d/ds (W_n + W^n)(0) = 0 for N <= n+1 points in general position."""
     n = p.dimension
     N = p.n_points
-    if N > n + 1:
-        raise GeometryError(f"proposition needs N <= n+1, got N={N} in E^{n}")
-    if N >= 2:
-        centered = p.points - p.points[0]
-        if np.linalg.matrix_rank(centered, tol=1e-9 * p.diameter) < N - 1:
-            raise GeometryError("points are not in general position (affinely dependent)")
+    reason = ww_inapplicable(p)
+    if reason:
+        raise GeometryError(reason)
     if N == 1:
         return CheckReport(claim="W-sum derivative vanishes at s=0",
                            lhs=0.0, rhs=0.0, gap=0.0,

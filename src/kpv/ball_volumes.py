@@ -22,17 +22,16 @@ only the triangulation sees coordinates in the flat.  Every family of every
 input is built this way and checked by two exact identities (BallSystem);
 nearest_voronoi and farthest_voronoi cut a region out by all the bisectors.
 
-One ridge pass (_ridge_faces) finds the ridges of a triangulation, the
-simplices one site smaller than a full one, and the lines of their faces:
-in full rank a segment between neighbouring circumcentres, or a ray at the
-hull.  Both family builders read it.  The face lattice (_Lattice) builds a
-profile per face from the smallest faces up, and serves sites in a lower
-flat and every dimension from three up.  Sites spanning the plane skip the
-per-face profiles: their regions' facets are the edges of the
-triangulation, so each family is one facet table with a row per (site,
-edge) incidence, built and evaluated in array passes (_PlanarFamily).  Its
-per-site profiles, built by the face lattice when first read, are the
-table's reference.
+One face pass (_levels) finds a triangulation's faces level by level, from
+the ridges (one site short of a full simplex) down to the sites, each level
+from the one above by integer keys, with each face's cofaces, star and hull
+rays.  Both family builders read it, the ridges' segments and rays come from
+_ridge_faces, and one test (_extent) drops the faces of zero extent.  The
+face lattice (_Lattice) builds a profile per face and serves sites in a
+lower flat and every dimension from three up.  Sites spanning the plane skip
+the per-face profiles: their regions' facets are the edges of the
+triangulation, the sites' cofaces, so each family is one facet table built
+and evaluated in array passes (_PlanarFamily); its reference is the lattice.
 
 A hit-or-miss Monte Carlo path over the bounding box of the union serves as
 the independent oracle.
@@ -206,34 +205,98 @@ def _where(kind: str, sigma) -> str:
             f"{kind} face of sites {sites}")
 
 
-def _ridge_faces(points: np.ndarray, simplices: np.ndarray, centres: np.ndarray, kind: str):
-    """The ridges of a family's triangulation, and the lines of their faces.
+@functools.lru_cache(maxsize=None)
+def _splits(size: int, m: int) -> np.ndarray:
+    """The m-subsets of range(size) in lexicographic order, a row each, followed by the rest."""
+    return np.array([s + tuple(i for i in range(size) if i not in s)
+                     for s in itertools.combinations(range(size), m)])
 
-    simplices holds the sorted sites of each full simplex (k + 1 >= 2 of
-    them) and centres their circumcentres; a ridge is a simplex of k sites,
-    an edge in the plane.  Returns (ridges, c, normals, u, a, b, hull,
-    ridge_of): the ridges in sorted order, their circumcentres, bases (rows)
-    of the directions orthogonal to them, the unit normal u of each in the
-    sites' flat, the ends a <= b of its face along the line c + x u, whether
-    it lies on the hull, and the ridge opposite site j of simplex t at
-    ridge_of[t (k + 1) + j].  In the plane c is the edge's midpoint and u the
-    edge turned by 90 degrees; in full rank u is the basis row.  In full rank
-    the face is a segment, a ray at the hull, and each simplex t at the
-    ridge bounds it at <c_t - c, u>, from the side away from (farthest:
-    toward) t's other site.  In a lower flat only a hull ridge's line, that
-    of its face's ray, is read: u is the part of p_j - c in the normal space,
-    j the other site of the ridge's simplex, NaN off the hull, and a, b are
-    None.
+
+def _levels(full: np.ndarray, n_pts: int):
+    """The faces of a triangulation level by level, from its ridges down to its sites.
+
+    full holds the sorted sites of each full simplex (k + 1 >= 2 of them).
+    Level m holds the faces of m sites, those of the level above without a
+    site j, found by integer keys.  Yields for m = k, ..., 1 the faces (rows
+    of sorted sites) in sorted order; the star, each full simplex's faces by
+    row in the lexicographic order of their positions in it; the cofaces,
+    triples (sigma, tau = sigma + {j}, j) of rows here and above (of full at
+    m = k) by sigma and then j; and the rays, pairs (face, ridge) of each
+    face and hull ridge (of one full simplex) containing it, in that order.
     """
-    n_pts, (size, n) = points.shape[0], (simplices.shape[1], points.shape[1])
-    k = size - 1
-    # the ridge opposite each site of each simplex, found by its integer key
-    drop = np.array([[i for i in range(size) if i != j] for j in range(size)])
-    faces = simplices[:, drop].reshape(-1, k)
-    _, first, ridge_of = np.unique(np.ravel_multi_index(tuple(faces.T), (n_pts,) * k),
-                                   return_index=True, return_inverse=True)
-    ridges = faces[first]
-    hull = np.bincount(ridge_of, minlength=len(ridges)) == 1
+    size = full.shape[1]
+    above = full
+    for m in range(size - 1, 0, -1):
+        # the faces of the level above without their site j, coded key n + j (an
+        # error past 64 bits) and sorted: a run of equal keys is one face's cofaces
+        cut = above[:, _splits(m + 1, m)].reshape(-1, m + 1)
+        coded = np.ravel_multi_index(tuple(cut.T), (n_pts,) * (m + 1))
+        order = np.argsort(coded)
+        keys, j = np.divmod(coded[order], n_pts)
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        sigma, first = np.cumsum(new) - 1, np.flatnonzero(new)
+        faces, keys = cut[order[first], :m], keys[first]
+        if above is full:
+            # a full simplex's cut is its star; a hull ridge is its own ray
+            star = np.empty((len(full), size), dtype=sigma.dtype)
+            star.flat[order] = sigma
+            hull = np.flatnonzero(np.bincount(sigma) == 1)
+            ridges, rays = faces[hull], (hull, hull)
+        else:
+            weights = n_pts ** np.arange(m - 1, -1, -1)
+            star = np.searchsorted(keys, full[:, _splits(size, m)[:, :m]] @ weights)
+            inner = _splits(size - 1, m)[:, :m]
+            ray_face = np.searchsorted(keys, ridges[:, inner] @ weights).ravel()
+            by_face = np.argsort(ray_face, kind="stable")
+            rays = ray_face[by_face], np.repeat(hull, len(inner))[by_face]
+        yield faces, star, (sigma, order // (m + 1), j), rays
+        above = faces
+
+
+def _extent(star, n_faces: int, centres, off_flat, rays, u, d: int, scale: float):
+    """Whether each of the n_faces faces of a level of _levels has extent.
+
+    A face is the hull of its vertices, its star's circumcentres (centres),
+    plus the cone of its rays, the lines u of its hull ridges (rays) taken
+    100 scale long (a thin wedge has its apex ~1 / angle out and an O(1)
+    share of a_(n-1)), plus the span of off_flat's rows.  It has extent where
+    these rows and its vertices' differences span d directions, the d-th
+    singular value above 1e-12 scale: one batched SVD, zero rows padding.
+    """
+    face = np.concatenate((star.ravel(), rays[0]))
+    order = np.argsort(face, kind="stable")
+    face = face[order]
+    vectors = np.concatenate((np.repeat(centres, star.shape[1], axis=0),
+                              100.0 * scale * u[rays[1]]))[order]
+    # a face's first row is its first vertex
+    first = np.searchsorted(face, face)
+    vectors = np.where((order < star.size)[:, None], vectors - vectors[first], vectors)
+    place = np.arange(face.size) - first
+    depth = int(place.max()) + 1
+    spans = np.zeros((n_faces, max(d, depth + len(off_flat)), centres.shape[1]))
+    spans[face, place] = vectors
+    spans[:, depth:depth + len(off_flat)] = off_flat
+    return np.linalg.svd(spans, compute_uv=False)[:, d - 1] > 1e-12 * scale
+
+
+def _ridge_faces(points: np.ndarray, ridges, cofaces, centres: np.ndarray, kind: str,
+                 scale: float):
+    """The lines of the faces of a family's ridges, the first level of _levels.
+
+    ridges and cofaces are that level's faces and triples (ridge, t, j), and
+    centres the full simplices' circumcentres.  Returns (c, normals, u, a,
+    b, keep): the ridges' circumcentres, bases (rows) of the directions
+    orthogonal to them, the unit normal u of each in the sites' flat (in the
+    plane the edge turned by 90 degrees, about its midpoint c), the ends
+    a <= b of its face along the line c + x u and whether they lie more than
+    2e-12 scale apart.  In full rank the face is a segment, a ray at the hull, and
+    each t bounds it at <c_t - c, u>, from the side away from (farthest:
+    toward) p_j.  In a lower flat only a hull ridge's line, that of its
+    face's ray, is read: u is the part of p_j - c in the normal space, NaN
+    off the hull, and a, b and keep are None.
+    """
+    n, k = points.shape[1], ridges.shape[1]
+    sigma, tau, j = cofaces
     if k == n == 2:
         p, q = points[ridges[:, 0]], points[ridges[:, 1]]
         c, u = 0.5 * (p + q), (q - p)[:, ::-1] * np.array([-1.0, 1.0])
@@ -243,23 +306,23 @@ def _ridge_faces(points: np.ndarray, simplices: np.ndarray, centres: np.ndarray,
         c, normals = _circumcentres(points, ridges, kind)
         u = normals[:, 0]
     if k < n:
+        hull = np.bincount(sigma, minlength=len(ridges)) == 1
         basis, u = normals[hull], np.full(c.shape, np.nan)
-        coef = basis @ (points[simplices.ravel()[first[hull]]] - c[hull])[:, :, None]
+        coef = basis @ (points[j[hull[sigma]]] - c[hull])[:, :, None]
         ray = (coef.transpose(0, 2, 1) @ basis)[:, 0]
         u[hull] = ray / np.linalg.norm(ray, axis=1, keepdims=True)
-        return ridges, c, normals, u, None, None, hull, ridge_of
-    other = points[simplices.ravel()]
-    along, base = u[ridge_of], c[ridge_of]
-    end = np.sum((np.repeat(centres, size, axis=0) - base) * along, axis=1)
-    ahead = (np.sum((other - base) * along, axis=1) > 0.0) == (kind == "nearest")
+        return c, normals, u, None, None, None
+    along, base = u[sigma], c[sigma]
+    end = np.sum((centres[tau] - base) * along, axis=1)
+    ahead = (np.sum((points[j] - base) * along, axis=1) > 0.0) == (kind == "nearest")
     a, b = np.full(len(ridges), -np.inf), np.full(len(ridges), np.inf)
     with np.errstate(invalid="ignore"):         # an end that is no number is named below
-        np.maximum.at(a, ridge_of[~ahead], end[~ahead])
-        np.minimum.at(b, ridge_of[ahead], end[ahead])
+        np.maximum.at(a, sigma[~ahead], end[~ahead])
+        np.minimum.at(b, sigma[ahead], end[ahead])
     bad = np.flatnonzero(np.isnan(b - a))
     if bad.size:
         raise NumericalError(f"segment ends are not numbers ({_where(kind, ridges[bad[0]])})")
-    return ridges, c, normals, u, a, b, hull, ridge_of
+    return c, normals, u, a, b, b - a > 2e-12 * scale
 
 
 class _Lattice:
@@ -270,115 +333,73 @@ class _Lattice:
     set F_sigma of points equidistant from sigma's sites and nearer to
     (farther from) them than to every other site.  Its base point is sigma's
     circumcentre c_sigma, whichever site the recursion started from, so its
-    profile is built once and shared by every site of sigma, from the
-    smallest faces up to the regions.  The face of a full simplex is the
-    (n - k)-flat through its centre, and in full rank a ridge's face is the
-    segment or ray _ridge_faces finds.  The facets of any other face are the
-    faces F_tau of the simplices tau = sigma + {j} in the triangulation, in
-    the order of j, at distance |c_tau - c_sigma|, with the sign of
-    |c_sigma - p_j| - R_sigma (reversed for farthest regions).  Faces of zero
-    extent (sites on a common sphere) are dropped.
+    profile is built once, level by level of _levels, and shared by every
+    site of sigma.  The face of a full simplex is the (n - k)-flat through
+    its centre, and in full rank a ridge's face is the segment or ray of
+    _ridge_faces.  The facets of any other face are the faces F_tau of its
+    cofaces tau = sigma + {j}, in the order of j, at distance
+    |c_tau - c_sigma| and with the sign of |c_sigma - p_j| - R_sigma
+    (reversed for farthest regions), both found for a level in array passes.
+    Faces of zero extent (sites on a common sphere; _extent) are dropped.
     """
 
     def __init__(self, points, simplices, kind: str, r_max: float, scale: float):
-        self.points, self.scale = points, scale
-        self.nearest = kind == "nearest"
-        self.tol = 1e-12 * scale
-        n, k = points.shape[1], simplices.shape[1] - 1
+        nearest, tol = kind == "nearest", 1e-12 * scale
+        n_pts, n, k = points.shape[0], points.shape[1], simplices.shape[1] - 1
         full = np.sort(simplices, axis=1)
-        self.full = full.tolist()
-        by_size: list[dict] = [{} for _ in range(k)]    # sigma under a ridge -> its full simplices
-        for t, simplex in enumerate(self.full):
-            for m in range(1, k):
-                for sigma in itertools.combinations(simplex, m):
-                    by_size[m].setdefault(sigma, []).append(t)
-        self.vertices, normals = _circumcentres(points, full, kind)
+        vertices, normals = _circumcentres(points, full, kind)
         # the n - k directions off the sites' flat, along which every face extends
-        self.off_flat = scale * normals[0]
-        flat = None if k == n else _profile_from_faces(n - k, 1.0, [], np.inf, 0.0, scale)
-        self.centre = {tuple(s): c for s, c in zip(self.full, self.vertices)}   # sigma -> c_sigma
-        # sigma -> profile of F_sigma, None if of zero extent
-        self.profile: dict = dict.fromkeys(self.centre, flat)
-        self.rays: dict = {}        # hull ridge -> line along which its face runs off
-        # (faces, centres, normals, stars, ends) from the ridges down to the sites
-        levels = []
-        if k:
-            ridges, centres, normals, u, a, b, hull, ridge_of = _ridge_faces(
-                points, full, self.vertices, kind)
-            faces = [tuple(r) for r in ridges.tolist()]
-            self.rays = {r: v for r, v, out in zip(faces, u, hull) if out}
-            if k == n:
-                levels.append((faces, centres, normals, itertools.repeat(None),
-                               zip(a.tolist(), b.tolist())))
+        off_flat = scale * normals[0]
+        # the level above: its faces, their centres and profiles (None at zero extent)
+        faces, centres = full, vertices
+        profiles = [None if k == n else
+                    _profile_from_faces(n - k, 1.0, [], np.inf, 0.0, scale)] * len(full)
+        for m, (level, star, (sigma, tau, j), rays) in zip(range(k, 0, -1),
+                                                            _levels(full, n_pts)):
+            if m == k:
+                c, normals, lines, a, b, keep = _ridge_faces(
+                    points, level, (sigma, tau, j), vertices, kind, scale)
             else:
-                stars = [[] for _ in faces]
-                for i, ridge in enumerate(ridge_of.tolist()):
-                    stars[ridge].append(i // (k + 1))
-                levels.append((faces, centres, normals, stars, itertools.repeat(None)))
-        for m in range(k - 1, 0, -1):
-            faces = list(by_size[m])
-            levels.append((faces, *_circumcentres(points, np.array(faces), kind),
-                           by_size[m].values(), itertools.repeat(None)))
-        sigma = None
-        try:
-            for faces, centres, normals, stars, ends in levels:
-                for sigma, c, normal, star, end in zip(faces, centres, normals, stars, ends):
-                    self.centre[sigma] = c
-                    self.profile[sigma] = (
-                        self.face(sigma, star, c, normal,
-                                  r_max if len(sigma) == 1 else np.inf) if end is None else
-                        None if end[1] - end[0] <= 2.0 * self.tol else
-                        _interval_profile(*end, 0.0))
-        except (GeometryError, NumericalError) as exc:
-            # name the face being built
-            raise type(exc)(f"{exc} ({_where(kind, sigma)})") from exc
-        self.profiles = [self.profile.get((i,)) for i in range(points.shape[0])]
+                c, normals = _circumcentres(points, level, kind)
+            d, built = n - m + 1, [None] * len(level)
+            if m == n:
+                todo, a, b = np.flatnonzero(keep).tolist(), a.tolist(), b.tolist()
+            else:
+                todo = np.flatnonzero(_extent(star, len(level), vertices, off_flat, rays, lines,
+                                              d, scale)).tolist()
+                h = np.linalg.norm(centres[tau] - c[sigma], axis=1)
+                dist = np.linalg.norm(points[j] - c[sigma], axis=1)
+                base = np.linalg.norm(points[level[:, 0]] - c, axis=1)
+                eps = np.where((dist >= base[sigma]) == nearest, 1, -1)
+                on = h <= tol
+                violated = np.bincount(sigma, ~on & (eps < 0), len(level)) > 0
+                touching = np.bincount(sigma, on, len(level)) > 0
+                bounds = np.searchsorted(sigma, np.arange(len(level) + 1)).tolist()
+                rows = list(zip(h.tolist(), eps.tolist(), [profiles[t] for t in tau.tolist()]))
+            try:
+                for f in todo:
+                    if m == n:
+                        built[f] = _interval_profile(a[f], b[f], 0.0)
+                        continue
+                    lo, hi = bounds[f], bounds[f + 1]
+                    if violated[f] or not touching[f]:
+                        omega = 0.0 if violated[f] else 1.0
+                    else:
+                        # outward normals in the face's flat: toward p_j for nearest regions
+                        out = (points[j[lo:hi][on[lo:hi]]] - c[f]) @ normals[f].T
+                        out /= np.linalg.norm(out, axis=1, keepdims=True)
+                        omega = _solid_angle_fraction(list(out if nearest else -out), d)
+                    built[f] = _profile_from_faces(
+                        d, omega, [row for row in rows[lo:hi] if row[2] is not None],
+                        r_max if m == 1 else np.inf, np.inf if violated[f] else 0.0, scale)
+            except (GeometryError, NumericalError) as exc:
+                # name the face being built
+                raise type(exc)(f"{exc} ({_where(kind, level[f])})") from exc
+            faces, centres, profiles = level, c, built
+        by_site = dict(zip(faces[:, 0].tolist(), profiles))
+        self.profiles = [by_site.get(i) for i in range(n_pts)]
         self.breakpoints = np.array([bp for prof in self.profiles if prof is not None
                                      for bp in prof.breakpoints])
-
-    def face(self, sigma, star, c, normal, r_max):
-        """Profile of the face F_sigma (dimension >= 2) about c_sigma; None at zero extent."""
-        d = normal.shape[0]
-        # F_sigma is the hull of its vertices plus the cone of its rays, times
-        # the directions off the flat: it has zero extent unless their
-        # differences span its d directions.  Rays count down to 1e-14 of angle:
-        # a thin wedge has its apex ~1 / angle out and an O(1) share of a_(n-1)
-        spans = [self.vertices[star[1:]] - self.vertices[star[0]], self.off_flat]
-        cofaces = {}                # the site j of each tau = sigma + {j} -> tau
-        for t in star:
-            for j in self.full[t]:
-                if j in sigma:
-                    continue
-                cofaces[j] = tuple(sorted(sigma + (j,)))
-                ridge = tuple(v for v in self.full[t] if v != j)
-                if ridge in self.rays:
-                    spans.append(100.0 * self.scale * self.rays[ridge][None, :])
-        spans = np.concatenate(spans)
-        if spans.shape[0] < d or np.linalg.svd(spans, compute_uv=False)[d - 1] <= self.tol:
-            return None
-
-        sites = sorted(cofaces)
-        taus = [cofaces[j] for j in sites]
-        h = np.linalg.norm(np.array([self.centre[tau] for tau in taus]) - c, axis=1)
-        dist = np.linalg.norm(self.points[sites + [sigma[0]]] - c, axis=1)
-        inside = dist[:-1] >= dist[-1]
-        eps = np.where(inside == self.nearest, 1, -1)
-        # the distance below which _profile_from_faces drops a facet
-        on = h <= self.tol
-        facets = [(float(hk), int(ek), self.profile[tau])
-                  for tau, hk, ek in zip(taus, h, eps) if self.profile[tau] is not None]
-        violated = bool(np.any(~on & (eps < 0)))
-        if violated:
-            omega = 0.0
-        elif not on.any():
-            omega = 1.0
-        else:
-            # outward normals in the face's flat: toward p_j for nearest regions
-            out = (self.points[np.array(sites)[on]] - c) @ normal.T
-            out /= np.linalg.norm(out, axis=1, keepdims=True)
-            omega = _solid_angle_fraction(list(out if self.nearest else -out), d)
-        return _profile_from_faces(d, omega, facets, r_max, np.inf if violated else 0.0,
-                                   self.scale)
 
     def evaluate(self, r: np.ndarray, derivative: bool) -> np.ndarray:
         """Sum of the regions' volumes (boundaries), site by site, at radii r > 0."""
@@ -394,44 +415,23 @@ class _Lattice:
                    np.zeros(order + 1))
 
 
-def _region_extent(n_pts: int, tris, centres, edges, u, hull, scale: float) -> np.ndarray:
-    """Whether each site's planar region has extent, as _Lattice.face decides it.
-
-    It has unless the differences of its star's circumcentres and the lines
-    of its hull edges' rays (counted 100 scale long) span no plane: their
-    second singular value is at most 1e-12 scale.  Each site's vectors are
-    stacked, zero rows padding, for one batched SVD.
-    """
-    first = np.zeros((n_pts, 2))
-    in_star, t = np.unique(tris.ravel(), return_index=True)
-    first[in_star] = centres[t // 3]
-    site = np.concatenate((tris.ravel(), edges[hull].ravel()))
-    vectors = np.concatenate((np.repeat(centres, 3, axis=0) - first[tris.ravel()],
-                              np.repeat(100.0 * scale * u[hull], 2, axis=0)))
-    order = np.argsort(site, kind="stable")
-    site, vectors = site[order], vectors[order]
-    spans = np.zeros((n_pts, max(2, int(np.max(np.bincount(site)))), 2))
-    spans[site, np.arange(site.size) - np.searchsorted(site, site)] = vectors
-    return np.linalg.svd(spans, compute_uv=False)[:, 1] > 1e-12 * scale
-
-
 class _PlanarFamily:
     """One family of sites spanning the plane, as one facet table.
 
-    The table has a row per (site, edge) incidence of the family's
-    triangulation, sorted by site and then by the edge's other site: the
-    facet of the site's region dual to the edge, at distance h = |c - p_i|
-    from the edge's midpoint c, with sign eps = 1 (farthest: -1), whose own
-    profile is the edge's face (_ridge_faces) about c.  Faces and regions of
-    zero extent are dropped as _Lattice drops them, and every region has
-    solid-angle fraction omega = 1 (farthest: 0) at its site.  A region's
-    volume is r^2 (omega pi - I(r)), I the sum of its rows' shares of
-    _PlanarPieces, and its boundary (2 V - S) / r, S = sum eps h V_i(rho)
-    from the same columns in the same pass.  Each sum runs in table order,
-    over a region's rows and then over the regions: so the family's sums
-    carry the bits of the sums of its sites' region profiles, which the face
-    lattice builds when they are first read (profiles), and a batch of radii
-    gives the bits each radius gives alone.
+    The table has a row per coface (site, edge) of the sites (_levels),
+    sorted by site and then by the edge's other site: the facet of the
+    site's region dual to the edge, at distance h = |c - p_i| from the
+    edge's midpoint c, with sign eps = 1 (farthest: -1), whose own profile is
+    the edge's face (_ridge_faces) about c.  Faces and regions of zero extent
+    are dropped as _Lattice drops them, and every region has solid-angle
+    fraction omega = 1 (farthest: 0) at its site.  A region's volume is
+    r^2 (omega pi - I(r)), I the sum of its rows' shares of _PlanarPieces,
+    and its boundary (2 V - S) / r, S = sum eps h V_i(rho) from the same
+    columns in the same pass.  Each sum runs in table order, over a region's
+    rows and then over the regions: so the family's sums carry the bits of
+    the sums of its sites' region profiles, which the face lattice builds
+    when they are first read (profiles), and a batch of radii gives the bits
+    each radius gives alone.
     """
 
     def __init__(self, points, simplices, kind: str, r_max: float, scale: float):
@@ -440,24 +440,24 @@ class _PlanarFamily:
         nearest = kind == "nearest"
         tris = np.sort(simplices, axis=1)
         centres = _circumcentres(points, tris, kind)[0]
-        edges, mid, _, u, a, b, hull, _ = _ridge_faces(points, tris, centres, kind)
-        self.extent = _region_extent(points.shape[0], tris, centres, edges, u, hull, scale)
-        keep = b - a > 2e-12 * scale
-        # the table: (site, edge) rows by site and then by the edge's other site
-        site = np.concatenate((edges[:, 0], edges[:, 1]))
-        edge = np.tile(np.arange(len(edges)), 2)
-        rows = np.lexsort((edges[edge, 0] + edges[edge, 1] - site, site))
-        rows = rows[keep[edge[rows]] & self.extent[site[rows]]]
-        self.site, self.edge = site[rows], edge[rows]
+        (edges, _, cofaces, _), (sites, star, (region, edge, _), rays) = (
+            _levels(tris, points.shape[0]))
+        mid, _, u, a, b, keep = _ridge_faces(points, edges, cofaces, centres, kind, scale)
+        extent = _extent(star, len(sites), centres, np.zeros((0, 2)), rays, u, 2, scale)
+        # the table: the sites' cofaces, (site, edge) rows by site and then by
+        # the edge's other site
+        rows = keep[edge] & extent[region]
+        region, self.edge = region[rows], edge[rows]
+        self.site = sites[region, 0]
         self.h = np.linalg.norm(mid[self.edge] - points[self.site], axis=1)
         self.eps = 1.0 if nearest else -1.0
         self.cone_coef = (1.0 if nearest else 0.0) * unit_ball_volume(2)
         # the columns run slot by slot, a slot holding the k-th row of every
         # region (a row of a zero segment, exactly 0 in every sum, where a region
         # has fewer), so that a region's terms lie one region-count apart
-        place = np.arange(rows.size) - np.searchsorted(self.site, self.site)
-        self.regions, self.depth = int(np.sum(self.extent)), int(np.max(place, initial=0)) + 1
-        column = place * self.regions + (np.cumsum(self.extent) - 1)[self.site]
+        place = np.arange(region.size) - np.searchsorted(region, region)
+        self.regions, self.depth = int(np.sum(extent)), int(np.max(place, initial=0)) + 1
+        column = place * self.regions + (np.cumsum(extent) - 1)[region]
         cells = self.depth * self.regions
         h_col, a_col, b_col = np.ones(cells), np.zeros(cells), np.zeros(cells)
         h_col[column], a_col[column], b_col[column] = self.h, a[self.edge], b[self.edge]
@@ -526,9 +526,8 @@ class BallSystem:
     reduce in facet order within a region and then in ascending site order,
     so they carry the bits of the sums of nearest_profiles and
     farthest_profiles, which a planar family builds from the face lattice
-    when they are first read.  Built with
-    r_max = np.inf, the system also carries the exact Laurent coefficients
-    of both volume functions.
+    when they are first read.  Built with r_max = np.inf, the system also
+    carries the exact Laurent coefficients of both volume functions.
     """
 
     def __init__(self, p: PointConfiguration, r_max: float):

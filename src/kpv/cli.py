@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (RadiusGrid, kp_threshold, verify_capoyleas_pach,
                           verify_csikos, verify_lift_identity,
-                          verify_ww_proposition)
+                          verify_ww_proposition, ww_inapplicable)
 from .ball_volumes import BallSystem, mc_ball_volume
 from .configurations import (PointConfiguration, load_configuration,
                              random_expansion, save_configuration)
@@ -389,7 +389,9 @@ def _cmd_verify(spec: ExperimentSpec, params: _Parameters):
         reports.append(verify_capoyleas_pach(config))
     if claim in ("csikos", "all"):
         reports.extend(verify_csikos(config))
-    if claim in ("ww", "all"):
+    # under "all", ww runs only where it applies
+    skip = ww_inapplicable(config) if claim == "all" else None
+    if claim in ("ww", "all") and not skip:
         reports.append(verify_ww_proposition(config))
     if claim in ("lift", "all"):
         scale = max(1.0, config.diameter)
@@ -399,8 +401,10 @@ def _cmd_verify(spec: ExperimentSpec, params: _Parameters):
     if not reports:
         raise InputError(f"unknown claim {claim!r}")
     all_pass = all(rep.passed for rep in reports)
-    return {"checks": [rep.to_dict() for rep in reports], "all_pass": all_pass}, (
-        EXIT_OK if all_pass else EXIT_VERIFY_FAILED)
+    results = {"checks": [rep.to_dict() for rep in reports], "all_pass": all_pass}
+    if skip:
+        results["skipped"] = {"ww": skip}
+    return results, EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
 def _cmd_threshold(spec: ExperimentSpec, params: _Parameters):

@@ -365,6 +365,31 @@ def test_verify_capoyleas_pach_single_point_in_3d(tmp_path):
     assert check["rhs"] == 0.0 and check["pass"] is True
 
 
+@pytest.mark.parametrize("points, reason", [
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], "proposition needs N <= n+1, got N=4 in E^2"),
+    ([[0, 0], [1, 0], [2.5, 0]], "points are not in general position (affinely dependent)"),
+], ids=["square", "collinear-triple"])
+def test_verify_all_skips_ww_where_it_does_not_apply(points, reason, tmp_path):
+    path, out = tmp_path / "p.json", tmp_path / "v.json"
+    save_configuration(PointConfiguration.from_points(points), path)
+    assert main(["verify", "all", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert results["skipped"] == {"ww": reason}
+    # capoyleas-pach, csikos and lift: 1 + 3 + 4 checks
+    assert results["all_pass"] and len(results["checks"]) == 8
+    # on its own the claim still fails
+    assert main(["verify", "ww", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+
+
+def test_verify_all_runs_ww_where_it_applies(tmp_path):
+    path, out = tmp_path / "p.json", tmp_path / "v.json"
+    save_configuration(PointConfiguration.from_points([[0, 0], [1, 0], [0.4, 0.8]]), path)
+    assert main(["verify", "all", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert "skipped" not in results and len(results["checks"]) == 9
+    assert "W-sum derivative vanishes at s=0" in [c["claim"] for c in results["checks"]]
+
+
 def test_monte_carlo_volume_samples_each_radius_once(two_disks, tmp_path):
     out = tmp_path / "mc.json"
     code = main(["volume", "--config", two_disks, "--r-grid", "0.6:1.4:3",

@@ -101,13 +101,15 @@ def test_batches_give_the_bits_of_single_radii(name, monkeypatch):
 
 
 def test_planar_builds_run_no_lattice_face(monkeypatch):
+    # the face lattice builds a profile per face of dimension >= 2; a planar
+    # family builds none
     calls = []
-    face = ball_volumes._Lattice.face
+    make = ball_volumes._profile_from_faces
 
-    def spy(self, *args):
-        calls.append(self.points.shape)
-        return face(self, *args)
-    monkeypatch.setattr(ball_volumes._Lattice, "face", spy)
+    def spy(n, *args):
+        calls.append(n)
+        return make(n, *args)
+    monkeypatch.setattr(ball_volumes, "_profile_from_faces", spy)
     for name in ("random-N17", "lattice-3x3", "hull-edge"):
         p = PointConfiguration.from_points(PLANAR_SETS[name])
         for r_max in (0.15 * p.diameter, np.inf):
