@@ -75,9 +75,9 @@ class ThresholdResult:
     each a length: the volume gaps over r^(n-1) and the boundary gaps over
     r^(n-2), which tend to multiples of the mean-width gap.  Negative
     entries mark radii where an inequality fails, which is expected at
-    small radii (boundary inequalities genuinely can fail there).  r0
-    needs all four to hold from it on; all_hold covers only the two volume
-    inequalities (margins[:, :2]), over the whole grid.
+    small radii (boundary inequalities genuinely can fail there).  r0 needs all
+    four to hold from it on; all_hold covers only the two volume inequalities
+    (margins[:, :2]), over the whole grid checked_grid, exactly as requested.
     """
 
     r0: float
@@ -221,8 +221,6 @@ def verify_lift_identity(p: PointConfiguration, r_samples) -> list[CheckReport]:
     E^(n+2), read off its ODE, against the n-volume of the configuration
     itself; both systems are built once, to the largest radius.  The
     tolerance, 1e-9 delta_n r^n, is reported as the check's "stderr".
-    Raises GeometryError for a radius on a breakpoint of the lifted system,
-    where its boundary measure is not read off.
     """
     r_samples = [float(r) for r in np.atleast_1d(np.asarray(r_samples, dtype=float))]
     if not r_samples:
@@ -281,15 +279,14 @@ def kp_threshold(p: PointConfiguration, q: PointConfiguration,
     sys_p = BallSystem(p, r_max=grid.r_max * (1 + 1e-6))
     sys_q = BallSystem(q, r_max=grid.r_max * (1 + 1e-6))
 
-    used = sys_p.off_breakpoint(sys_q.off_breakpoint(sys_p.off_breakpoint(radii)))
     # volume gaps tend to c dM r^(n-1) and boundary gaps to (n-1) c dM r^(n-2),
     # dM the mean-width gap: both normalized to lengths
     margins = np.column_stack((
-        sys_q.union_volume(used) - sys_p.union_volume(used),
-        sys_p.intersection_volume(used) - sys_q.intersection_volume(used),
-        sys_q.union_boundary(used) - sys_p.union_boundary(used),
-        sys_p.intersection_boundary(used) - sys_q.intersection_boundary(used))
-    ) / used[:, None] ** np.array([n - 1, n - 1, n - 2, n - 2])
+        sys_q.union_volume(radii) - sys_p.union_volume(radii),
+        sys_p.intersection_volume(radii) - sys_q.intersection_volume(radii),
+        sys_q.union_boundary(radii) - sys_p.union_boundary(radii),
+        sys_p.intersection_boundary(radii) - sys_q.intersection_boundary(radii))
+    ) / radii[:, None] ** np.array([n - 1, n - 1, n - 2, n - 2])
 
     hold_tol = 1e-9 * unit_ball_volume(n) * scale
     holds = np.all(margins >= -hold_tol, axis=1)
@@ -300,7 +297,7 @@ def kp_threshold(p: PointConfiguration, q: PointConfiguration,
             "or tighten tolerances")
     i0 = int(np.argmax(suffix_ok))
     all_hold = bool(np.all(margins[:, :2] >= -hold_tol))
-    return ThresholdResult(r0=float(used[i0]), checked_grid=used,
+    return ThresholdResult(r0=float(radii[i0]), checked_grid=radii,
                            all_hold=all_hold,
                            strictness_margin=float(np.min(margins[i0:])),
                            margins=margins)

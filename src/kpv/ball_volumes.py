@@ -55,23 +55,22 @@ from .truncated_volume import (_EPS, _check_range, _interval_profile, _PlanarPie
 
 # sites closer than this share of the diameter count as duplicates
 DISTINCT_SITE_TOL = 1e-9
-# boundary measures are read only at radii at least BREAKPOINT_TOL * r away
-# from every profile breakpoint
-BREAKPOINT_TOL = 1e-9
 # (facet rows) x (radii) evaluated at a time by a planar family: larger passes
 # leave the cache and run slower
 _CHUNK_ELEMENTS = 2 ** 14
 
 
-def _check_distinct(p: PointConfiguration):
+def _check_distinct(p: PointConfiguration) -> float:
+    """p's diameter, read off the distance matrix that shows no two sites coincide."""
     if p.n_points < 2:
-        return
+        return 0.0
     d = distance_matrix(p).entries
-    off = d[np.triu_indices(p.n_points, k=1)]
-    if np.min(off) <= DISTINCT_SITE_TOL * p.diameter:
+    diameter = float(np.max(d))
+    if np.min(d[np.triu_indices(p.n_points, k=1)]) <= DISTINCT_SITE_TOL * diameter:
         raise GeometryError(
             "configuration has duplicate (or nearly duplicate) sites; "
             "deduplicate upstream before building Voronoi regions")
+    return diameter
 
 
 def _bisector(pi: np.ndarray, pj: np.ndarray) -> Halfspace:
@@ -531,13 +530,11 @@ class BallSystem:
     """
 
     def __init__(self, p: PointConfiguration, r_max: float):
-        _check_distinct(p)
+        scale = _check_distinct(p) or 1.0       # the diameter: tolerances are relative to it
         self.config = p
         self.r_max = float(r_max)
         self.dimension = p.dimension
         self.delta = unit_ball_volume(p.dimension)
-        # every tolerance is relative to the configuration's extent
-        scale = p.diameter if p.n_points > 1 else 1.0
         # volumes are translation-invariant; circumcentres about the centroid keep
         # their rounding relative to the configuration's extent, not its offset
         centred = p.points - p.points.mean(axis=0)
@@ -612,54 +609,25 @@ class BallSystem:
         """Intersection volume at a radius (float) or an array of radii (array)."""
         return self._sum(self._farthest, r)
 
-    def _breakpoint_gap(self, r: np.ndarray) -> np.ndarray:
-        """Distance from each radius to the nearest breakpoint."""
-        k = np.searchsorted(self.breakpoints, r)
-        left = self.breakpoints[np.maximum(k - 1, 0)]
-        right = self.breakpoints[np.minimum(k, self.breakpoints.size - 1)]
-        return np.minimum(np.abs(r - left), np.abs(right - r))
-
-    def _check_off_breakpoint(self, r):
-        if not self.breakpoints.size:
-            return
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        tol = BREAKPOINT_TOL * np.abs(arr)
-        bad = np.flatnonzero(self._breakpoint_gap(arr) < tol)
-        if bad.size:
-            rb, tb = float(arr[bad[0]]), float(tol[bad[0]])
-            raise GeometryError(
-                f"radius {rb:g} sits on a profile breakpoint (within {tb:g}); "
-                f"offset the radius by at least {tb:g}")
-
     def off_breakpoint(self, r):
-        """Nearest radius at least BREAKPOINT_TOL * r away from breakpoints.
-
-        Radius grids built from the configuration diameter hit bisector
-        distances exactly; callers scanning many radii nudge them with this
-        instead of handling the breakpoint error.  Takes a radius or an array
-        of radii.
-        """
-        arr = np.asarray(r, dtype=float)
-        if not self.breakpoints.size:
-            return r
-        out = np.atleast_1d(arr).copy()
-        for _ in range(64):
-            tol = BREAKPOINT_TOL * np.abs(out)
-            near = self._breakpoint_gap(out) < tol
-            if not near.any():
-                return float(out[0]) if arr.ndim == 0 else out
-            out[near] += 3.0 * tol[near]
-        stuck = float(np.atleast_1d(arr)[np.argmax(near)])
-        raise GeometryError(f"could not move radius {stuck:g} off the breakpoint set")
+        """r, since every radius is read.  Nothing in kpv calls it; bench/tracer.py wraps it."""
+        return r
 
     def union_boundary(self, r):
-        """Boundary measure of the union, d/dr of its volume, off breakpoints."""
-        self._check_off_breakpoint(r)
+        """Boundary measure of the union, d/dr of its volume, at any radius r > 0.
+
+        Continuous at breakpoints for n >= 2 (a facet enters with a square-root
+        onset); for n = 1 it jumps where an interval's end comes free, and a
+        breakpoint radius reads one of the two one-sided values.
+        """
         return self._sum(self._nearest, r, derivative=True)
 
     def intersection_boundary(self, r):
-        """Boundary measure of the intersection, d/dr of its volume, off breakpoints."""
-        self._check_off_breakpoint(r)
+        """Boundary measure of the intersection, d/dr of its volume, at any radius r > 0.
+
+        Continuous at breakpoints for n >= 2; for n = 1 a breakpoint radius
+        reads one of the two one-sided values.
+        """
         return self._sum(self._farthest, r, derivative=True)
 
 

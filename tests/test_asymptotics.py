@@ -256,6 +256,16 @@ def test_kp_threshold_random_expansion(rng):
     assert res.r0 <= res.checked_grid[-1]
 
 
+def test_kp_threshold_checks_the_requested_grid():
+    # the grid's first radius is p's breakpoint d/2, where the disks touch
+    p = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0]])
+    q = PointConfiguration.from_points([[0.0, 0.0], [1.2, 0.0]])
+    grid = RadiusGrid(0.5, 500.0, 24)
+    res = kp_threshold(p, q, grid)
+    assert res.checked_grid.tolist() == grid.radii().tolist()
+    assert np.all(np.isfinite(res.margins))
+
+
 def test_threshold_report_surfaces_small_r_failures():
     # the scan must tolerate inequalities failing below r0: negative margins
     # stay visible in the table while r0 moves up the grid (the boundary

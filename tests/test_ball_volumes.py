@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from kpv import ball_volumes
+from kpv import ball_volumes, configurations
 from kpv.ball_volumes import (BallSystem, farthest_voronoi, mc_ball_volume,
                               nearest_voronoi)
 from kpv.configurations import PointConfiguration, embed
@@ -97,13 +97,48 @@ def test_boundary_two_disks_arc_oracle():
     assert bi == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
 
 
-def test_boundary_rejects_breakpoint_radius():
-    system = BallSystem(TWO, r_max=2.0)
-    with pytest.raises(GeometryError):
-        system.union_boundary(0.5)          # bisector distance: d/2
-    nudged = system.off_breakpoint(0.5)
-    assert nudged != 0.5
-    assert system.union_boundary(nudged) > 0.0
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_boundaries_are_continuous_at_every_breakpoint(n):
+    # a facet enters with a square-root onset, so S moves by O(sqrt(eps)) of
+    # n delta_n b^(n-1) between a breakpoint b and b (1 +- eps)
+    for seed in range(3):
+        p = random_config(np.random.default_rng(seed), n, 6)
+        system = BallSystem(p, np.inf)
+        b = system.breakpoints[system.breakpoints < 5.0 * p.diameter]
+        assert b.size
+        size = n * unit_ball_volume(n) * b ** (n - 1)
+        for boundary in (system.union_boundary, system.intersection_boundary):
+            at = boundary(b)
+            assert np.all(np.isfinite(at))
+            for eps in (1e-12, 1e-9):
+                for side in (1.0 - eps, 1.0 + eps):
+                    jump = np.abs(at - boundary(b * side))
+                    assert np.all(jump <= 10.0 * math.sqrt(eps) * size), (seed, eps, side)
+
+
+def test_boundaries_on_a_line_read_a_one_sided_value_at_breakpoints():
+    # in one dimension S jumps where an interval's end comes free
+    system = BallSystem(PointConfiguration.from_points([[0.0], [1.0], [3.0]]), np.inf)
+    assert system.breakpoints.tolist() == [0.5, 1.0, 1.5]
+    for b in system.breakpoints:
+        for boundary in (system.union_boundary, system.intersection_boundary):
+            assert boundary(b) in (boundary(b * (1 - 1e-12)), boundary(b * (1 + 1e-12)))
+
+
+def test_a_build_computes_the_distance_matrix_once(monkeypatch):
+    # the duplicate-site check and the diameter (a property that rebuilds
+    # the matrix on every read) share one matrix
+    calls = []
+    compute = configurations.distance_matrix
+
+    def spy(p):
+        calls.append(p)
+        return compute(p)
+    for module in (configurations, ball_volumes):
+        monkeypatch.setattr(module, "distance_matrix", spy)
+    p = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8], [0.9, 1.1]])
+    BallSystem(p, np.inf)
+    assert calls == [p]
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-4, 1e4])
@@ -126,7 +161,6 @@ def test_volumes_and_boundaries_scale_with_the_configuration(s):
     unit_pair = BallSystem(PointConfiguration.from_points([[0.0, 0.0], [2.0, 0.0]]), np.inf)
     assert pair.intersection_boundary(1.0005e-6) == pytest.approx(
         1e-6 * unit_pair.intersection_boundary(1.0005), rel=1e-13)
-    assert pair.off_breakpoint(1.0005e-6) == 1.0005e-6
 
 
 @pytest.mark.parametrize("s", [1e-6, 1e-10, 1e-13])
@@ -412,7 +446,7 @@ def test_sites_far_from_origin_match_unshifted(dim, n_pts):
     near = BallSystem(PointConfiguration.from_points(base), np.inf)
     far = BallSystem(PointConfiguration.from_points(base + 1e6), np.inf)
     assert far.config.points[0, 0] > 1e6 - 1          # the system keeps its input
-    radii = near.off_breakpoint(np.linspace(0.6, 3.0, 9) * far.config.diameter)
+    radii = np.linspace(0.6, 3.0, 9) * far.config.diameter
     # coordinates of 1e6 leave about 1e-10 of relative precision in the sites
     for values in ("union_volume", "intersection_volume", "union_boundary",
                    "intersection_boundary"):

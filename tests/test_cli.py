@@ -90,10 +90,16 @@ def test_verify_failure_exit_code(two_disks, tmp_path, monkeypatch):
     assert out.exists()                  # report written even on failed checks
 
 
-def test_boundary_at_breakpoint_exits_3(two_disks):
-    # r = 0.5 is the bisector distance, a breakpoint of both region profiles
-    code = main(["boundary", "--config", two_disks, "--r", "0.5"])
-    assert code == EXIT_NUMERICAL
+def test_boundary_at_a_breakpoint_is_read(two_disks, tmp_path):
+    # r = 0.5 is the bisector distance, a breakpoint of both region profiles:
+    # the disks touch, so the union's boundary is two whole circles and the
+    # intersection (one point) has none
+    out = tmp_path / "rep.json"
+    code = main(["boundary", "--config", two_disks, "--r", "0.5", "--out", str(out)])
+    assert code == EXIT_OK
+    (row,) = json.loads(out.read_text())["results"]["boundaries"]
+    assert row["union_boundary"] == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert abs(row["intersection_boundary"]) <= 1e-12
 
 
 def test_generate_roundtrip(two_disks, tmp_path):

@@ -73,7 +73,7 @@ def assert_same_system(p, r_max=np.inf):
     system = BallSystem(p, r_max)
     full = AllBisectorReference(p, r_max)
     top = min(r_max, 3.0 * p.diameter)
-    radii = system.off_breakpoint(np.linspace(0.02, 0.999, 13) * top)
+    radii = np.linspace(0.02, 0.999, 13) * top
     a, b = system_values(system, radii), full.values(radii)
     scale = np.maximum(np.abs(b), REL * np.max(np.abs(b)))
     assert np.max(np.abs(a - b) / scale) <= REL
@@ -424,7 +424,7 @@ def _invariance(data, dim):
     moved = PointConfiguration.from_points((pts @ q.T + shift)[perm])
     r_max = 1.5 * p.diameter
     a, b = BallSystem(p, r_max), BallSystem(moved, r_max)
-    radii = a.off_breakpoint(np.linspace(0.05, 1.45, 9) * p.diameter)
+    radii = np.linspace(0.05, 1.45, 9) * p.diameter
     for f in ("union_volume", "intersection_volume"):
         got, want = getattr(b, f)(radii), getattr(a, f)(radii)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9 * math.pi * r_max ** dim)

@@ -49,7 +49,7 @@ PLANAR_SETS = {
 def test_family_sums_are_the_site_profile_sums(name):
     p = PointConfiguration.from_points(PLANAR_SETS[name])
     system = BallSystem(p, np.inf)
-    radii = system.off_breakpoint(np.geomspace(0.01, 40.0, 120) * p.diameter)
+    radii = np.geomspace(0.01, 40.0, 120) * p.diameter
     for function, profiles, method in FUNCTIONS:
         want = sum(getattr(prof, method)(radii) for prof in getattr(system, profiles)
                    if prof is not None)
@@ -77,7 +77,7 @@ def planar_sets(draw):
 def test_family_sums_are_the_lattice_sums_bit_for_bit(pts):
     p = PointConfiguration.from_points(pts)
     system = BallSystem(p, np.inf)
-    radii = system.off_breakpoint(np.geomspace(0.01, 40.0, 50) * p.diameter)
+    radii = np.geomspace(0.01, 40.0, 50) * p.diameter
     for function, profiles, method in FUNCTIONS:
         want = sum(getattr(prof, method)(radii) for prof in getattr(system, profiles)
                    if prof is not None)
@@ -91,7 +91,7 @@ def test_family_sums_are_the_lattice_sums_bit_for_bit(pts):
 def test_batches_give_the_bits_of_single_radii(name, monkeypatch):
     p = PointConfiguration.from_points(PLANAR_SETS[name])
     system = BallSystem(p, 3.0 * p.diameter)
-    radii = system.off_breakpoint(np.linspace(0.01, 2.99, 97) * p.diameter)
+    radii = np.linspace(0.01, 2.99, 97) * p.diameter
     single = {f: [getattr(system, f)(float(r)) for r in radii] for f, _, _ in FUNCTIONS}
     # chunks of a few radii, and one chunk for all
     for cells in (64, ball_volumes._CHUNK_ELEMENTS):

@@ -14,7 +14,6 @@ import pytest
 from kpv.asymptotics import verify_lift_identity
 from kpv.ball_volumes import BallSystem
 from kpv.configurations import PointConfiguration, embed
-from kpv.errors import GeometryError
 from kpv.meanwidth import reference_mean_width
 from kpv.polyhedra import Halfspace, PolyhedralSet
 from kpv import truncated_volume
@@ -214,23 +213,13 @@ def test_ball_system_arrays_equal_per_radius_calls():
     cfg = PointConfiguration.from_points([[0.0, 0.0, 0.0], [1.0, 0.2, 0.0],
                                           [0.3, 0.9, 0.1], [0.4, 0.3, 0.8]])
     system = BallSystem(cfg, r_max=5.0)
-    radii = system.off_breakpoint(np.linspace(0.1, 4.9, 23))
-    assert radii.shape == (23,)
+    radii = np.linspace(0.1, 4.9, 23)
     for name in ("union_volume", "intersection_volume",
                  "union_boundary", "intersection_boundary"):
         method = getattr(system, name)
         batch = method(radii)
         assert batch.shape == radii.shape
         assert batch.tolist() == [method(float(r)) for r in radii]
-    for r, nudged in zip(np.linspace(0.1, 4.9, 23), radii):
-        assert system.off_breakpoint(float(r)) == nudged
-
-
-def test_ball_system_array_rejects_a_breakpoint_radius():
-    system = BallSystem(PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0]]),
-                        r_max=2.0)
-    with pytest.raises(GeometryError, match="radius 0.5 sits on"):
-        system.union_boundary(np.array([0.3, 0.5, 1.2]))
 
 
 def test_unbounded_profile_covers_every_radius():
