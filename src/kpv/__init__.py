@@ -8,10 +8,9 @@ infinity, and threshold scans for the expansion inequalities.
 
 __version__ = "0.1.0"
 
-from .configurations import (DistanceMatrix, PointConfiguration, are_congruent,
-                             distance_matrix, embed, is_expansion,
-                             load_configuration, random_expansion,
-                             save_configuration)
+from .configurations import (PointConfiguration, are_congruent, distance_matrix,
+                             embed, is_expansion, load_configuration,
+                             random_expansion, save_configuration)
 from .polyhedra import FaceData, Halfspace, PolyhedralSet, contains, face_data
 from .meanwidth import (MeanWidthResult, calibrate, mean_width_edge_sum_3d,
                         mean_width_exact, mean_width_exact_2d,
@@ -26,7 +25,7 @@ from .asymptotics import (CheckReport, LaurentFit, ThresholdResult,
 
 __all__ = [
     "__version__",
-    "PointConfiguration", "DistanceMatrix", "distance_matrix", "is_expansion",
+    "PointConfiguration", "distance_matrix", "is_expansion",
     "are_congruent", "embed", "random_expansion", "load_configuration",
     "save_configuration",
     "Halfspace", "PolyhedralSet", "FaceData", "contains", "face_data",

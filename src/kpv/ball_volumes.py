@@ -46,7 +46,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from .configurations import PointConfiguration, distance_matrix
+from .configurations import PointConfiguration
 from .errors import GeometryError, InputError, NumericalError
 from .polyhedra import Halfspace, PolyhedralSet
 from .truncated_volume import (_EPS, _check_range, _interval_profile, _PlanarPieces,
@@ -60,17 +60,13 @@ DISTINCT_SITE_TOL = 1e-9
 _CHUNK_ELEMENTS = 2 ** 14
 
 
-def _check_distinct(p: PointConfiguration) -> float:
-    """p's diameter, read off the distance matrix that shows no two sites coincide."""
-    if p.n_points < 2:
-        return 0.0
-    d = distance_matrix(p).entries
-    diameter = float(np.max(d))
-    if np.min(d[np.triu_indices(p.n_points, k=1)]) <= DISTINCT_SITE_TOL * diameter:
+def _check_distinct(p: PointConfiguration):
+    """GeometryError when two of p's sites (nearly) coincide."""
+    if p.n_points > 1 and (np.min(p.distances[np.triu_indices(p.n_points, k=1)])
+                           <= DISTINCT_SITE_TOL * p.diameter):
         raise GeometryError(
             "configuration has duplicate (or nearly duplicate) sites; "
             "deduplicate upstream before building Voronoi regions")
-    return diameter
 
 
 def _bisector(pi: np.ndarray, pj: np.ndarray) -> Halfspace:
@@ -530,7 +526,8 @@ class BallSystem:
     """
 
     def __init__(self, p: PointConfiguration, r_max: float):
-        scale = _check_distinct(p) or 1.0       # the diameter: tolerances are relative to it
+        _check_distinct(p)
+        scale = p.diameter or 1.0       # tolerances are relative to the diameter
         self.config = p
         self.r_max = float(r_max)
         self.dimension = p.dimension
@@ -548,15 +545,16 @@ class BallSystem:
         self.breakpoints = breakpoints[np.diff(breakpoints, prepend=-np.inf)
                                        > 1e-12 * breakpoints]
         # the union's a_(n-1) is minus the intersection's, and to infinity both a_n
-        # are delta_n: slivers of nearly cospherical sites, whose circumcentres keep
-        # eps / jitter of their digits, break these identities by far more than 1e-6
-        union, inter = (family.taylor(1)[1] for family in (self._nearest, self._farthest))
+        # are delta_n (a build short of 2 b_last has a NaN a_n in 3-d and up):
+        # slivers of nearly cospherical sites, whose circumcentres keep eps / jitter
+        # of their digits, break these identities by far more than 1e-6
+        (lead_u, union), (lead_i, inter) = (family.taylor(1)
+                                            for family in (self._nearest, self._farthest))
         if not abs(union + inter) <= 1e-6 * max(abs(union), abs(inter)):
             raise NumericalError(f"a_(n-1) of the union ({union:.12g}) and of the "
                                  f"intersection ({inter:.12g}) do not cancel")
-        for which, kind in (("union", "nearest"), ("intersection", "farthest")):
-            lead = self.laurent_coefficients(which)[0] if math.isinf(self.r_max) else self.delta
-            if not abs(lead - self.delta) <= 1e-6 * self.delta:
+        for lead, kind in ((lead_u, "nearest"), (lead_i, "farthest")):
+            if math.isinf(self.r_max) and not abs(lead - self.delta) <= 1e-6 * self.delta:
                 raise NumericalError(f"a_n = {lead:.12g}, not delta_n ({kind} family)")
 
     def _family(self, centred, simplices, kind: str, rank: int, scale: float):

@@ -1,16 +1,21 @@
 """Point configurations, their distance structure, and rearrangement predicates.
 
-A configuration is an ordered tuple of N points in Euclidean n-space.  The
-predicates implemented here compare configurations index by index: a
-rearrangement is an expansion when no pairwise distance shrinks, and two
-configurations are congruent when their (indexed) distance matrices agree.
+A configuration is an ordered tuple of N points in Euclidean n-space.  Its
+pairwise distance matrix is computed once, on first read, and kept read-only
+(PointConfiguration.distances): the diameter, the duplicate-site check of a
+ball system and the predicates here all read that one array.  The predicates
+compare configurations index by index: a rearrangement is an expansion when
+no pairwise distance shrinks, and two configurations are congruent when their
+(indexed) distance matrices agree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +29,24 @@ MAX_ATTEMPTS = 25
 MAX_SWEEPS = 500
 
 
+def _is_coordinate(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _as_point_array(points, dimension: int | None = None) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    """points as a float array of N >= 1 rows of finite coordinates (InputError otherwise).
+
+    Strings, booleans and ragged rows are refused, not coerced.
+    """
+    # a ragged row stays a list inside an object array, and fails as a coordinate
+    arr = points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)
+    if arr.dtype.kind not in "iufO" or (arr.dtype.kind == "O"
+                                        and not all(map(_is_coordinate, arr.ravel()))):
+        raise InputError("point coordinates must all be real numbers, in rows of equal length")
+    try:
+        arr = arr.astype(float, copy=False)
+    except OverflowError as exc:
+        raise InputError(f"point coordinates must all be finite: {exc}") from exc
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -41,8 +62,10 @@ def _as_point_array(points, dimension: int | None = None) -> np.ndarray:
 class PointConfiguration:
     """Ordered list of N points in E^n.
 
-    Immutable; the coordinate array is stored read-only so instances can be
-    shared freely between threads.
+    Immutable: the coordinates, and the distance matrix computed on its
+    first read (distances), are stored read-only, so instances can be
+    shared freely between threads (two threads reading distances first at
+    once may each compute the same matrix).
     """
 
     dimension: int
@@ -64,9 +87,14 @@ class PointConfiguration:
     def n_points(self) -> int:
         return self.points.shape[0]
 
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """The pairwise distance matrix (read-only), computed on first read."""
+        return distance_matrix(self)
+
     @property
     def diameter(self) -> float:
-        return float(np.max(distance_matrix(self).entries)) if self.n_points > 1 else 0.0
+        return float(np.max(self.distances))
 
     def to_dict(self) -> dict:
         d = {"dimension": self.dimension, "points": self.points.tolist()}
@@ -81,47 +109,23 @@ class PointConfiguration:
             points = d["points"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"configuration record missing field: {exc}") from exc
-        if not isinstance(dimension, int) or dimension < 1:
+        if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
             raise InputError(f"dimension must be a positive integer, got {dimension!r}")
-        return cls(dimension=dimension, points=_as_point_array(points, dimension),
-                   label=d.get("label"))
+        return cls(dimension=dimension, points=points, label=d.get("label"))
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric matrix of pairwise Euclidean distances, zero diagonal."""
+def distance_matrix(config: PointConfiguration) -> np.ndarray:
+    """Pairwise Euclidean distances of a configuration, as a read-only array.
 
-    size: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (self.size, self.size):
-            raise InputError(f"entries shape {m.shape} does not match size {self.size}")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise InputError("distance matrix must be symmetric")
-        if np.any(np.diag(m) != 0.0):
-            raise InputError("distance matrix diagonal must be zero")
-        if np.any(m < 0.0):
-            raise InputError("distances must be non-negative")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    def check_triangle_inequality(self, tol: float = DEFAULT_TOL) -> bool:
-        m = self.entries
-        # d(i,k) <= d(i,j) + d(j,k) for all j; O(N^3) is fine at desk scale
-        return bool(np.all(m <= np.min(m[:, None, :] + m[None, :, :], axis=2) + tol))
-
-
-def distance_matrix(config: PointConfiguration) -> DistanceMatrix:
-    """Pairwise Euclidean distances of a configuration."""
+    A configuration keeps the one it reads as PointConfiguration.distances.
+    """
     pts = config.points
     diff = pts[:, None, :] - pts[None, :, :]
     m = np.sqrt(np.sum(diff * diff, axis=2))
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 0.0)
-    return DistanceMatrix(size=config.n_points, entries=m)
+    m.setflags(write=False)
+    return m
 
 
 def _require_same_count(p: PointConfiguration, q: PointConfiguration):
@@ -138,9 +142,7 @@ def is_expansion(p: PointConfiguration, q: PointConfiguration,
     matrices are compared.
     """
     _require_same_count(p, q)
-    dp = distance_matrix(p).entries
-    dq = distance_matrix(q).entries
-    return bool(np.all(dq >= dp - tol))
+    return bool(np.all(q.distances >= p.distances - tol))
 
 
 def are_congruent(p: PointConfiguration, q: PointConfiguration,
@@ -152,9 +154,7 @@ def are_congruent(p: PointConfiguration, q: PointConfiguration,
     isometry.
     """
     _require_same_count(p, q)
-    dp = distance_matrix(p).entries
-    dq = distance_matrix(q).entries
-    return bool(np.all(np.abs(dp - dq) <= tol))
+    return bool(np.all(np.abs(p.distances - q.distances) <= tol))
 
 
 def embed(config: PointConfiguration, target_dim: int) -> PointConfiguration:
@@ -188,7 +188,7 @@ def random_expansion(p: PointConfiguration, seed: int, magnitude: float) -> Poin
     if magnitude == 0:
         return PointConfiguration(p.dimension, p.points, label=p.label)
     rng = np.random.default_rng(seed)
-    targets = distance_matrix(p).entries
+    targets = p.distances
     n, dim = p.n_points, p.dimension
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(MAX_ATTEMPTS):
@@ -228,7 +228,7 @@ def load_configuration(path) -> PointConfiguration:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read configuration from {path}: {exc}") from exc
     return PointConfiguration.from_dict(data)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from kpv import ball_volumes, configurations
+from kpv import ball_volumes
 from kpv.ball_volumes import (BallSystem, farthest_voronoi, mc_ball_volume,
                               nearest_voronoi)
 from kpv.configurations import PointConfiguration, embed
@@ -123,22 +123,6 @@ def test_boundaries_on_a_line_read_a_one_sided_value_at_breakpoints():
     for b in system.breakpoints:
         for boundary in (system.union_boundary, system.intersection_boundary):
             assert boundary(b) in (boundary(b * (1 - 1e-12)), boundary(b * (1 + 1e-12)))
-
-
-def test_a_build_computes_the_distance_matrix_once(monkeypatch):
-    # the duplicate-site check and the diameter (a property that rebuilds
-    # the matrix on every read) share one matrix
-    calls = []
-    compute = configurations.distance_matrix
-
-    def spy(p):
-        calls.append(p)
-        return compute(p)
-    for module in (configurations, ball_volumes):
-        monkeypatch.setattr(module, "distance_matrix", spy)
-    p = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8], [0.9, 1.1]])
-    BallSystem(p, np.inf)
-    assert calls == [p]
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-4, 1e4])

@@ -6,12 +6,13 @@ import pytest
 from scipy.spatial import ConvexHull
 
 import kpv.cli
+import kpv.configurations
 from kpv.asymptotics import CheckReport, laurent_fit
 from kpv.ball_volumes import BallSystem, mc_ball_volume
 from kpv.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED,
                      ExperimentSpec, main, run)
 from kpv.configurations import (PointConfiguration, is_expansion, load_configuration,
-                                save_configuration)
+                                random_expansion, save_configuration)
 from kpv.truncated_volume import RadiusGrid
 
 from conftest import two_disk_union
@@ -65,11 +66,38 @@ def test_reports_are_byte_identical(two_disks, tmp_path):
 
 def test_malformed_input_exits_2_no_partial_output(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
     out = tmp_path / "never.json"
-    code = main(["volume", "--config", str(bad), "--r", "1.0", "--out", str(out)])
-    assert code == EXIT_INPUT
-    assert not out.exists()
+    # a ragged row is an input error, not a crash
+    for text in ("{not json", json.dumps({"dimension": 2, "points": [[0.0, 0.0], [1.0]]})):
+        bad.write_text(text)
+        code = main(["volume", "--config", str(bad), "--r", "1.0", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert not out.exists()
+
+
+def test_each_configuration_computes_its_distance_matrix_once(tmp_path, monkeypatch):
+    # every reader (diameter, duplicate-site check, expansion and congruence
+    # tests, default radii) shares the matrix a configuration keeps
+    calls = []
+    compute = kpv.configurations.distance_matrix
+
+    def spy(config):
+        calls.append(config)
+        return compute(config)
+    monkeypatch.setattr(kpv.configurations, "distance_matrix", spy)
+    p = PointConfiguration.from_points([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    q = random_expansion(p, seed=3, magnitude=0.1)
+    paths = [tmp_path / "p.json", tmp_path / "q.json"]
+    for config, path in zip((p, q), paths):
+        save_configuration(config, path)
+    out = str(tmp_path / "report.json")
+    # threshold: p and q; verify all: the sites and their lift into E^4
+    for argv, count in ((["threshold", "--config", str(paths[0]), "--config", str(paths[1])], 2),
+                        (["verify", "all", "--config", str(paths[0])], 2),
+                        (["volume", "--config", str(paths[0]), "--r", "1.5"], 1)):
+        calls.clear()
+        assert main(argv + ["--out", out]) == EXIT_OK
+        assert len(calls) == count, argv[0]
 
 
 def test_missing_config_exits_2(tmp_path):

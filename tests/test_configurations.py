@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from kpv.configurations import (DistanceMatrix, PointConfiguration, are_congruent,
-                                distance_matrix, embed, is_expansion,
-                                load_configuration, random_expansion,
-                                save_configuration)
+from kpv.configurations import (PointConfiguration, are_congruent, distance_matrix,
+                                embed, is_expansion, load_configuration,
+                                random_expansion, save_configuration)
 from kpv.errors import InputError
 
 from conftest import random_config, random_orthogonal
@@ -16,18 +15,29 @@ from conftest import random_config, random_orthogonal
 def test_distance_matrix_single_point():
     cfg = PointConfiguration.from_points([[1.0, 2.0]])
     dm = distance_matrix(cfg)
-    assert dm.size == 1
-    assert dm.entries[0, 0] == 0.0
+    assert dm.shape == (1, 1)
+    assert dm[0, 0] == 0.0
+    assert cfg.diameter == 0.0
+
+
+def test_distances_are_computed_once_and_read_only(rng):
+    cfg = random_config(rng, 3, 6)
+    d = cfg.distances
+    assert cfg.distances is d
+    assert np.array_equal(d, distance_matrix(cfg))
+    assert cfg.diameter == np.max(d)
+    with pytest.raises(ValueError):
+        d[0, 1] = 0.0
 
 
 def test_distance_matrix_345_triangle():
     cfg = PointConfiguration.from_points([[0.0, 0.0], [3.0, 4.0]])
-    assert distance_matrix(cfg).entries[0, 1] == pytest.approx(5.0, abs=1e-15)
+    assert distance_matrix(cfg)[0, 1] == pytest.approx(5.0, abs=1e-15)
 
 
 def test_distance_matrix_right_triangle():
     cfg = PointConfiguration.from_points([[0, 0], [1, 0], [0, 1]])
-    d = distance_matrix(cfg).entries
+    d = distance_matrix(cfg)
     assert d[0, 1] == pytest.approx(1.0)
     assert d[0, 2] == pytest.approx(1.0)
     assert d[1, 2] == pytest.approx(math.sqrt(2.0))
@@ -36,18 +46,20 @@ def test_distance_matrix_right_triangle():
 def test_distance_matrix_triangle_inequality(rng):
     for _ in range(5):
         cfg = random_config(rng, 3, 8)
-        assert distance_matrix(cfg).check_triangle_inequality()
+        m = distance_matrix(cfg)
+        # d(i,k) <= d(i,j) + d(j,k) for all j
+        assert np.all(m <= np.min(m[:, None, :] + m[None, :, :], axis=2) + 1e-9)
 
 
 def test_distance_matrix_invariance_under_isometries(rng):
     cfg = random_config(rng, 3, 6)
-    base = distance_matrix(cfg).entries
+    base = distance_matrix(cfg)
     shifted = PointConfiguration.from_points(cfg.points + rng.uniform(-5, 5, 3))
     rotated = PointConfiguration.from_points(cfg.points @ random_orthogonal(rng, 3).T)
     padded = embed(cfg, 5)
     for other in (shifted, rotated, padded):
         scale = np.max(base) or 1.0
-        assert np.max(np.abs(distance_matrix(other).entries - base)) <= 1e-12 * scale
+        assert np.max(np.abs(distance_matrix(other) - base)) <= 1e-12 * scale
 
 
 def test_is_expansion_reflexive(rng):
@@ -119,9 +131,7 @@ def test_random_expansion_postcondition(seed, rng):
     out = random_expansion(cfg, seed=seed, magnitude=0.3)
     assert is_expansion(cfg, out, tol=0.0)
     # never a contraction in any pair
-    dp = distance_matrix(cfg).entries
-    dq = distance_matrix(out).entries
-    assert np.all(dq >= dp)
+    assert np.all(distance_matrix(out) >= distance_matrix(cfg))
 
 
 def test_random_expansion_deterministic(rng):
@@ -140,13 +150,6 @@ def test_point_configuration_validation():
         PointConfiguration.from_points(np.zeros((0, 2)))
 
 
-def test_distance_matrix_validation():
-    with pytest.raises(InputError):
-        DistanceMatrix(size=2, entries=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(InputError):
-        DistanceMatrix(size=2, entries=np.array([[0.0, -1.0], [-1.0, 0.0]]))
-
-
 def test_json_round_trip(tmp_path):
     cfg = PointConfiguration.from_points([[0.25, -1.5], [3.0, 4.0]], label="pair")
     path = tmp_path / "cfg.json"
@@ -160,9 +163,18 @@ def test_json_round_trip(tmp_path):
 
 def test_load_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dimension": 2}))
-    with pytest.raises(InputError):
-        load_configuration(path)
-    path.write_text(json.dumps({"dimension": 0, "points": [[1.0]]}))
+    # ragged rows, strings and booleans are refused, not coerced
+    for record in ({"dimension": 2}, {"dimension": 0, "points": [[1.0]]},
+                   {"dimension": True, "points": [[1.0]]},
+                   {"dimension": 2, "points": [[0.0, 0.0], [1.0]]},
+                   {"dimension": 2, "points": [[0.0, 0.0], [1.0, [2.0]]]},
+                   {"dimension": 2, "points": [["0", "a"], [1.0, 0.0]]},
+                   {"dimension": 2, "points": [[0.0, "1"], [1.0, 0.0]]},
+                   {"dimension": 2, "points": [[0.0, True], [1.0, 0.0]]},
+                   {"dimension": 1, "points": [[10 ** 400]]}):
+        path.write_text(json.dumps(record))
+        with pytest.raises(InputError):
+            load_configuration(path)
+    path.write_text("[" * 100_000)      # nested too deep for the JSON parser
     with pytest.raises(InputError):
         load_configuration(path)
